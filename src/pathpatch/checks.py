@@ -12,7 +12,7 @@ import random
 
 from .analysis import build_call_graph
 from .ir import IRProgram
-from .minilang.interp import STATUS_FAULT, run_program
+from .minilang.interp import DEFAULT_MAX_HEAP_CELLS, STATUS_FAULT, run_program
 
 
 def reachable_blocks(
@@ -76,6 +76,7 @@ def fuzz_vulnerability(
     seed: int = 0,
     max_input_len: int = 12,
     max_steps: int = 200_000,
+    max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS,
 ) -> tuple[int, int]:
     """Run `runs` random inputs; count faults at the vulnerable statement.
 
@@ -95,7 +96,9 @@ def fuzz_vulnerability(
                 values.append(rng.randint(10, 200))
             else:
                 values.append(rng.randint(-50, -1))
-        result = run_program(program, values, max_steps=max_steps)
+        result = run_program(
+            program, values, max_steps=max_steps, max_heap_cells=max_heap_cells
+        )
         if result.status == STATUS_FAULT and result.fault_at == vuln_statement:
             hits += 1
     return runs, hits

@@ -332,6 +332,7 @@ def cmd_evaluate(args, program, vuln) -> int:
             runs=args.fuzz,
             seed=args.seed,
             max_steps=limits.max_steps,
+            max_heap_cells=limits.max_heap_cells,
         )
         meta["fuzz"] = {
             "runs": runs,

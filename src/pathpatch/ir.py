@@ -3,7 +3,9 @@
 A program is a set of functions; each function is a control flow graph of
 basic blocks holding straight-line statements and ending in a terminator.
 Everything is immutable after construction: analyses and patch application
-always build new objects and may share unchanged substructure.
+always build new objects and may share unchanged substructure. The one
+exception is `IRFunction.compiled`, a cache the interpreter fills on a
+function's first execution.
 
 Conventions:
   - `FunctionId` is the function name (parser enforces uniqueness).
@@ -280,6 +282,9 @@ class IRFunction:
     declared_error_return: object | None = None
     locals: dict[str, ValueType] = field(default_factory=dict)
     external: bool = False
+    # the interpreter's compiled form, set on first execution; see
+    # minilang.interp. Not copied by `replace`, never compared or printed.
+    compiled: object = field(default=None, init=False, compare=False, repr=False)
 
     def block(self, block_id: BlockId) -> BasicBlock:
         try:

@@ -2,8 +2,9 @@
 brute-force oracles the analyses are checked against.
 
 The oracles deliberately avoid the production algorithms: postdominance is
-derived from exhaustive simple-path enumeration, and interprocedural paths
-from a direct depth-first search with a no-repeat cutoff.
+derived from exhaustive simple-path enumeration, interprocedural paths
+from a direct depth-first search with a no-repeat cutoff, and execution
+from a plain tree-walking interpreter (`reference_run`).
 """
 
 from __future__ import annotations
@@ -13,19 +14,42 @@ import random
 
 from pathpatch.analysis import EXIT
 from pathpatch.ir import (
+    BOOL,
     INT,
     BasicBlock,
+    Binary,
+    BoolConst,
     Branch,
     Call,
+    FuncRef,
+    Halt,
     IntConst,
+    IRError,
     IRFunction,
     IRProgram,
     Jump,
+    NilConst,
     Nop,
     Opaque,
     Return,
+    Unary,
+    Var,
 )
 from pathpatch.minilang import nodes
+from pathpatch.minilang.interp import (
+    DEFAULT_MAX_HEAP_CELLS,
+    DEFAULT_MAX_STEPS,
+    FAULT_ASSERT,
+    FAULT_DIV_ZERO,
+    FAULT_NIL_DEREF,
+    FAULT_OOB,
+    STATUS_FAULT,
+    STATUS_INPUT_EXHAUSTED,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    ExecutionResult,
+    FnVal,
+)
 from pathpatch.minilang.nodes import (
     AssignStmt,
     BinOp,
@@ -352,3 +376,324 @@ def canonical_shape(program: IRProgram):
             )
         shapes[fn_id] = tuple(rows)
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# Reference interpreter
+# ---------------------------------------------------------------------------
+
+
+def reference_run(
+    program: IRProgram,
+    input_values=(),
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS,
+    record_trace: bool = False,
+) -> ExecutionResult:
+    """Tree-walking interpreter with `run_program`'s exact semantics.
+
+    It re-resolves every expression node and operator on every evaluation
+    and ticks one step per statement and terminator; it is the oracle the
+    compiled interpreter is checked against.
+    """
+    if not program.executable:
+        raise IRError("program has no executable statement bodies")
+    return _Interp(program, input_values, max_steps, max_heap_cells, record_trace).run()
+
+
+class _Fault(Exception):
+    def __init__(self, kind: str, at: str):
+        self.kind = kind
+        self.at = at
+
+
+class _Timeout(Exception):
+    pass
+
+
+class _InputExhausted(Exception):
+    pass
+
+
+class _Frame:
+    __slots__ = ("fn", "block", "index", "locals", "call_target", "call_site")
+
+    def __init__(self, fn, block, local_env):
+        self.fn = fn
+        self.block = block
+        self.index = 0
+        self.locals = local_env
+        self.call_target = None  # where to store a callee's return value
+        self.call_site = None  # statement id of the active call
+
+
+def _default_for(value_type):
+    if value_type == INT:
+        return 0
+    if value_type == BOOL:
+        return False
+    return None  # ref / fn-ref default to nil
+
+
+class _Interp:
+    def __init__(self, program, input_values, max_steps, max_heap_cells, record_trace):
+        self.program = program
+        self.inputs = list(input_values)
+        self.input_pos = 0
+        self.max_steps = max_steps
+        self.max_heap_cells = max_heap_cells
+        self.steps = 0
+        self.heap: list[list[int]] = []
+        self.heap_cells = 0
+        self.output: list[int] = []
+        self.trace: list[tuple[str, str]] | None = [] if record_trace else None
+        self.calls: list[tuple[str, str]] | None = [] if record_trace else None
+        self.stack: list[_Frame] = []
+
+    # --- helpers ---
+
+    def make_frame(self, fn, args) -> _Frame:
+        env = {}
+        for (name, ptype), value in zip(fn.params, args):
+            env[name] = value
+        for name, vtype in fn.locals.items():
+            env[name] = _default_for(vtype)
+        frame = _Frame(fn, fn.blocks[fn.entry_block], env)
+        if self.trace is not None:
+            self.trace.append((fn.id, fn.entry_block))
+        return frame
+
+    def enter_block(self, frame: _Frame, block_id: str) -> None:
+        frame.block = frame.fn.blocks[block_id]
+        frame.index = 0
+        if self.trace is not None:
+            self.trace.append((frame.fn.id, block_id))
+
+    def eval(self, expr, env):
+        if isinstance(expr, IntConst):
+            return expr.value
+        if isinstance(expr, BoolConst):
+            return expr.value
+        if isinstance(expr, NilConst):
+            return None
+        if isinstance(expr, Var):
+            return env[expr.name]
+        if isinstance(expr, FuncRef):
+            return FnVal(expr.name)
+        if isinstance(expr, Unary):
+            value = self.eval(expr.operand, env)
+            return (not value) if expr.op == "!" else -value
+        if isinstance(expr, Binary):
+            left = self.eval(expr.left, env)
+            right = self.eval(expr.right, env)
+            return self.binop(expr.op, left, right)
+        raise IRError(f"cannot evaluate {expr!r}")
+
+    def binop(self, op, left, right):
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op in ("/", "%"):
+            if right == 0:
+                raise _Fault(FAULT_DIV_ZERO, self.current_stmt_id)
+            # C-style: quotient truncates toward zero, remainder matches
+            q = abs(left) // abs(right)
+            if (left < 0) != (right < 0):
+                q = -q
+            if op == "/":
+                return q
+            return left - q * right
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        if op == ">=":
+            return left >= right
+        if op == "==":
+            return left == right
+        if op == "!=":
+            return left != right
+        if op == "&&":
+            return left and right
+        if op == "||":
+            return left or right
+        raise IRError(f"unknown operator {op!r}")
+
+    def read_array(self, ref, index):
+        if ref is None:
+            raise _Fault(FAULT_NIL_DEREF, self.current_stmt_id)
+        cells = self.heap[ref]
+        if index < 0 or index >= len(cells):
+            raise _Fault(FAULT_OOB, self.current_stmt_id)
+        return cells[index]
+
+    def write_array(self, ref, index, value):
+        if ref is None:
+            raise _Fault(FAULT_NIL_DEREF, self.current_stmt_id)
+        cells = self.heap[ref]
+        if index < 0 or index >= len(cells):
+            raise _Fault(FAULT_OOB, self.current_stmt_id)
+        cells[index] = value
+
+    def backtrace(self, fault_at: str) -> tuple[tuple[str, str], ...]:
+        frames = [(frame.fn.id, frame.call_site) for frame in self.stack[:-1]]
+        frames.append((self.stack[-1].fn.id, fault_at))
+        return tuple(frames)
+
+    # --- main loop ---
+
+    def run(self) -> ExecutionResult:
+        entry = self.program.functions[self.program.entry]
+        self.stack.append(self.make_frame(entry, ()))
+        self.current_stmt_id = None
+        try:
+            return self.loop()
+        except _Fault as fault:
+            return self.result(
+                STATUS_FAULT,
+                fault_kind=fault.kind,
+                fault_at=fault.at,
+                fault_stack=self.backtrace(fault.at),
+            )
+
+    def result(self, status, **kw) -> ExecutionResult:
+        return ExecutionResult(
+            status=status,
+            output=tuple(self.output),
+            trace=tuple(self.trace) if self.trace is not None else None,
+            calls=tuple(self.calls) if self.calls is not None else None,
+            steps=self.steps,
+            **kw,
+        )
+
+    def tick(self):
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise _Timeout
+
+    def loop(self) -> ExecutionResult:
+        try:
+            while True:
+                frame = self.stack[-1]
+                if frame.index < len(frame.block.statements):
+                    stmt = frame.block.statements[frame.index]
+                    frame.index += 1
+                    self.current_stmt_id = stmt.id
+                    self.tick()
+                    done = self.exec_stmt(frame, stmt)
+                    if done is not None:
+                        return done
+                    continue
+                term = frame.block.terminator
+                self.tick()
+                if isinstance(term, Jump):
+                    self.enter_block(frame, term.target)
+                elif isinstance(term, Branch):
+                    self.current_stmt_id = term.id
+                    cond = self.eval(term.cond, frame.locals)
+                    self.enter_block(
+                        frame, term.then_target if cond else term.else_target
+                    )
+                elif isinstance(term, Return):
+                    self.current_stmt_id = term.id
+                    value = (
+                        self.eval(term.value, frame.locals)
+                        if term.value is not None
+                        else None
+                    )
+                    done = self.do_return(value)
+                    if done is not None:
+                        return done
+                elif isinstance(term, Halt):
+                    return self.result(STATUS_OK, exit_value=None)
+                else:
+                    raise IRError(f"block {frame.block.id} has no terminator")
+        except _Timeout:
+            return self.result(STATUS_TIMEOUT)
+        except _InputExhausted:
+            return self.result(STATUS_INPUT_EXHAUSTED)
+
+    def do_return(self, value):
+        self.stack.pop()
+        if not self.stack:
+            return self.result(STATUS_OK, exit_value=value)
+        caller = self.stack[-1]
+        if caller.call_target is not None:
+            caller.locals[caller.call_target] = value
+        caller.call_target = None
+        caller.call_site = None
+        return None
+
+    def exec_stmt(self, frame, stmt):
+        kind = stmt.kind
+        env = frame.locals
+        if kind == "assign":
+            env[stmt.target] = self.eval(stmt.value, env)
+            return None
+        if kind == "array_read":
+            ref = self.eval(stmt.array, env)
+            index = self.eval(stmt.index, env)
+            env[stmt.target] = self.read_array(ref, index)
+            return None
+        if kind == "array_write":
+            ref = self.eval(stmt.array, env)
+            index = self.eval(stmt.index, env)
+            value = self.eval(stmt.value, env)
+            self.write_array(ref, index, value)
+            return None
+        if kind == "array_alloc":
+            size = self.eval(stmt.size, env)
+            if size < 0:
+                raise _Fault(FAULT_OOB, stmt.id)
+            if self.heap_cells + size > self.max_heap_cells:
+                raise _Timeout
+            self.heap.append([0] * size)
+            self.heap_cells += size
+            env[stmt.target] = len(self.heap) - 1
+            return None
+        if kind == "print":
+            value = self.eval(stmt.value, env)
+            self.output.append(int(value))
+            return None
+        if kind == "read_input":
+            if self.input_pos >= len(self.inputs):
+                raise _InputExhausted
+            env[stmt.target] = self.inputs[self.input_pos]
+            self.input_pos += 1
+            return None
+        if kind == "assertion":
+            if not self.eval(stmt.cond, env):
+                raise _Fault(FAULT_ASSERT, stmt.id)
+            return None
+        if kind == "call":
+            return self.exec_call(frame, stmt)
+        if kind == "nop":
+            return None
+        raise IRError(f"cannot execute statement kind {kind!r}")
+
+    def exec_call(self, frame, stmt):
+        env = frame.locals
+        if stmt.callee_name is not None:
+            callee = self.program.functions[stmt.callee_name]
+        else:
+            value = env[stmt.callee_ref]
+            if value is None:
+                raise _Fault(FAULT_NIL_DEREF, stmt.id)
+            callee = self.program.functions[value.name]
+        args = tuple(self.eval(a, env) for a in stmt.args)
+        if self.calls is not None:
+            self.calls.append((stmt.id, callee.id))
+        if callee.external:
+            # externals have no body; they yield their return type's default
+            if stmt.target is not None:
+                env[stmt.target] = _default_for(callee.return_type)
+            return None
+        frame.call_target = stmt.target
+        frame.call_site = stmt.id
+        self.stack.append(self.make_frame(callee, args))
+        return None

@@ -201,6 +201,41 @@ class TestEvaluate:
         assert report["fuzz"]["vulnerable_faults"] == 0
         assert report["fuzz"]["cut_disconnects"] is True
 
+    def test_fuzz_respects_the_heap_budget(self, tmp_path):
+        """The flaw is reachable only past a 100-cell allocation; no patch
+        location guards it, so only the heap budget stops the fuzz hits."""
+        program = tmp_path / "heap.mini"
+        program.write_text(
+            "fn main() -> int {\n"
+            "    let big: ref = alloc(100);\n"
+            "    let b: ref = alloc(8);\n"
+            "    let x: int = read_input();\n"
+            "    b[x] = 1;\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        vuln = tmp_path / "heap.vuln.json"
+        vuln.write_text(json.dumps({"function": "main", "line": 5}))
+        suite = tmp_path / "heap.suite"
+        suite.write_text("small | input: 1 | expect:\n")
+        hits = {}
+        for cells in ("1000000", "50"):
+            out = tmp_path / cells
+            code = invoke(
+                "evaluate",
+                "--program", str(program),
+                "--vuln", str(vuln),
+                "--suite", str(suite),
+                "--out", str(out),
+                "--fuzz", "50",
+                "--max-heap-cells", cells,
+            )
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            hits[cells] = report["fuzz"]["vulnerable_faults"]
+        assert hits["1000000"] > 0
+        assert hits["50"] == 0
+
 
 class TestAll:
     def test_chains_all_three_phases(self, tmp_path):

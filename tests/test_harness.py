@@ -1,6 +1,10 @@
 """Suite parsing, test execution, exploit checking, evaluation, ranking."""
 
 import random
+import sys
+import threading
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,17 @@ from pathpatch.locate import CandidatePatchLocation, candidate_locations
 from pathpatch.minilang import lower, parse
 from pathpatch.paths import build_program_path_graph
 from pathpatch.synth import ErrorReturnValue, Patch, synthesize_patches
+
+
+@contextmanager
+def short_switch_interval():
+    """Make the interpreter switch threads as often as it can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestSuiteParsing:
@@ -199,6 +214,53 @@ class TestEvaluate:
         assert [
             (e.patch.id, e.passed, e.total, e.exploit_blocked) for e in serial
         ] == [(e.patch.id, e.passed, e.total, e.exploit_blocked) for e in parallel]
+
+    def test_threads_compiling_shared_functions_agree_with_serial(self):
+        """Variants share every unpatched function, so with --jobs several
+        threads may compile the same function at once. A tiny switch
+        interval makes those races likely; the results must not change."""
+        program, patches, suite = self._fresh_bmp_reader()
+        assert all(fn.compiled is None for fn in program.functions.values())
+        with short_switch_interval():
+            start = time.monotonic()
+            threaded = evaluate_patches(program, patches, suite, jobs=8)
+            elapsed = time.monotonic() - start
+        assert evaluate_patches(*self._fresh_bmp_reader(), jobs=1) == threaded
+        assert elapsed < 30.0
+
+    def test_runs_started_together_compile_safely(self):
+        """Eight threads released at once run one fresh program, so they
+        compile its functions together; every run must match a serial one."""
+        from conftest import load_corpus_entry
+        from pathpatch.minilang import run_program
+
+        program, _, suite = load_corpus_entry("bmp_reader")
+        values = suite.exploit.input
+        expected = run_program(program, values)
+        for _ in range(10):
+            program = load_corpus_entry("bmp_reader")[0]
+            barrier = threading.Barrier(8)
+            results = [None] * 8
+
+            def work(i):
+                barrier.wait(timeout=10)
+                results[i] = run_program(program, values)
+
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            with short_switch_interval():
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert results == [expected] * 8
+
+    def _fresh_bmp_reader(self):
+        """(program, patches, suite), lowered anew so nothing is compiled."""
+        from conftest import load_corpus_entry
+
+        program, vuln, suite = load_corpus_entry("bmp_reader")
+        return program, self._patches_for(program, vuln), suite
 
     def test_side_effect_fixture_shows_broken_invariant(self):
         """An early return that skips the release breaks the assertion in
