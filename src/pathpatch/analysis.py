@@ -211,11 +211,20 @@ class ControlDep:
 @dataclass(frozen=True)
 class ControlDepGraph:
     deps: tuple[ControlDep, ...]
+    # governed block -> its (governor, edge) pairs in `deps` order; an index
+    # built at construction, never compared or printed
+    _governors: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        governors: dict[str, list[tuple[str, int]]] = {}
+        for d in self.deps:
+            governors.setdefault(d.governed, []).append((d.governor, d.branch_index))
+        object.__setattr__(
+            self, "_governors", {b: tuple(g) for b, g in governors.items()}
+        )
 
     def governors_of(self, block: str) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (d.governor, d.branch_index) for d in self.deps if d.governed == block
-        )
+        return self._governors.get(block, ())
 
     def transitive_governors(self, block: str) -> tuple[tuple[str, int], ...]:
         """All (conditional, edge) pairs the block transitively depends on."""
@@ -273,12 +282,25 @@ class CallEdge:
 @dataclass(frozen=True)
 class CallGraph:
     edges: tuple[CallEdge, ...]
+    # caller -> its edges and callee -> its edges, in `edges` order; indexes
+    # built at construction, never compared or printed
+    _by_caller: dict = field(init=False, compare=False, repr=False)
+    _by_callee: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        by_caller: dict[str, list[CallEdge]] = {}
+        by_callee: dict[str, list[CallEdge]] = {}
+        for e in self.edges:
+            by_caller.setdefault(e.caller, []).append(e)
+            by_callee.setdefault(e.callee, []).append(e)
+        object.__setattr__(self, "_by_caller", {k: tuple(v) for k, v in by_caller.items()})
+        object.__setattr__(self, "_by_callee", {k: tuple(v) for k, v in by_callee.items()})
 
     def callees_of(self, caller: str) -> tuple[CallEdge, ...]:
-        return tuple(e for e in self.edges if e.caller == caller)
+        return self._by_caller.get(caller, ())
 
     def callers_of(self, callee: str) -> tuple[CallEdge, ...]:
-        return tuple(e for e in self.edges if e.callee == callee)
+        return self._by_callee.get(callee, ())
 
 
 def function_signature(fn: IRFunction) -> FnType:

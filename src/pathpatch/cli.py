@@ -10,7 +10,8 @@ Three subcommands mirror the pipeline stages, plus one that chains them:
 Programs are MiniLang sources (.mini) or graph documents (.json, analyzable
 but not executable). The vulnerability spec is a small JSON file naming the
 function plus a statement id or source line, optionally with an exploit
-input; graph documents may embed the vulnerable statement instead.
+input; graph documents may embed the vulnerable statement instead. Every
+subcommand builds the program path graph once and shares it between phases.
 
 Exit codes: 0 success, 2 usage, 3 input/parse error, 4 analysis diagnostic
 (for example a vulnerability no call chain can reach).
@@ -216,12 +217,7 @@ def path_graph_document(program, ppg) -> dict:
     }
 
 
-def cmd_analyze(args, program, vuln) -> int:
-    ppg = build_program_path_graph(program, vuln)
-    if ppg.empty:
-        for diag in ppg.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+def cmd_analyze(args, program, vuln, ppg) -> int:
     doc = path_graph_document(program, ppg)
     # list paths explicitly while they fit under the cap; the DAG in
     # `chains` is always present regardless
@@ -243,12 +239,7 @@ def cmd_analyze(args, program, vuln) -> int:
     return EXIT_OK
 
 
-def cmd_locate(args, program, vuln) -> int:
-    ppg = build_program_path_graph(program, vuln)
-    if ppg.empty:
-        for diag in ppg.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+def cmd_locate(args, program, vuln, ppg) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         locations = candidate_locations(ppg)
@@ -286,26 +277,22 @@ def cmd_locate(args, program, vuln) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args, program, vuln) -> int:
+def evaluation_suite(args, program, vuln):
+    """The suite `evaluate` runs, once the program is known to be runnable."""
     if not program.executable:
-        print(
-            "error: graph documents carry structure only and cannot be "
-            "executed; evaluation needs a MiniLang program",
-            file=sys.stderr,
+        raise UsageError(
+            "graph documents carry structure only and cannot be "
+            "executed; evaluation needs a MiniLang program"
         )
-        return EXIT_USAGE
     if not args.suite:
         raise UsageError("evaluate requires --suite")
     suite_path = Path(args.suite)
     if not suite_path.exists():
         raise UsageError(f"suite file {args.suite!r} does not exist")
-    suite = load_suite(suite_path).with_vulnerability(vuln)
+    return load_suite(suite_path).with_vulnerability(vuln)
 
-    ppg = build_program_path_graph(program, vuln)
-    if ppg.empty:
-        for diag in ppg.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+
+def cmd_evaluate(args, program, vuln, ppg, suite) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         locations = candidate_locations(ppg)
@@ -364,19 +351,27 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         program, vuln = load_inputs(args)
-        if args.command == "analyze":
-            return cmd_analyze(args, program, vuln)
-        if args.command == "locate":
-            return cmd_locate(args, program, vuln)
+        # evaluate rejects an unrunnable program or a bad suite before any
+        # analysis; `all` checks them only after analyze and locate wrote
         if args.command == "evaluate":
-            return cmd_evaluate(args, program, vuln)
-        # all: run the three phases in order, stopping on the first failure
-        code = cmd_analyze(args, program, vuln)
-        if code == EXIT_OK:
-            code = cmd_locate(args, program, vuln)
-        if code == EXIT_OK:
-            code = cmd_evaluate(args, program, vuln)
-        return code
+            suite = evaluation_suite(args, program, vuln)
+        ppg = build_program_path_graph(program, vuln)
+        if ppg.empty:
+            for diag in ppg.diagnostics:
+                print(f"error: {diag}", file=sys.stderr)
+            return EXIT_DIAGNOSTIC
+        if args.command == "analyze":
+            return cmd_analyze(args, program, vuln, ppg)
+        if args.command == "locate":
+            return cmd_locate(args, program, vuln, ppg)
+        if args.command == "evaluate":
+            return cmd_evaluate(args, program, vuln, ppg, suite)
+        # all: the three phases in order, on one path graph
+        cmd_analyze(args, program, vuln, ppg)
+        cmd_locate(args, program, vuln, ppg)
+        return cmd_evaluate(
+            args, program, vuln, ppg, evaluation_suite(args, program, vuln)
+        )
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,15 @@ can get there from the program entry:
     vulnerable statement's block);
   - per frame target: the conditionals it transitively depends on.
 
+A frame, meaning a (function, call site) pair, has the same DAG and
+governing conditionals on every chain that reaches it, so the path graph
+builds one `FramePaths` per distinct frame and shares it across chains (a
+context-independent procedure summary, as in Sharir & Pnueli, "Two
+approaches to interprocedural data flow analysis", 1981). Per-function
+facts, the forward edges and the control dependences, are computed once
+per function; path counts and path lists once per distinct frame. The CLI
+builds the path graph once per run and hands it to every phase.
+
 Paths are acyclic: back edges (dominated targets) never extend a path, but
 loop-header conditionals on a path keep their conditional label. Paths are
 kept as DAGs and only materialized on request, under a cap.
@@ -18,8 +27,9 @@ kept as DAGs and only materialized on request, under a cap.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analysis import (
     AnalysisError,
@@ -86,13 +96,24 @@ class PathDag:
     target: str
     blocks: tuple[str, ...]
     edges: tuple[tuple[str, str, int | None], ...]
+    # block -> its (successor, edge) pairs in `edges` order; an index built
+    # at construction, never compared or printed
+    _successors: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        successors: dict[str, list[tuple[str, int | None]]] = {}
+        for src, dst, idx in self.edges:
+            successors.setdefault(src, []).append((dst, idx))
+        object.__setattr__(
+            self, "_successors", {b: tuple(s) for b, s in successors.items()}
+        )
 
     @property
     def empty(self) -> bool:
         return not self.blocks
 
     def successors(self, block: str) -> tuple[tuple[str, int | None], ...]:
-        return tuple((dst, idx) for src, dst, idx in self.edges if src == block)
+        return self._successors.get(block, ())
 
 
 @dataclass(frozen=True)
@@ -184,17 +205,13 @@ def find_call_chains(cg: CallGraph, vuln_fn: str, entry: str) -> list[CallChain]
         return [CallChain(frames=(Frame(entry, None),))]
 
     # Restrict the walk to functions that can still reach vuln_fn.
-    callers_of: dict[str, set[str]] = {}
-    for edge in cg.edges:
-        callers_of.setdefault(edge.callee, set()).add(edge.caller)
     can_reach = {vuln_fn}
     frontier = [vuln_fn]
     while frontier:
-        cur = frontier.pop()
-        for caller in callers_of.get(cur, ()):
-            if caller not in can_reach:
-                can_reach.add(caller)
-                frontier.append(caller)
+        for edge in cg.callers_of(frontier.pop()):
+            if edge.caller not in can_reach:
+                can_reach.add(edge.caller)
+                frontier.append(edge.caller)
     if entry not in can_reach:
         return []
 
@@ -248,21 +265,26 @@ def _forward_edges(fn) -> list[tuple[str, str, int | None]]:
     succ: dict[str, list[str]] = {}
     for src, dst, _ in edges:
         succ.setdefault(src, []).append(dst)
-    color: dict[str, int] = {}
+    color: dict[str, int] = {}  # absent: unvisited, 1: on the DFS stack, 2: done
     cuts: set[tuple[str, str]] = set()
-
-    def visit(node: str, stack: list[str]):
-        color[node] = 1
-        for nxt in succ.get(node, ()):
-            if color.get(nxt, 0) == 1:
-                cuts.add((node, nxt))
-            elif color.get(nxt, 0) == 0:
-                visit(nxt, stack)
-        color[node] = 2
-
-    for bid in sorted(fn.blocks, key=block_sort_key):
-        if color.get(bid, 0) == 0:
-            visit(bid, [])
+    for root in sorted(fn.blocks, key=block_sort_key):
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ.get(root, ())))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                state = color.get(nxt)
+                if state == 1:
+                    cuts.add((node, nxt))
+                elif state is None:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
     if cuts:
         warnings.warn(
             f"{fn.id}: irreducible cycle; cut edges {sorted(cuts)}",
@@ -273,9 +295,14 @@ def _forward_edges(fn) -> list[tuple[str, str, int | None]]:
     return edges
 
 
-def intraprocedural_paths(fn, source: str, target: str) -> PathDag:
-    """Sub-DAG of blocks/edges on some acyclic source -> target path."""
-    edges = _forward_edges(fn)
+def intraprocedural_paths(fn, source: str, target: str, edges=None) -> PathDag:
+    """Sub-DAG of blocks/edges on some acyclic source -> target path.
+
+    `edges` takes the function's forward edges when the caller already has
+    them; by default they are computed here.
+    """
+    if edges is None:
+        edges = _forward_edges(fn)
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
     for src, dst, _ in edges:
@@ -333,49 +360,45 @@ def build_program_path_graph(
             f"to {vuln.function}"
         )
 
-    cdg_cache: dict[str, object] = {}
+    forward: dict[str, list] = {}  # function -> forward edges
+    cdgs: dict[str, object] = {}  # function -> control-dependence graph
 
-    def cdg_of(fn_id: str):
-        if fn_id not in cdg_cache:
-            fn = program.function(fn_id)
-            cdg_cache[fn_id] = compute_control_dependencies(
-                fn, compute_postdominators(fn)
-            )
-        return cdg_cache[fn_id]
+    def frame_paths(frame: Frame, target_stmt: str) -> FramePaths | None:
+        """The frame's paths, or None when its target is unreachable."""
+        fn = program.function(frame.function)
+        if fn.id not in forward:
+            forward[fn.id] = _forward_edges(fn)
+        target_block = index[target_stmt][1]
+        dag = intraprocedural_paths(fn, fn.entry_block, target_block, forward[fn.id])
+        if dag.empty:
+            return None
+        if fn.id not in cdgs:
+            cdgs[fn.id] = compute_control_dependencies(fn, compute_postdominators(fn))
+        return FramePaths(
+            frame=frame,
+            target_statement=target_stmt,
+            dag=dag,
+            conditional=frozenset(b for b in dag.blocks if fn.blocks[b].is_conditional),
+            governing=cdgs[fn.id].transitive_governors(target_block),
+        )
 
+    # one FramePaths per distinct frame, shared by every chain through it
+    shared: dict[Frame, FramePaths | None] = {}
     chain_paths: list[ChainPaths] = []
     for chain in chains:
         frames: list[FramePaths] = []
-        complete = True
         for frame in chain.frames:
-            fn = program.function(frame.function)
-            if frame.call_site is not None:
-                target_stmt = frame.call_site
-            else:
-                target_stmt = vuln.statement
-            target_block = index[target_stmt][1]
-            dag = intraprocedural_paths(fn, fn.entry_block, target_block)
-            if dag.empty:
+            target_stmt = vuln.statement if frame.call_site is None else frame.call_site
+            if frame not in shared:
+                shared[frame] = frame_paths(frame, target_stmt)
+            if shared[frame] is None:
                 diagnostics.append(
                     f"{frame.function}: target {target_stmt} unreachable from "
                     f"entry; chain {'->'.join(chain.functions)} dropped"
                 )
-                complete = False
                 break
-            conditional = frozenset(
-                b for b in dag.blocks if fn.blocks[b].is_conditional
-            )
-            governing = cdg_of(frame.function).transitive_governors(target_block)
-            frames.append(
-                FramePaths(
-                    frame=frame,
-                    target_statement=target_stmt,
-                    dag=dag,
-                    conditional=conditional,
-                    governing=governing,
-                )
-            )
-        if complete:
+            frames.append(shared[frame])
+        else:
             chain_paths.append(ChainPaths(chain=chain, frames=tuple(frames)))
 
     if chains and not chain_paths:
@@ -392,39 +415,47 @@ def build_program_path_graph(
 def _frame_paths(dag: PathDag) -> list[tuple[str, ...]]:
     """All source -> target paths of one frame DAG, in edge order."""
     results: list[tuple[str, ...]] = []
-
-    def walk(block: str, acc: tuple[str, ...]):
+    stack = [(dag.source, ())]
+    while stack:
+        block, acc = stack.pop()
+        acc += (block,)
         if block == dag.target:
-            results.append(acc + (block,))
-            return
-        for nxt, _ in dag.successors(block):
-            walk(nxt, acc + (block,))
-
-    walk(dag.source, ())
+            results.append(acc)
+        else:
+            stack.extend((nxt, acc) for nxt, _ in reversed(dag.successors(block)))
     return results
 
 
 def _count_frame_paths(dag: PathDag) -> int:
-    memo: dict[str, int] = {}
-
-    def count(block: str) -> int:
-        if block == dag.target:
-            return 1
-        if block in memo:
-            return memo[block]
-        memo[block] = total = sum(count(nxt) for nxt, _ in dag.successors(block))
-        return total
-
-    return count(dag.source) if not dag.empty else 0
+    if dag.empty:
+        return 0
+    counts = {dag.target: 1}
+    stack = [dag.source]
+    while stack:
+        block = stack[-1]
+        if block in counts:
+            stack.pop()
+            continue
+        successors = [nxt for nxt, _ in dag.successors(block)]
+        pending = [nxt for nxt in successors if nxt not in counts]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            counts[block] = sum(counts[nxt] for nxt in successors)
+    return counts[dag.source]
 
 
 def count_paths(ppg: ProgramPathGraph) -> int:
     """Number of maximal entry -> vulnerability paths, without enumeration."""
+    per_frame: dict[Frame, int] = {}
     total = 0
     for chain in ppg.chains:
         product = 1
-        for frame in chain.frames:
-            product *= _count_frame_paths(frame.dag)
+        for fp in chain.frames:
+            if fp.frame not in per_frame:
+                per_frame[fp.frame] = _count_frame_paths(fp.dag)
+            product *= per_frame[fp.frame]
         total += product
     return total
 
@@ -443,22 +474,15 @@ def enumerate_paths(
             f"{total} maximal paths exceed the cap of {cap}; work with the "
             "path DAG instead of enumerating"
         )
+    per_frame: dict[Frame, list[tuple[tuple[str, str], ...]]] = {}
     results: list[tuple[tuple[str, str], ...]] = []
     for chain in ppg.chains:
-        per_frame = [
-            [
-                tuple((frame.frame.function, block) for block in path)
-                for path in _frame_paths(frame.dag)
-            ]
-            for frame in chain.frames
-        ]
-
-        def combine(i: int, acc: tuple):
-            if i == len(per_frame):
-                results.append(acc)
-                return
-            for part in per_frame[i]:
-                combine(i + 1, acc + part)
-
-        combine(0, ())
+        for fp in chain.frames:
+            if fp.frame not in per_frame:
+                per_frame[fp.frame] = [
+                    tuple((fp.frame.function, block) for block in path)
+                    for path in _frame_paths(fp.dag)
+                ]
+        parts = itertools.product(*(per_frame[fp.frame] for fp in chain.frames))
+        results.extend(tuple(itertools.chain.from_iterable(p)) for p in parts)
     return results

@@ -3,8 +3,11 @@ brute-force oracles the analyses are checked against.
 
 The oracles deliberately avoid the production algorithms: postdominance is
 derived from exhaustive simple-path enumeration, interprocedural paths
-from a direct depth-first search with a no-repeat cutoff, and execution
-from a plain tree-walking interpreter (`reference_run`).
+from a direct depth-first search with a no-repeat cutoff, the path graph
+from a frame-by-frame build along every chain (`reference_path_graph`),
+candidates from a recursive walk of every frame occurrence
+(`reference_candidate_locations`), and execution from a plain
+tree-walking interpreter (`reference_run`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from pathpatch.analysis import EXIT
+from pathpatch.analysis import (
+    EXIT,
+    build_call_graph,
+    compute_control_dependencies,
+    compute_postdominators,
+)
 from pathpatch.ir import (
     BOOL,
     INT,
@@ -34,8 +42,10 @@ from pathpatch.ir import (
     Return,
     Unary,
     Var,
+    block_sort_key,
 )
-from pathpatch.minilang import nodes
+from pathpatch.locate import CandidatePatchLocation
+from pathpatch.minilang import lower, nodes, parse
 from pathpatch.minilang.interp import (
     DEFAULT_MAX_HEAP_CELLS,
     DEFAULT_MAX_STEPS,
@@ -63,6 +73,14 @@ from pathpatch.minilang.nodes import (
     ProgramTree,
     ReturnStmt,
     While,
+)
+from pathpatch.paths import (
+    ChainPaths,
+    FramePaths,
+    ProgramPathGraph,
+    find_call_chains,
+    intraprocedural_paths,
+    resolve_vulnerability,
 )
 
 # ---------------------------------------------------------------------------
@@ -376,6 +394,145 @@ def canonical_shape(program: IRProgram):
             )
         shapes[fn_id] = tuple(rows)
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# Reference path graph and candidate walk
+# ---------------------------------------------------------------------------
+
+
+def reference_path_graph(program: IRProgram, vuln) -> ProgramPathGraph:
+    """The path graph built frame by frame along every chain, recomputing
+    each frame's DAG, conditionals and governors wherever it recurs."""
+    call_graph = build_call_graph(program)
+    index = program.statement_index()
+    vuln_block = index[vuln.statement][1]
+    diagnostics: list[str] = []
+    chains = find_call_chains(call_graph, vuln.function, program.entry)
+    if not chains:
+        diagnostics.append(
+            f"unreachable vulnerability: no call chain from {program.entry} "
+            f"to {vuln.function}"
+        )
+    chain_paths: list[ChainPaths] = []
+    for chain in chains:
+        frames: list[FramePaths] = []
+        complete = True
+        for frame in chain.frames:
+            fn = program.function(frame.function)
+            target_stmt = frame.call_site if frame.call_site is not None else vuln.statement
+            target_block = index[target_stmt][1]
+            dag = intraprocedural_paths(fn, fn.entry_block, target_block)
+            if dag.empty:
+                diagnostics.append(
+                    f"{frame.function}: target {target_stmt} unreachable from "
+                    f"entry; chain {'->'.join(chain.functions)} dropped"
+                )
+                complete = False
+                break
+            cdg = compute_control_dependencies(fn, compute_postdominators(fn))
+            frames.append(
+                FramePaths(
+                    frame=frame,
+                    target_statement=target_stmt,
+                    dag=dag,
+                    conditional=frozenset(
+                        b for b in dag.blocks if fn.blocks[b].is_conditional
+                    ),
+                    governing=cdg.transitive_governors(target_block),
+                )
+            )
+        if complete:
+            chain_paths.append(ChainPaths(chain=chain, frames=tuple(frames)))
+    if chains and not chain_paths:
+        diagnostics.append("unreachable vulnerability: all chains dropped")
+    return ProgramPathGraph(
+        vulnerability=vuln,
+        vulnerable_block=vuln_block,
+        chains=tuple(chain_paths),
+        diagnostics=tuple(diagnostics),
+    )
+
+
+def reference_candidate_locations(ppg: ProgramPathGraph):
+    """(candidates, warning messages) from a plain recursive walk of every
+    frame of every chain, with no sharing and no memo."""
+    found: dict[tuple[str, str], CandidatePatchLocation] = {}
+    messages: list[str] = []
+    levels: dict[str, int] = {}
+    for chain_paths in ppg.chains:
+        for frame in chain_paths.chain.frames:
+            level = chain_paths.chain.level_of(frame.function)
+            levels[frame.function] = min(level, levels.get(frame.function, level))
+
+    for chain_paths in ppg.chains:
+        for frame_paths in chain_paths.frames:
+            dag = frame_paths.dag
+            function = frame_paths.frame.function
+            conditional = frame_paths.conditional
+
+            def record(block, governor, branch_index):
+                found.setdefault(
+                    (function, block),
+                    CandidatePatchLocation(
+                        function, block, governor, branch_index, levels[function]
+                    ),
+                )
+
+            def walk(block, governor, branch_index):
+                if block not in conditional:
+                    record(block, governor, branch_index)
+                    return
+                successors = dag.successors(block)
+                if not successors:
+                    if block == ppg.vulnerable_block and frame_paths.frame.call_site is None:
+                        messages.append(
+                            f"path to {ppg.vulnerability.statement} consists of "
+                            f"conditional blocks only; using the vulnerable "
+                            f"block {block} itself"
+                        )
+                        record(block, governor, branch_index)
+                    else:
+                        messages.append(
+                            f"{function}:{block}: conditional frame target has "
+                            "no patchable successor on the path"
+                        )
+                    return
+                for nxt, idx in successors:
+                    walk(nxt, block, idx)
+
+            for block in sorted(conditional, key=block_sort_key):
+                for nxt, idx in dag.successors(block):
+                    walk(nxt, block, idx)
+
+    results = sorted(
+        found.values(),
+        key=lambda loc: (-loc.level, block_sort_key(loc.block), loc.function),
+    )
+    any_conditional = any(fp.conditional for cp in ppg.chains for fp in cp.frames)
+    if not results and not any_conditional and not ppg.empty:
+        messages.append(
+            "no conditional block lies on any vulnerable path; nothing to patch"
+        )
+    return results, messages
+
+
+def call_fanout_program(n: int):
+    """(program, vulnerability) where f_i calls f_{i+1} from two sites, so
+    2**n chains reach f_n over 2n + 1 distinct frames."""
+    src = [
+        f"fn f{n}(x: int) -> int {{\n let t: int = x;\n if (t > 3) {{\n"
+        f" t = t + 1;\n }}\n return t;\n}}"
+    ]
+    for i in range(n - 1, -1, -1):
+        src.append(
+            f"fn f{i}(x: int) -> int {{ let r: int = 0;"
+            f" if (x > {i}) {{ r = f{i + 1}(x - 1); }} else {{ r = f{i + 1}(x + 1); }}"
+            f" return r; }}"
+        )
+    src.append("fn main() -> int { let v: int = read_input(); return f0(v); }")
+    program = lower(parse("\n".join(src)))
+    return program, resolve_vulnerability(program, f"f{n}", line=4)
 
 
 # ---------------------------------------------------------------------------

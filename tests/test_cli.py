@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
 import json
+import time
 
 from pathpatch.cli import run
 
@@ -252,3 +253,35 @@ class TestAll:
 
     def test_usage_error_without_subcommand(self):
         assert invoke() == 2
+
+
+class TestDeepInputs:
+    def test_if_ladder_of_600_analyzes_and_locates(self, tmp_path, capsys):
+        """600 sequential ifs before the vulnerable statement: no recursion
+        limit in the path or candidate walks, and no re-walk of shared
+        conditional successors."""
+        k = 600
+        ladder = "".join(f"    if (x == {i}) {{ y = y + {i % 7 + 1}; }}\n" for i in range(k))
+        program = tmp_path / "ladder.mini"
+        program.write_text(
+            "fn main() -> int {\n    let x: int = read_input();\n    let y: int = 0;\n"
+            + ladder
+            + "    let v: int = y;\n    print(v);\n    return 0;\n}\n"
+        )
+        vuln = tmp_path / "ladder.vuln.json"
+        vuln.write_text(json.dumps({"function": "main", "line": k + 4}))
+        for command in ("analyze", "locate"):
+            start = time.perf_counter()
+            code = invoke(
+                command, "--program", str(program), "--vuln", str(vuln),
+                "--out", str(tmp_path / "out"),
+            )
+            elapsed = time.perf_counter() - start
+            assert code == 0, capsys.readouterr().err
+            assert elapsed < 4.0, f"{command} took {elapsed:.1f} s"
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "path_graph.json").read_text())
+        assert doc["path_count"] == 2**k
+        candidates = json.loads((tmp_path / "out" / "candidates.json").read_text())
+        assert len(candidates["candidates"]) == k + 1
+        assert candidates["warnings"] == []

@@ -1,16 +1,29 @@
 """Candidate patch location selection and levels."""
 
+import json
+import random
+import warnings
+
 import pytest
 
 from pathpatch.checks import cut_disconnects
-from pathpatch.graphio import import_graph, load_graph_file
-from pathpatch.locate import candidate_locations, patch_level
+from pathpatch.graphio import GraphDocument, import_graph, load_graph_file
+from pathpatch.locate import candidate_locations, function_levels, patch_level
 from pathpatch.minilang import lower, parse
 from pathpatch.paths import (
     DegeneratePathWarning,
+    PathDag,
     build_program_path_graph,
     enumerate_paths,
     resolve_vulnerability,
+)
+
+from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
+from helpers import (
+    call_fanout_program,
+    pick_vulnerable_statement,
+    random_program_tree,
+    reference_candidate_locations,
 )
 
 
@@ -255,3 +268,162 @@ class TestCoverageAndCut:
         vuln = resolve_vulnerability(program, "f", statement="s5")
         _, locations = locations_for(program, vuln)
         assert cut_disconnects(program, vuln.statement, locations)
+
+
+def located_with_warnings(ppg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        locations = candidate_locations(ppg)
+    return locations, [str(w.message) for w in caught]
+
+
+def revisit_document() -> GraphDocument:
+    """main calls f from two sites; in f, conditional a reaches the
+    conditional call block c directly and through conditional b, so the
+    walk enters c three times, and f's frame recurs on both chains."""
+    return GraphDocument.from_json(
+        json.dumps(
+            {
+                "schema": "program-graph@1",
+                "functions": [
+                    {
+                        "name": "main",
+                        "entry": "m",
+                        "blocks": [
+                            {"id": "m", "conditional": True, "statements": ["m0"]},
+                            {"id": "p", "statements": ["call_p"]},
+                            {"id": "q", "statements": ["call_q"]},
+                        ],
+                        "edges": [["m", "p", 0], ["m", "q", 1]],
+                    },
+                    {
+                        "name": "f",
+                        "entry": "a",
+                        "blocks": [
+                            {"id": "a", "conditional": True, "statements": ["a0"]},
+                            {"id": "b", "conditional": True, "statements": ["b0"]},
+                            {"id": "c", "conditional": True, "statements": ["call_g"]},
+                            {"id": "d", "statements": ["d0"]},
+                            {"id": "e", "statements": ["e0"]},
+                        ],
+                        "edges": [
+                            ["a", "b", 0], ["a", "c", 1],
+                            ["b", "c", 0], ["b", "d", 1],
+                            ["d", "c", None],
+                            ["c", "e", 0], ["c", "e", 1],
+                        ],
+                    },
+                    {
+                        "name": "g",
+                        "entry": "g0",
+                        "blocks": [
+                            {"id": "g0", "conditional": True, "statements": ["t0"]},
+                            {"id": "g1", "conditional": True, "statements": ["vuln"]},
+                            {"id": "g2", "statements": ["t2"]},
+                        ],
+                        "edges": [
+                            ["g0", "g1", 0], ["g0", "g2", 1],
+                            ["g1", "g2", 0], ["g1", "g2", 1],
+                        ],
+                    },
+                ],
+                "calls": [["main", "call_p", "f"], ["main", "call_q", "f"], ["f", "call_g", "g"]],
+                "vulnerable": {"function": "g", "statement": "vuln"},
+            }
+        )
+    )
+
+
+class TestLocateOracle:
+    """Per-frame walks with a visited set equal the plain recursive walk of
+    every frame occurrence: same candidates, same warnings in order."""
+
+    def assert_matches_reference(self, ppg):
+        assert located_with_warnings(ppg) == reference_candidate_locations(ppg)
+
+    def test_corpus(self):
+        for name in CORPUS_NAMES:
+            program, vuln, _ = load_corpus_entry(name)
+            self.assert_matches_reference(build_program_path_graph(program, vuln))
+        program = import_graph(load_graph_file(CORPUS / "abstract.graph.json"))
+        vuln = resolve_vulnerability(program, "f", statement="s5")
+        self.assert_matches_reference(build_program_path_graph(program, vuln))
+
+    def test_random_programs(self):
+        rng = random.Random(5150)
+        warned = 0
+        for _ in range(200):
+            program = lower(random_program_tree(rng))
+            _, stmt = pick_vulnerable_statement(rng, program)
+            vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
+            ppg = build_program_path_graph(program, vuln)
+            self.assert_matches_reference(ppg)
+            warned += bool(reference_candidate_locations(ppg)[1])
+        assert warned > 10
+
+    @pytest.mark.parametrize("n", (1, 3, 6))
+    def test_call_fanout(self, n):
+        program, vuln = call_fanout_program(n)
+        self.assert_matches_reference(build_program_path_graph(program, vuln))
+
+    def test_revisited_conditionals_repeat_their_warnings(self):
+        program = import_graph(revisit_document())
+        vuln = resolve_vulnerability(program, "g", statement="vuln")
+        ppg = build_program_path_graph(program, vuln)
+        self.assert_matches_reference(ppg)
+        locations, messages = located_with_warnings(ppg)
+        stuck = "f:c: conditional frame target has no patchable successor on the path"
+        only = (
+            "path to vuln consists of conditional blocks only; "
+            "using the vulnerable block g1 itself"
+        )
+        # per chain, f's walk enters c via a -> b, directly from a, and from
+        # b at the top level
+        assert messages == [stuck] * 3 + [only] + [stuck] * 3 + [only]
+        assert {(loc.function, loc.block) for loc in locations} == {
+            ("main", "p"), ("main", "q"), ("f", "d"), ("g", "g1"),
+        }
+
+    def test_shared_conditional_successors_are_walked_once(self, monkeypatch):
+        # c0 -> c1 -> ... -> ck on both branch edges, then the vulnerable
+        # block: a walk that re-enters shared conditionals takes 2**k steps
+        k = 16
+        blocks = [
+            {"id": f"c{i}", "conditional": True, "statements": [f"s{i}"]}
+            for i in range(k + 1)
+        ]
+        blocks.append({"id": "v", "statements": ["vuln"]})
+        edges = [[f"c{i}", f"c{i + 1}", e] for i in range(k) for e in (0, 1)]
+        edges += [[f"c{k}", "v", 0], [f"c{k}", "v", 1]]
+        doc = {
+            "schema": "program-graph@1",
+            "functions": [{"name": "f", "entry": "c0", "blocks": blocks, "edges": edges}],
+            "vulnerable": {"function": "f", "statement": "vuln"},
+        }
+        program = import_graph(GraphDocument.from_json(json.dumps(doc)))
+        vuln = resolve_vulnerability(program, "f", statement="vuln")
+        ppg = build_program_path_graph(program, vuln)
+        calls = []
+        successors = PathDag.successors
+        monkeypatch.setattr(
+            PathDag,
+            "successors",
+            lambda dag, block: calls.append(block) or successors(dag, block),
+        )
+        locations, messages = located_with_warnings(ppg)
+        found = [(loc.block, loc.governing_conditional, loc.branch_index) for loc in locations]
+        assert found == [("v", f"c{k}", 0)]
+        assert messages == []
+        assert len(calls) < 4 * (k + 2)
+
+    def test_level_table_is_the_minimum_over_chains(self, corpus_entry):
+        name, program, vuln, _ = corpus_entry
+        ppg = build_program_path_graph(program, vuln)
+        levels = function_levels(ppg)
+        for function in {f for cp in ppg.chains for f in cp.chain.functions}:
+            expected = min(
+                level
+                for cp in ppg.chains
+                if (level := cp.chain.level_of(function)) is not None
+            )
+            assert levels[function] == expected

@@ -1,11 +1,13 @@
 """Call chains, intraprocedural path DAGs, and the program path graph."""
 
+import json
 import random
 
 import pytest
 
+from pathpatch import cli
 from pathpatch.analysis import build_call_graph
-from pathpatch.graphio import import_graph, load_graph_file
+from pathpatch.graphio import GraphDocument, import_graph, load_graph_file
 from pathpatch.minilang import lower, parse, run_program
 from pathpatch.paths import (
     PathEnumerationError,
@@ -17,12 +19,15 @@ from pathpatch.paths import (
     resolve_vulnerability,
 )
 
+from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
 from helpers import (
     bf_interprocedural_paths,
     bf_simple_paths,
+    call_fanout_program,
     make_function,
     pick_vulnerable_statement,
     random_program_tree,
+    reference_path_graph,
 )
 
 
@@ -268,3 +273,138 @@ class TestProgramPathGraph:
             checked += 1
             nonempty += bool(expected)
         assert nonempty > checked // 3
+
+
+def dead_call_document(reachable_call: bool) -> GraphDocument:
+    """main -> h -> g where main and h each also call from a block their
+    entry cannot reach; without `reachable_call`, main has only the dead
+    call, so every chain is dropped."""
+    doc = {
+        "schema": "program-graph@1",
+        "functions": [
+            {
+                "name": "main",
+                "entry": "m0",
+                "blocks": [
+                    {"id": "m0", "statements": ["m_ok"] if reachable_call else []},
+                    {"id": "m1", "statements": ["m_dead"]},
+                ],
+                "edges": [],
+            },
+            {
+                "name": "h",
+                "entry": "h0",
+                "blocks": [
+                    {"id": "h0", "statements": ["h_ok"]},
+                    {"id": "h1", "statements": ["h_dead"]},
+                ],
+                "edges": [],
+            },
+            {
+                "name": "g",
+                "entry": "g0",
+                "blocks": [
+                    {"id": "g0", "conditional": True, "statements": ["g_test"]},
+                    {"id": "g1", "statements": ["g_vuln"]},
+                    {"id": "g2", "statements": ["g_ret"]},
+                ],
+                "edges": [["g0", "g1", 0], ["g0", "g2", 1], ["g1", "g2", None]],
+            },
+        ],
+        "calls": [
+            ["main", "m_dead", "h"],
+            ["h", "h_ok", "g"],
+            ["h", "h_dead", "g"],
+        ]
+        + ([["main", "m_ok", "h"]] if reachable_call else []),
+        "vulnerable": {"function": "g", "statement": "g_vuln"},
+    }
+    return GraphDocument.from_json(json.dumps(doc))
+
+
+class TestSharedFramePaths:
+    """The shared-frame path graph equals the frame-by-frame reference."""
+
+    def test_corpus_matches_reference(self):
+        for name in CORPUS_NAMES:
+            program, vuln, _ = load_corpus_entry(name)
+            assert build_program_path_graph(program, vuln) == reference_path_graph(
+                program, vuln
+            ), name
+        program = import_graph(load_graph_file(CORPUS / "abstract.graph.json"))
+        vuln = resolve_vulnerability(program, "f", statement="s5")
+        assert build_program_path_graph(program, vuln) == reference_path_graph(
+            program, vuln
+        )
+
+    def test_random_programs_match_reference(self):
+        rng = random.Random(3031)
+        nonempty = 0
+        for _ in range(120):
+            program = lower(random_program_tree(rng))
+            _, stmt = pick_vulnerable_statement(rng, program)
+            vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
+            ppg = build_program_path_graph(program, vuln)
+            assert ppg == reference_path_graph(program, vuln)
+            expected = bf_interprocedural_paths(program, stmt)
+            if len(expected) <= 4000:
+                assert count_paths(ppg) == len(enumerate_paths(ppg, cap=None))
+                assert count_paths(ppg) == len(expected)
+            nonempty += not ppg.empty
+        assert nonempty > 40
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_call_fanout_shares_one_frame_paths_per_frame(self, n):
+        program, vuln = call_fanout_program(n)
+        ppg = build_program_path_graph(program, vuln)
+        assert ppg == reference_path_graph(program, vuln)
+        assert len(ppg.chains) == 2**n
+        by_frame = {}
+        for chain_paths in ppg.chains:
+            for fp in chain_paths.frames:
+                assert by_frame.setdefault(fp.frame, fp) is fp
+        assert len(by_frame) == 2 * n + 2  # main, two sites per f_i, and f_n
+        expected = bf_interprocedural_paths(program, vuln.statement)
+        assert count_paths(ppg) == len(enumerate_paths(ppg, cap=None)) == len(expected)
+        assert sorted(enumerate_paths(ppg, cap=None)) == sorted(expected)
+
+    def test_dropped_chains_are_reported_once_each(self):
+        program = import_graph(dead_call_document(reachable_call=True))
+        vuln = resolve_vulnerability(program, "g", statement="g_vuln")
+        ppg = build_program_path_graph(program, vuln)
+        assert ppg == reference_path_graph(program, vuln)
+        assert [c.chain.frames[0].call_site for c in ppg.chains] == ["m_ok"]
+        assert ppg.diagnostics == (
+            "main: target m_dead unreachable from entry; chain main->h->g dropped",
+            "main: target m_dead unreachable from entry; chain main->h->g dropped",
+            "h: target h_dead unreachable from entry; chain main->h->g dropped",
+        )
+
+    def test_all_chains_dropped(self):
+        program = import_graph(dead_call_document(reachable_call=False))
+        vuln = resolve_vulnerability(program, "g", statement="g_vuln")
+        ppg = build_program_path_graph(program, vuln)
+        assert ppg == reference_path_graph(program, vuln)
+        assert ppg.empty
+        assert ppg.diagnostics[-1] == "unreachable vulnerability: all chains dropped"
+        assert len(ppg.diagnostics) == 3
+
+    def test_all_builds_the_path_graph_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_program_path_graph(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_program_path_graph", counting)
+        code = cli.run(
+            [
+                "all",
+                "--program", str(CORPUS / "bmp_reader.mini"),
+                "--vuln", str(CORPUS / "bmp_reader.vuln.json"),
+                "--suite", str(CORPUS / "bmp_reader.suite"),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
