@@ -36,7 +36,7 @@ from .harness import (
     run_test_suite,
 )
 from .ir import BasicBlock, IRFunction, IRProgram
-from .locate import CandidatePatchLocation, candidate_locations, patch_level
+from .locate import CandidatePatchLocation, candidate_locations
 from .minilang import (
     build_cfg,
     load_program,

@@ -9,7 +9,6 @@ conditional A's edge k exactly when B postdominates A's k-th successor
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .ir import (
@@ -28,10 +27,6 @@ EXIT = "<exit>"
 
 class AnalysisError(IRError):
     pass
-
-
-class NoExitWarning(UserWarning):
-    """A block cannot reach any function exit (e.g. a closed cycle)."""
 
 
 def successors_map(fn: IRFunction) -> dict[str, tuple[str, ...]]:
@@ -85,7 +80,8 @@ def compute_postdominators(fn: IRFunction) -> PostDominators:
     """Immediate postdominators of every block, against a synthetic exit.
 
     Blocks that cannot reach any exit (a cycle with no way out) are attached
-    directly to the synthetic exit and reported with a NoExitWarning.
+    directly to the synthetic exit; each gets a note in the result's
+    `warnings`, in `fn.blocks` order. Nothing is raised.
     """
     succs = successors_map(fn)
     exit_blocks = [bid for bid, blk in fn.blocks.items() if not blk.successors]
@@ -138,8 +134,6 @@ def compute_postdominators(fn: IRFunction) -> PostDominators:
             strict,
             key=lambda p: (len(pdom[p]) if p != EXIT else 1, block_sort_key(p)),
         )
-    for message in warns:
-        warnings.warn(message, NoExitWarning, stacklevel=2)
     return PostDominators(ipdom=ipdom, warnings=tuple(warns))
 
 

@@ -11,7 +11,13 @@ Programs are MiniLang sources (.mini) or graph documents (.json, analyzable
 but not executable). The vulnerability spec is a small JSON file naming the
 function plus a statement id or source line, optionally with an exploit
 input; graph documents may embed the vulnerable statement instead. Every
-subcommand builds the program path graph once and shares it between phases.
+subcommand builds the program path graph once and shares it between phases,
+and every subcommand but analyze computes the candidate locations once.
+
+Diagnostics are data: the path graph's notes go to `path_graph.json` and to
+analyze's `note:` lines on stderr, and the candidate walk's notes go to
+`candidates.json` and to locate's `warning:` lines. No Python warning is
+raised, so `-W error` changes nothing.
 
 Exit codes: 0 success, 2 usage, 3 input/parse error, 4 analysis diagnostic
 (for example a vulnerability no call chain can reach).
@@ -22,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .analysis import AnalysisError
@@ -239,10 +244,7 @@ def cmd_analyze(args, program, vuln, ppg) -> int:
     return EXIT_OK
 
 
-def cmd_locate(args, program, vuln, ppg) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        locations = candidate_locations(ppg)
+def cmd_locate(args, program, vuln, locations, notes) -> int:
     rows = []
     for loc in locations:
         line = program.functions[loc.function].blocks[loc.block].line
@@ -260,7 +262,7 @@ def cmd_locate(args, program, vuln, ppg) -> int:
         "schema": "candidates@1",
         "vulnerability": {"function": vuln.function, "statement": vuln.statement},
         "candidates": rows,
-        "warnings": [str(w.message) for w in caught],
+        "warnings": notes,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_out(args, "candidates.json", text)
@@ -270,8 +272,8 @@ def cmd_locate(args, program, vuln, ppg) -> int:
         if row["line"] is not None:
             where += f" (line {row['line']})"
         print(f"  level {row['level']}  {where}")
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     if not args.out:
         print(text, end="")
     return EXIT_OK
@@ -292,10 +294,7 @@ def evaluation_suite(args, program, vuln):
     return load_suite(suite_path).with_vulnerability(vuln)
 
 
-def cmd_evaluate(args, program, vuln, ppg, suite) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        locations = candidate_locations(ppg)
+def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
     patches = synthesize_patches(program, locations)
     limits = Limits(max_steps=args.max_steps, max_heap_cells=args.max_heap_cells)
     evaluations = rank(
@@ -362,15 +361,18 @@ def run(argv=None) -> int:
             return EXIT_DIAGNOSTIC
         if args.command == "analyze":
             return cmd_analyze(args, program, vuln, ppg)
+        notes: list[str] = []
+        locations = candidate_locations(ppg, notes)
         if args.command == "locate":
-            return cmd_locate(args, program, vuln, ppg)
+            return cmd_locate(args, program, vuln, locations, notes)
         if args.command == "evaluate":
-            return cmd_evaluate(args, program, vuln, ppg, suite)
-        # all: the three phases in order, on one path graph
+            return cmd_evaluate(args, program, vuln, ppg, locations, suite)
+        # all: the three phases in order, on one path graph and one list of
+        # candidates
         cmd_analyze(args, program, vuln, ppg)
-        cmd_locate(args, program, vuln, ppg)
+        cmd_locate(args, program, vuln, locations, notes)
         return cmd_evaluate(
-            args, program, vuln, ppg, evaluation_suite(args, program, vuln)
+            args, program, vuln, ppg, locations, evaluation_suite(args, program, vuln)
         )
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,23 +49,14 @@ class TestCase:
 
 
 @dataclass(frozen=True)
-class ExploitSpec:
-    input: tuple[int, ...]
-    kind: str | None = None
-    statement: str | None = None  # the vulnerable statement, once resolved
-
-
-@dataclass(frozen=True)
 class TestSuite:
     cases: tuple[TestCase, ...]
-    exploit: ExploitSpec | None = None
+    exploit: Exploit | None = None
 
     def with_vulnerability(self, vuln: VulnerabilitySpec) -> "TestSuite":
         """Anchor the exploit to the vulnerability's statement (and adopt an
         exploit from the vulnerability spec when the suite has none)."""
-        exploit = self.exploit
-        if exploit is None and vuln.exploit is not None:
-            exploit = ExploitSpec(input=vuln.exploit.input, kind=vuln.exploit.kind)
+        exploit = self.exploit if self.exploit is not None else vuln.exploit
         if exploit is None:
             return self
         return replace(
@@ -81,7 +72,7 @@ class Limits:
 
 def parse_suite(text: str) -> TestSuite:
     cases: list[TestCase] = []
-    exploit: ExploitSpec | None = None
+    exploit: Exploit | None = None
     names: set[str] = set()
     for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -109,7 +100,7 @@ def parse_suite(text: str) -> TestSuite:
         if expect_text.startswith(FAULT):
             kind = expect_text[len(FAULT):].strip() or None
             if exploit is None:
-                exploit = ExploitSpec(input=input_values, kind=kind)
+                exploit = Exploit(input=input_values, kind=kind)
             else:
                 raise SuiteError(
                     f"line {number}: suite already has an exploit specification"

@@ -11,15 +11,18 @@ each distinct frame is walked once and each conditional once per frame.
 A location's level counts call-chain frames from the vulnerable function:
 level 0 is the vulnerable function itself, level 1 its direct caller, and
 so on; a function on several chains gets the smallest distance.
+
+Degenerate paths, where a walk runs out of path on conditionals or no path
+has a conditional at all, give notes, not exceptions or Python warnings:
+`candidate_locations` appends them to the list its caller passes in.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .ir import block_sort_key
-from .paths import DegeneratePathWarning, Frame, FramePaths, ProgramPathGraph
+from .paths import Frame, FramePaths, ProgramPathGraph
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,6 @@ def function_levels(ppg: ProgramPathGraph) -> dict[str, int]:
     return levels
 
 
-def patch_level(location: CandidatePatchLocation, ppg: ProgramPathGraph) -> int:
-    """Smallest frame distance from the vulnerable function, over all chains."""
-    levels = function_levels(ppg)
-    if location.function not in levels:
-        raise ValueError(f"{location.function} is on no chain of this path graph")
-    return levels[location.function]
-
-
 def _walk_frame(
     frame_paths: FramePaths,
     ppg: ProgramPathGraph,
@@ -56,13 +51,13 @@ def _walk_frame(
     found: dict[tuple[str, str], CandidatePatchLocation],
 ) -> list[str]:
     """Record one frame's candidates in `found`, where the first found
-    wins, and return the warnings its walk raises, in order."""
+    wins, and return the notes its walk gives, in order."""
     dag = frame_paths.dag
     function = frame_paths.frame.function
     conditional = frame_paths.conditional
     messages: list[str] = []
     # Walking into conditional c records only candidates governed by c, so
-    # a second walk into c adds none; it repeats c's warnings, which are
+    # a second walk into c adds none; it repeats c's notes, which are
     # messages[start:end] of the first walk.
     walked: dict[str, tuple[int, int]] = {}
 
@@ -114,13 +109,21 @@ def _walk_frame(
     return messages
 
 
-def candidate_locations(ppg: ProgramPathGraph) -> list[CandidatePatchLocation]:
-    """Candidates ordered by level descending, then block id; deduplicated."""
+def candidate_locations(
+    ppg: ProgramPathGraph, diagnostics: list[str] | None = None
+) -> list[CandidatePatchLocation]:
+    """Candidates ordered by level descending, then block id; deduplicated.
+
+    Notes on degenerate paths are appended to `diagnostics`, once per frame
+    occurrence on each chain, so a frame that recurs repeats its notes.
+    """
+    if diagnostics is None:
+        diagnostics = []
     levels = function_levels(ppg)
     found: dict[tuple[str, str], CandidatePatchLocation] = {}
     # a frame's walk depends on the frame only, so each distinct frame is
-    # walked once and its warnings repeat wherever it recurs
-    frame_warnings: dict[Frame, list[str]] = {}
+    # walked once and its notes repeat wherever it recurs
+    frame_notes: dict[Frame, list[str]] = {}
     any_conditional = False
 
     for chain_paths in ppg.chains:
@@ -128,21 +131,18 @@ def candidate_locations(ppg: ProgramPathGraph) -> list[CandidatePatchLocation]:
             frame = frame_paths.frame
             if frame_paths.conditional:
                 any_conditional = True
-            if frame not in frame_warnings:
-                frame_warnings[frame] = _walk_frame(
+            if frame not in frame_notes:
+                frame_notes[frame] = _walk_frame(
                     frame_paths, ppg, levels[frame.function], found
                 )
-            for message in frame_warnings[frame]:
-                warnings.warn(message, DegeneratePathWarning, stacklevel=2)
+            diagnostics.extend(frame_notes[frame])
 
     results = sorted(
         found.values(),
         key=lambda loc: (-loc.level, block_sort_key(loc.block), loc.function),
     )
     if not results and not any_conditional and not ppg.empty:
-        warnings.warn(
-            "no conditional block lies on any vulnerable path; nothing to patch",
-            DegeneratePathWarning,
-            stacklevel=2,
+        diagnostics.append(
+            "no conditional block lies on any vulnerable path; nothing to patch"
         )
     return results

@@ -23,12 +23,17 @@ builds the path graph once per run and hands it to every phase.
 Paths are acyclic: back edges (dominated targets) never extend a path, but
 loop-header conditionals on a path keep their conditional label. Paths are
 kept as DAGs and only materialized on request, under a cap.
+
+What the analysis drops or degrades is returned as data, never raised: the
+path graph's `diagnostics` lists, in the order the build meets them, each
+function's edges cut from an irreducible cycle and blocks that cannot reach
+an exit (once per function), and each chain dropped because a frame target
+is unreachable.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 from .analysis import (
@@ -48,14 +53,11 @@ class PathEnumerationError(AnalysisError):
     """Raised when explicit enumeration would exceed the configured cap."""
 
 
-class DegeneratePathWarning(UserWarning):
-    pass
-
-
 @dataclass(frozen=True)
 class Exploit:
     input: tuple[int, ...]
     kind: str | None = None
+    statement: str | None = None  # the vulnerable statement, once anchored
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,6 @@ class CallChain:
     @property
     def functions(self) -> tuple[str, ...]:
         return tuple(f.function for f in self.frames)
-
-    def level_of(self, function: str) -> int | None:
-        """Frames between `function` and the vulnerable function (0 = last)."""
-        for index, frame in enumerate(self.frames):
-            if frame.function == function:
-                return len(self.frames) - 1 - index
-        return None
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,10 @@ def find_call_chains(cg: CallGraph, vuln_fn: str, entry: str) -> list[CallChain]
 
     A chain stops on first reaching the vulnerable function, and no function
     repeats within a chain, so recursion contributes one frame. Order is
-    lexicographic by (call site, callee) at every step.
+    lexicographic by (call site, callee) at every step, the order in which
+    `build_call_graph` sorts each caller's edges. The depth-first walk keeps
+    an explicit stack, so chain depth is not bounded by Python's recursion
+    limit.
     """
     if vuln_fn == entry:
         return [CallChain(frames=(Frame(entry, None),))]
@@ -215,25 +213,25 @@ def find_call_chains(cg: CallGraph, vuln_fn: str, entry: str) -> list[CallChain]
     if entry not in can_reach:
         return []
 
-    edges_by_caller: dict[str, list] = {}
-    for edge in cg.edges:
-        edges_by_caller.setdefault(edge.caller, []).append(edge)
-    for edges in edges_by_caller.values():
-        edges.sort(key=lambda e: (e.call_site, e.callee))
-
     chains: list[CallChain] = []
-
-    def extend(function: str, on_stack: tuple[str, ...], frames: tuple[Frame, ...]):
-        for edge in edges_by_caller.get(function, ()):
+    on_stack = {entry}
+    # items are (function, its callee edges still to try, frames above it)
+    stack = [(entry, iter(cg.callees_of(entry)), ())]
+    while stack:
+        function, pending, frames = stack[-1]
+        for edge in pending:
             if edge.callee in on_stack or edge.callee not in can_reach:
                 continue
             step = frames + (Frame(function, edge.call_site),)
             if edge.callee == vuln_fn:
                 chains.append(CallChain(frames=step + (Frame(vuln_fn, None),)))
             else:
-                extend(edge.callee, on_stack + (edge.callee,), step)
-
-    extend(entry, (entry,), ())
+                on_stack.add(edge.callee)
+                stack.append((edge.callee, iter(cg.callees_of(edge.callee)), step))
+                break
+        else:
+            on_stack.discard(function)
+            stack.pop()
     return chains
 
 
@@ -242,9 +240,10 @@ def find_call_chains(cg: CallGraph, vuln_fn: str, entry: str) -> list[CallChain]
 # ---------------------------------------------------------------------------
 
 
-def _forward_edges(fn) -> list[tuple[str, str, int | None]]:
+def _forward_edges(fn, diagnostics: list[str]) -> list[tuple[str, str, int | None]]:
     """CFG edges minus back edges; cycles left by irreducible inputs are cut
-    greedily in depth-first order (never happens for lowered programs)."""
+    greedily in depth-first order (never happens for lowered programs), and
+    a note naming the cut edges is appended to `diagnostics`."""
     from .ir import Branch, Jump
 
     backs = back_edges(fn)
@@ -286,11 +285,7 @@ def _forward_edges(fn) -> list[tuple[str, str, int | None]]:
                 color[node] = 2
                 stack.pop()
     if cuts:
-        warnings.warn(
-            f"{fn.id}: irreducible cycle; cut edges {sorted(cuts)}",
-            DegeneratePathWarning,
-            stacklevel=2,
-        )
+        diagnostics.append(f"{fn.id}: irreducible cycle; cut edges {sorted(cuts)}")
         edges = [e for e in edges if (e[0], e[1]) not in cuts]
     return edges
 
@@ -299,10 +294,11 @@ def intraprocedural_paths(fn, source: str, target: str, edges=None) -> PathDag:
     """Sub-DAG of blocks/edges on some acyclic source -> target path.
 
     `edges` takes the function's forward edges when the caller already has
-    them; by default they are computed here.
+    them; by default they are computed here, and a note about cut irreducible
+    edges is dropped (`build_program_path_graph` records it).
     """
     if edges is None:
-        edges = _forward_edges(fn)
+        edges = _forward_edges(fn, [])
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
     for src, dst, _ in edges:
@@ -367,13 +363,15 @@ def build_program_path_graph(
         """The frame's paths, or None when its target is unreachable."""
         fn = program.function(frame.function)
         if fn.id not in forward:
-            forward[fn.id] = _forward_edges(fn)
+            forward[fn.id] = _forward_edges(fn, diagnostics)
         target_block = index[target_stmt][1]
         dag = intraprocedural_paths(fn, fn.entry_block, target_block, forward[fn.id])
         if dag.empty:
             return None
         if fn.id not in cdgs:
-            cdgs[fn.id] = compute_control_dependencies(fn, compute_postdominators(fn))
+            pdoms = compute_postdominators(fn)
+            diagnostics.extend(pdoms.warnings)
+            cdgs[fn.id] = compute_control_dependencies(fn, pdoms)
         return FramePaths(
             frame=frame,
             target_statement=target_stmt,

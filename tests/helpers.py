@@ -75,6 +75,7 @@ from pathpatch.minilang.nodes import (
     While,
 )
 from pathpatch.paths import (
+    CallChain,
     ChainPaths,
     FramePaths,
     ProgramPathGraph,
@@ -454,15 +455,24 @@ def reference_path_graph(program: IRProgram, vuln) -> ProgramPathGraph:
     )
 
 
+def level_of(chain: CallChain, function: str) -> int | None:
+    """Frames between `function` and the vulnerable function on one chain
+    (0 = the last frame), or None when the chain does not pass through it."""
+    for index, frame in enumerate(chain.frames):
+        if frame.function == function:
+            return len(chain.frames) - 1 - index
+    return None
+
+
 def reference_candidate_locations(ppg: ProgramPathGraph):
-    """(candidates, warning messages) from a plain recursive walk of every
-    frame of every chain, with no sharing and no memo."""
+    """(candidates, notes) from a plain recursive walk of every frame of
+    every chain, with no sharing and no memo."""
     found: dict[tuple[str, str], CandidatePatchLocation] = {}
     messages: list[str] = []
     levels: dict[str, int] = {}
     for chain_paths in ppg.chains:
         for frame in chain_paths.chain.frames:
-            level = chain_paths.chain.level_of(frame.function)
+            level = level_of(chain_paths.chain, frame.function)
             levels[frame.function] = min(level, levels.get(frame.function, level))
 
     for chain_paths in ppg.chains:

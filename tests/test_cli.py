@@ -2,8 +2,13 @@
 
 import json
 import time
+import warnings
 
+import pytest
+
+from pathpatch import cli
 from pathpatch.cli import run
+from pathpatch.locate import candidate_locations
 
 from conftest import CORPUS
 
@@ -254,6 +259,26 @@ class TestAll:
     def test_usage_error_without_subcommand(self):
         assert invoke() == 2
 
+    def test_all_computes_the_candidates_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return candidate_locations(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "candidate_locations", counting)
+        code = cli.run(
+            [
+                "all",
+                "--program", str(CORPUS / "bmp_reader.mini"),
+                "--vuln", str(CORPUS / "bmp_reader.vuln.json"),
+                "--suite", str(CORPUS / "bmp_reader.suite"),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestDeepInputs:
     def test_if_ladder_of_600_analyzes_and_locates(self, tmp_path, capsys):
@@ -285,3 +310,102 @@ class TestDeepInputs:
         candidates = json.loads((tmp_path / "out" / "candidates.json").read_text())
         assert len(candidates["candidates"]) == k + 1
         assert candidates["warnings"] == []
+
+    def test_call_chain_of_1200_functions_analyzes_and_locates(self, tmp_path, capsys):
+        """main -> f0 -> ... -> f1199: the chain search keeps an explicit
+        stack, so chain depth is not bounded by the recursion limit."""
+        n = 1200
+        functions = [
+            f"fn f{n - 1}(x: int) -> int {{\n    if (x > 0) {{\n"
+            f"        x = x + 1;\n    }}\n    return x;\n}}\n"
+        ]
+        functions += [
+            f"fn f{i}(x: int) -> int {{ return f{i + 1}(x); }}\n"
+            for i in range(n - 2, -1, -1)
+        ]
+        functions.append(
+            "fn main() -> int { let v: int = read_input(); print(f0(v)); return 0; }\n"
+        )
+        program = tmp_path / "deep.mini"
+        program.write_text("".join(functions))
+        vuln = tmp_path / "deep.vuln.json"
+        vuln.write_text(json.dumps({"function": f"f{n - 1}", "line": 3}))
+        for command in ("analyze", "locate"):
+            code = invoke(
+                command, "--program", str(program), "--vuln", str(vuln),
+                "--out", str(tmp_path / "out"),
+            )
+            assert code == 0, capsys.readouterr().err
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "path_graph.json").read_text())
+        assert [chain["functions"] for chain in doc["chains"]] == [
+            ["main"] + [f"f{i}" for i in range(n)]
+        ]
+        candidates = json.loads((tmp_path / "out" / "candidates.json").read_text())
+        rows = [(row["function"], row["line"], row["level"]) for row in candidates["candidates"]]
+        assert rows == [(f"f{n - 1}", 3, 0)]
+
+
+def graph_document(edges, conditional, vulnerable) -> str:
+    """A one-function graph document for f: one statement per block, named
+    after the block, and the blocks in `conditional` branch."""
+    blocks = sorted({block for edge in edges for block in edge[:2]})
+    return json.dumps(
+        {
+            "schema": "program-graph@1",
+            "functions": [
+                {
+                    "name": "f",
+                    "entry": "a",
+                    "blocks": [
+                        {"id": b, "conditional": b in conditional, "statements": [f"s_{b}"]}
+                        for b in blocks
+                    ],
+                    "edges": [list(edge) for edge in edges],
+                }
+            ],
+            "vulnerable": {"function": "f", "statement": f"s_{vulnerable}"},
+        }
+    )
+
+
+class TestDiagnosticsAsData:
+    """What the path graph degrades reaches the output documents as data;
+    no Python warning is raised, so an error filter changes nothing."""
+
+    @pytest.mark.parametrize(
+        "edges, conditional, vulnerable, note",
+        [
+            (
+                [("a", "b", 0), ("a", "c", 1), ("b", "c", None), ("c", "b", 0), ("c", "d", 1)],
+                {"a", "c"},
+                "d",
+                "f: irreducible cycle; cut edges [('c', 'b')]",
+            ),
+            (
+                [("a", "b", 0), ("a", "v", 1), ("b", "b", None)],
+                {"a"},
+                "v",
+                "f:b cannot reach any exit; attached to exit",
+            ),
+        ],
+        ids=["irreducible-cycle", "no-exit"],
+    )
+    def test_notes_reach_the_path_graph_under_an_error_filter(
+        self, tmp_path, capsys, edges, conditional, vulnerable, note
+    ):
+        program = tmp_path / "f.graph.json"
+        program.write_text(graph_document(edges, conditional, vulnerable))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [
+                invoke(command, "--program", str(program), "--out", str(out))
+                for command in ("analyze", "locate")
+            ]
+        assert codes == [0, 0]
+        # no Python warning or traceback: analyze prints the note once, and
+        # locate's walk has none of its own
+        assert capsys.readouterr().err == f"note: {note}\n"
+        assert json.loads((out / "path_graph.json").read_text())["diagnostics"] == [note]
+        assert json.loads((out / "candidates.json").read_text())["warnings"] == []

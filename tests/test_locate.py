@@ -2,16 +2,14 @@
 
 import json
 import random
-import warnings
 
 import pytest
 
 from pathpatch.checks import cut_disconnects
 from pathpatch.graphio import GraphDocument, import_graph, load_graph_file
-from pathpatch.locate import candidate_locations, function_levels, patch_level
+from pathpatch.locate import candidate_locations, function_levels
 from pathpatch.minilang import lower, parse
 from pathpatch.paths import (
-    DegeneratePathWarning,
     PathDag,
     build_program_path_graph,
     enumerate_paths,
@@ -21,6 +19,7 @@ from pathpatch.paths import (
 from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
 from helpers import (
     call_fanout_program,
+    level_of,
     pick_vulnerable_statement,
     random_program_tree,
     reference_candidate_locations,
@@ -138,7 +137,7 @@ class TestLevels:
         ppg, locations = locations_for(program, vuln)
         main_loc = next(loc for loc in locations if loc.function == "main")
         assert main_loc.level == 2
-        assert patch_level(main_loc, ppg) == 2
+        assert function_levels(ppg)["main"] == 2
 
     def test_levels_do_not_exceed_chain_length(self, corpus_entry):
         name, program, vuln, _ = corpus_entry
@@ -153,9 +152,11 @@ class TestDegenerateAndDedup:
         program = lower(parse("fn main() -> int { let x: int = 1; print(x); return x; }"))
         vuln = resolve_vulnerability(program, "main", line=1)
         ppg = build_program_path_graph(program, vuln)
-        with pytest.warns(DegeneratePathWarning):
-            locations = candidate_locations(ppg)
+        locations, notes = located_with_notes(ppg)
         assert locations == []
+        assert notes == [
+            "no conditional block lies on any vulnerable path; nothing to patch"
+        ]
 
     def test_conditional_vulnerable_block_emits_itself_with_warning(self):
         # graph shape where the walk runs out of path on a conditional block
@@ -191,9 +192,12 @@ class TestDegenerateAndDedup:
         program = import_graph(doc)
         vuln = resolve_vulnerability(program, "f", statement="s1")
         ppg = build_program_path_graph(program, vuln)
-        with pytest.warns(DegeneratePathWarning):
-            locations = candidate_locations(ppg)
+        locations, notes = located_with_notes(ppg)
         assert [loc.block for loc in locations] == ["b"]
+        assert notes == [
+            "path to s1 consists of conditional blocks only; "
+            "using the vulnerable block b itself"
+        ]
 
     def test_shared_blocks_are_deduplicated_across_chains(self, corpus_dir):
         program = lower(parse((corpus_dir / "twopath.mini").read_text()))
@@ -226,11 +230,7 @@ class TestRandomizedRule:
             ppg = build_program_path_graph(program, vuln)
             if ppg.empty or count_paths(ppg) > 2000:
                 continue
-            import warnings as warnings_module
-
-            with warnings_module.catch_warnings():
-                warnings_module.simplefilter("ignore")
-                locations = candidate_locations(ppg)
+            locations = candidate_locations(ppg)
             spots = {(loc.function, loc.block) for loc in locations}
             all_paths_guarded = True
             for path in enumerate_paths(ppg, cap=None):
@@ -270,11 +270,10 @@ class TestCoverageAndCut:
         assert cut_disconnects(program, vuln.statement, locations)
 
 
-def located_with_warnings(ppg):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        locations = candidate_locations(ppg)
-    return locations, [str(w.message) for w in caught]
+def located_with_notes(ppg):
+    notes: list[str] = []
+    locations = candidate_locations(ppg, notes)
+    return locations, notes
 
 
 def revisit_document() -> GraphDocument:
@@ -336,10 +335,10 @@ def revisit_document() -> GraphDocument:
 
 class TestLocateOracle:
     """Per-frame walks with a visited set equal the plain recursive walk of
-    every frame occurrence: same candidates, same warnings in order."""
+    every frame occurrence: same candidates, same notes in order."""
 
     def assert_matches_reference(self, ppg):
-        assert located_with_warnings(ppg) == reference_candidate_locations(ppg)
+        assert located_with_notes(ppg) == reference_candidate_locations(ppg)
 
     def test_corpus(self):
         for name in CORPUS_NAMES:
@@ -371,7 +370,7 @@ class TestLocateOracle:
         vuln = resolve_vulnerability(program, "g", statement="vuln")
         ppg = build_program_path_graph(program, vuln)
         self.assert_matches_reference(ppg)
-        locations, messages = located_with_warnings(ppg)
+        locations, messages = located_with_notes(ppg)
         stuck = "f:c: conditional frame target has no patchable successor on the path"
         only = (
             "path to vuln consists of conditional blocks only; "
@@ -410,7 +409,7 @@ class TestLocateOracle:
             "successors",
             lambda dag, block: calls.append(block) or successors(dag, block),
         )
-        locations, messages = located_with_warnings(ppg)
+        locations, messages = located_with_notes(ppg)
         found = [(loc.block, loc.governing_conditional, loc.branch_index) for loc in locations]
         assert found == [("v", f"c{k}", 0)]
         assert messages == []
@@ -424,6 +423,6 @@ class TestLocateOracle:
             expected = min(
                 level
                 for cp in ppg.chains
-                if (level := cp.chain.level_of(function)) is not None
+                if (level := level_of(cp.chain, function)) is not None
             )
             assert levels[function] == expected

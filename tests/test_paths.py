@@ -389,6 +389,52 @@ class TestSharedFramePaths:
         assert ppg.diagnostics[-1] == "unreachable vulnerability: all chains dropped"
         assert len(ppg.diagnostics) == 3
 
+    def test_degraded_functions_are_noted_once_in_processing_order(self):
+        # main reaches g from two sites and has a dead end (q -> x -> x); g
+        # has an irreducible cycle between b and c. g's frame recurs on both
+        # chains, but each function is analysed, and noted, once.
+        doc = {
+            "schema": "program-graph@1",
+            "functions": [
+                {
+                    "name": "main",
+                    "entry": "m",
+                    "blocks": [
+                        {"id": "m", "conditional": True, "statements": ["m0"]},
+                        {"id": "p", "statements": ["call_p"]},
+                        {"id": "q", "statements": ["call_q"]},
+                        {"id": "x", "statements": ["x0"]},
+                    ],
+                    "edges": [["m", "p", 0], ["m", "q", 1], ["q", "x", None], ["x", "x", None]],
+                },
+                {
+                    "name": "g",
+                    "entry": "a",
+                    "blocks": [
+                        {"id": "a", "conditional": True, "statements": ["a0"]},
+                        {"id": "b", "statements": ["b0"]},
+                        {"id": "c", "conditional": True, "statements": ["c0"]},
+                        {"id": "d", "statements": ["vuln"]},
+                    ],
+                    "edges": [
+                        ["a", "b", 0], ["a", "c", 1], ["b", "c", None],
+                        ["c", "b", 0], ["c", "d", 1],
+                    ],
+                },
+            ],
+            "calls": [["main", "call_p", "g"], ["main", "call_q", "g"]],
+            "vulnerable": {"function": "g", "statement": "vuln"},
+        }
+        program = import_graph(GraphDocument.from_json(json.dumps(doc)))
+        vuln = resolve_vulnerability(program, "g", statement="vuln")
+        ppg = build_program_path_graph(program, vuln)
+        assert len(ppg.chains) == 2
+        assert ppg.diagnostics == (
+            "main:q cannot reach any exit; attached to exit",
+            "main:x cannot reach any exit; attached to exit",
+            "g: irreducible cycle; cut edges [('c', 'b')]",
+        )
+
     def test_all_builds_the_path_graph_once(self, monkeypatch, tmp_path):
         calls = []
 
