@@ -346,30 +346,30 @@ def build_call_graph(program: IRProgram) -> CallGraph:
 
 
 def referenced_functions(program: IRProgram) -> frozenset[str]:
-    """Functions whose address is taken anywhere in the program."""
-    taken: set[str] = set()
+    """Functions whose address is taken anywhere in the program.
 
-    def scan(expr):
-        if isinstance(expr, FuncRef):
-            taken.add(expr.name)
-        for attr in ("operand", "left", "right", "value", "index", "size", "cond"):
-            child = getattr(expr, attr, None)
-            if child is not None and hasattr(child, "__dataclass_fields__"):
-                scan(child)
-
+    Expression trees are walked with an explicit stack, so their depth is
+    not bounded by Python's recursion limit.
+    """
+    pending: list = []
     for fn in program.functions.values():
         for blk in fn.blocks.values():
             for stmt in blk.statements:
-                for attr in ("value", "index", "size", "cond", "array"):
-                    child = getattr(stmt, attr, None)
-                    if child is not None and hasattr(child, "__dataclass_fields__"):
-                        scan(child)
+                pending.extend(
+                    getattr(stmt, attr, None)
+                    for attr in ("value", "index", "size", "cond", "array")
+                )
                 if stmt.kind == "call":
-                    for arg in stmt.args:
-                        scan(arg)
-            term = blk.terminator
-            for attr in ("cond", "value"):
-                child = getattr(term, attr, None)
-                if child is not None and hasattr(child, "__dataclass_fields__"):
-                    scan(child)
+                    pending.extend(stmt.args)
+            pending.extend(getattr(blk.terminator, attr, None) for attr in ("cond", "value"))
+    taken: set[str] = set()
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, FuncRef):
+            taken.add(expr.name)
+        elif hasattr(expr, "__dataclass_fields__"):
+            pending.extend(
+                getattr(expr, attr, None)
+                for attr in ("operand", "left", "right", "value", "index", "size", "cond")
+            )
     return frozenset(taken)

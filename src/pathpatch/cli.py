@@ -14,10 +14,10 @@ input; graph documents may embed the vulnerable statement instead. Every
 subcommand builds the program path graph once and shares it between phases,
 and every subcommand but analyze computes the candidate locations once.
 
-Diagnostics are data: the path graph's notes go to `path_graph.json` and to
-analyze's `note:` lines on stderr, and the candidate walk's notes go to
-`candidates.json` and to locate's `warning:` lines. No Python warning is
-raised, so `-W error` changes nothing.
+Diagnostics are data: the path graph's notes go to `path_graph.json` and,
+once per run of every subcommand, to `note:` lines on stderr; the
+candidate walk's notes go to `candidates.json` and to locate's `warning:`
+lines. No Python warning is raised, so `-W error` changes nothing.
 
 Exit codes: 0 success, 2 usage, 3 input/parse error, 4 analysis diagnostic
 (for example a vulnerability no call chain can reach).
@@ -237,8 +237,6 @@ def cmd_analyze(args, program, vuln, ppg) -> int:
         f"{len(ppg.chains)} call chain(s), {doc['path_count']} maximal path(s) "
         f"to statement {vuln.statement} in {vuln.function}"
     )
-    for diag in ppg.diagnostics:
-        print(f"note: {diag}", file=sys.stderr)
     if not args.out:
         print(text, end="")
     return EXIT_OK
@@ -359,6 +357,8 @@ def run(argv=None) -> int:
             for diag in ppg.diagnostics:
                 print(f"error: {diag}", file=sys.stderr)
             return EXIT_DIAGNOSTIC
+        for diag in ppg.diagnostics:
+            print(f"note: {diag}", file=sys.stderr)
         if args.command == "analyze":
             return cmd_analyze(args, program, vuln, ppg)
         notes: list[str] = []

@@ -11,10 +11,19 @@ optional fault kind) and are kept apart from the functional cases, so the
 preserved-functionality ratio counts real tests only. Timeouts and faults
 on functional cases are plain failures.
 
-Every patch is evaluated against a fresh copy of the base program; the
-preserved functionality ratio is exact (a Fraction), and ranking sorts by
-PFR descending with deterministic tie-breaks: exploit blocked first, then
-lower level, then block id, function, patch id.
+Patch evaluation first runs every case, and the exploit, once on the
+unpatched program: a coverage probe that watches the patched blocks. A
+patch rewrites one block `b` of one function and nothing else, and the
+interpreter is deterministic, so a run that never enters `b` does exactly
+what the unpatched run does, step for step. Each patch therefore runs only
+the cases whose probe entered its block; every other case keeps the
+probe's verdict, and the exploit the probe's outcome (safe regression test
+selection, after Rothermel & Harrold, TOSEM 1997). A probe stops as soon
+as it has entered every patched block; it then gives no verdict, and every
+patch runs that case. The preserved functionality ratio is exact (a
+Fraction), and ranking sorts by PFR descending with deterministic
+tie-breaks: exploit blocked first, then lower level, then block id,
+function, patch id.
 """
 
 from __future__ import annotations
@@ -27,8 +36,10 @@ from .ir import IRError, IRProgram, block_sort_key
 from .minilang.interp import (
     DEFAULT_MAX_HEAP_CELLS,
     DEFAULT_MAX_STEPS,
+    STATUS_COVERED,
     STATUS_FAULT,
     STATUS_OK,
+    ExecutionResult,
     run_program,
 )
 from .paths import Exploit, VulnerabilitySpec
@@ -138,13 +149,17 @@ class SuiteResult:
     verdicts: tuple[CaseVerdict, ...]
 
 
-def _run_case(program: IRProgram, case: TestCase, limits: Limits) -> CaseVerdict:
-    result = run_program(
+def _run(program: IRProgram, values, limits: Limits, watch=None) -> ExecutionResult:
+    return run_program(
         program,
-        case.input,
+        values,
         max_steps=limits.max_steps,
         max_heap_cells=limits.max_heap_cells,
+        watch=watch,
     )
+
+
+def _verdict(case: TestCase, result: ExecutionResult) -> CaseVerdict:
     if case.expect == FAULT:
         if result.status == STATUS_FAULT:
             return CaseVerdict(case.name, True, f"fault {result.fault_kind}")
@@ -160,10 +175,17 @@ def _run_case(program: IRProgram, case: TestCase, limits: Limits) -> CaseVerdict
     return CaseVerdict(case.name, True, "ok")
 
 
+def _blocked(exploit: Exploit, result: ExecutionResult) -> bool:
+    """A fault elsewhere, a clean exit, or a timeout all count as mitigated."""
+    return result.status != STATUS_FAULT or result.fault_at != exploit.statement
+
+
 def run_test_suite(
     program: IRProgram, suite: TestSuite, limits: Limits = Limits()
 ) -> SuiteResult:
-    verdicts = tuple(_run_case(program, case, limits) for case in suite.cases)
+    verdicts = tuple(
+        _verdict(case, _run(program, case.input, limits)) for case in suite.cases
+    )
     passed = sum(1 for v in verdicts if v.passed)
     return SuiteResult(passed=passed, total=len(verdicts), verdicts=verdicts)
 
@@ -173,23 +195,14 @@ def check_exploit(
 ) -> bool:
     """True iff the exploit input no longer faults at the vulnerable statement.
 
-    The exploit must be anchored (see TestSuite.with_vulnerability); a fault
-    elsewhere, a clean exit, or a timeout all count as mitigated.
+    The exploit must be anchored (see TestSuite.with_vulnerability).
     """
     exploit = suite.exploit
     if exploit is None:
         raise SuiteError("suite has no exploit specification")
     if exploit.statement is None:
         raise SuiteError("exploit is not anchored to a vulnerable statement")
-    result = run_program(
-        program,
-        exploit.input,
-        max_steps=limits.max_steps,
-        max_heap_cells=limits.max_heap_cells,
-    )
-    if result.status != STATUS_FAULT:
-        return True
-    return result.fault_at != exploit.statement
+    return _blocked(exploit, _run(program, exploit.input, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +222,29 @@ class PatchEvaluation:
     verdicts: tuple[CaseVerdict, ...] = ()
 
 
-def evaluate_patch(
-    base: IRProgram, patch: Patch, suite: TestSuite, limits: Limits
+def _probe(base: IRProgram, values, limits: Limits, watch: frozenset):
+    """The coverage probe of one input: `(entered, result)`, where `entered`
+    holds the watched blocks the unpatched run entered and `result` is its
+    outcome. A probe that stopped early, having entered every watched block,
+    has no result, and neither has one that met malformed IR: every patch
+    then runs the input itself, and a patch that rewrites the malformed
+    block, or returns before it, does not fail."""
+    try:
+        result = _run(base, values, limits, watch)
+    except (IRError, KeyError):
+        return watch, None
+    if result.status == STATUS_COVERED:
+        return watch, None
+    return result.entered, result
+
+
+def _evaluate_patch(
+    base: IRProgram,
+    patch: Patch,
+    suite: TestSuite,
+    limits: Limits,
+    cases: list[tuple[frozenset, CaseVerdict | None]],
+    exploit: tuple[frozenset, bool | None] | None,
 ) -> PatchEvaluation:
     try:
         variant = apply_patch(base, patch)
@@ -223,18 +257,24 @@ def evaluate_patch(
             exploit_blocked=None,
             error=str(exc),
         )
-    result = run_test_suite(variant, suite, limits)
+    key = (patch.location.function, patch.location.block)
+    verdicts = tuple(
+        _verdict(case, _run(variant, case.input, limits)) if key in entered else verdict
+        for case, (entered, verdict) in zip(suite.cases, cases)
+    )
     blocked = None
-    if suite.exploit is not None and suite.exploit.statement is not None:
-        blocked = check_exploit(variant, suite, limits)
-    pfr = Fraction(result.passed, result.total) if result.total else Fraction(0)
+    if exploit is not None:
+        entered, blocked = exploit
+        if key in entered:
+            blocked = _blocked(suite.exploit, _run(variant, suite.exploit.input, limits))
+    passed = sum(1 for v in verdicts if v.passed)
     return PatchEvaluation(
         patch=patch,
-        passed=result.passed,
-        total=result.total,
-        pfr=pfr,
+        passed=passed,
+        total=len(verdicts),
+        pfr=Fraction(passed, len(verdicts)) if verdicts else Fraction(0),
         exploit_blocked=blocked,
-        verdicts=result.verdicts,
+        verdicts=verdicts,
     )
 
 
@@ -245,20 +285,31 @@ def evaluate_patches(
     limits: Limits = Limits(),
     jobs: int = 1,
 ) -> list[PatchEvaluation]:
-    """Evaluate every patch against a fresh patched copy of the base program.
+    """Evaluate every patch, running on its patched program only the cases
+    (and the exploit) whose coverage probe entered the patched block.
 
-    Variants run independently (optionally in a worker pool); results are
-    assembled in patch-id order so the outcome never depends on scheduling.
+    The probes run first, on the base program; the variants then run
+    independently (optionally in a worker pool), and results are assembled
+    in patch-id order so the outcome never depends on scheduling.
     """
     if not patches:
         return []
+    watch = frozenset((p.location.function, p.location.block) for p in patches)
+    cases = []
+    for case in suite.cases:
+        entered, result = _probe(base, case.input, limits, watch)
+        cases.append((entered, None if result is None else _verdict(case, result)))
+    exploit = None
+    if suite.exploit is not None and suite.exploit.statement is not None:
+        entered, result = _probe(base, suite.exploit.input, limits, watch)
+        exploit = (entered, None if result is None else _blocked(suite.exploit, result))
+    args = (suite, limits, cases, exploit)
     if jobs <= 1:
-        evaluations = [evaluate_patch(base, p, suite, limits) for p in patches]
+        evaluations = [_evaluate_patch(base, p, *args) for p in patches]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(evaluate_patch, base, p, suite, limits): p.id
-                for p in patches
+                pool.submit(_evaluate_patch, base, p, *args): p.id for p in patches
             }
             by_id = {
                 futures[future]: future.result()

@@ -29,6 +29,7 @@ result status; the interpreter itself never raises for program behavior:
                      backtrace of the call sites leading to it
     timeout          step or heap budget exhausted
     input_exhausted  read_input with no input left
+    covered          a watched run entered every watched block (see below)
 
 A fault terminates the run immediately, which is the signal the evaluation
 harness watches for.
@@ -41,6 +42,14 @@ in one addition; if one of its statements then stops the run, the count is
 corrected to the steps before the segment plus the position of that
 statement plus one. A segment that does not fit is run one step at a time,
 so a timeout happens at exactly the same statement either way.
+
+Block entries: a run enters a block when its first segment becomes the
+current one, before any of its steps is charged. `record_trace` records
+every entry. `watch`, a set of `(function, block)` keys, makes the run
+record in `ExecutionResult.entered` which of those blocks it entered, and
+stop with status `covered` as soon as it has entered them all; the
+evaluation harness uses it to find the test cases a patch can change. Both
+hook into the same two places, so a run with neither checks nothing more.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ STATUS_OK = "ok"
 STATUS_FAULT = "fault"
 STATUS_TIMEOUT = "timeout"
 STATUS_INPUT_EXHAUSTED = "input_exhausted"
+STATUS_COVERED = "covered"
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,8 @@ class ExecutionResult:
     # (call site statement, resolved callee) pairs, recorded with the trace
     calls: tuple[tuple[str, str], ...] | None = None
     steps: int = 0
+    # the watched blocks the run entered, for a run with `watch`
+    entered: frozenset[tuple[str, str]] | None = None
 
     @property
     def ok(self) -> bool:
@@ -125,6 +137,10 @@ class _Timeout(_Stop):
 
 
 class _InputExhausted(_Stop):
+    pass
+
+
+class _Covered(_Stop):
     pass
 
 
@@ -158,6 +174,7 @@ def run_program(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS,
     record_trace: bool = False,
+    watch: frozenset[tuple[str, str]] | None = None,
 ) -> ExecutionResult:
     """Run a lowered program on a flat list of integer inputs."""
     if not program.executable:
@@ -166,6 +183,12 @@ def run_program(
     st = _State(input_values, max_heap_cells)
     trace: list[tuple[str, str]] | None = [] if record_trace else None
     calls: list[tuple[str, str]] | None = [] if record_trace else None
+    # called with the (function, block) key of every block the run enters
+    enter = None if trace is None else trace.append
+    entered: set[tuple[str, str]] | None = None
+    if watch is not None:
+        entered = set()
+        enter = _watcher(watch, entered, enter)
     # saved callers: (function, blocks, env, resume segment, target, call site)
     stack: list[tuple] = []
     steps = 0
@@ -174,9 +197,9 @@ def run_program(
     blocks, entry, params, defaults = fn.compiled or _compile(fn)
     seg = blocks[entry]
     env = dict(defaults)
-    if trace is not None:
-        trace.append(seg[5])
     try:
+        if enter is not None:
+            enter(seg[5])
         while True:
             stmts, n, ids, call, after, _ = seg
             if steps + n <= max_steps:
@@ -230,17 +253,21 @@ def run_program(
                 elif tag == _RETURN:
                     value = after[1](env)
                     if not stack:
-                        return _result(STATUS_OK, st, trace, calls, steps, exit_value=value)
+                        return _result(
+                            STATUS_OK, st, trace, calls, entered, steps, exit_value=value
+                        )
                     fn, blocks, env, seg, target, _ = stack.pop()
                     if target is not None:
                         env[target] = value
                     continue
                 elif tag == _HALT:
-                    return _result(STATUS_OK, st, trace, calls, steps, exit_value=None)
+                    return _result(
+                        STATUS_OK, st, trace, calls, entered, steps, exit_value=None
+                    )
                 else:
                     raise IRError(after[1])
-            if trace is not None:
-                trace.append(seg[5])
+            if enter is not None:
+                enter(seg[5])
     except _Fault as fault:
         backtrace = [(frame[0].id, frame[5]) for frame in stack]
         backtrace.append((fn.id, fault.at))
@@ -249,24 +276,44 @@ def run_program(
             st,
             trace,
             calls,
+            entered,
             steps,
             fault_kind=fault.kind,
             fault_at=fault.at,
             fault_stack=tuple(backtrace),
         )
     except _Timeout:
-        return _result(STATUS_TIMEOUT, st, trace, calls, steps)
+        return _result(STATUS_TIMEOUT, st, trace, calls, entered, steps)
     except _InputExhausted:
-        return _result(STATUS_INPUT_EXHAUSTED, st, trace, calls, steps)
+        return _result(STATUS_INPUT_EXHAUSTED, st, trace, calls, entered, steps)
+    except _Covered:
+        return _result(STATUS_COVERED, st, trace, calls, entered, steps)
 
 
-def _result(status, st, trace, calls, steps, **kw) -> ExecutionResult:
+def _watcher(watch, entered, enter):
+    """The block-entry hook of a watched run: add each watched block to
+    `entered`, and stop the run once it holds them all."""
+    count = len(watch)
+
+    def watched(key):
+        if enter is not None:
+            enter(key)
+        if key in watch:
+            entered.add(key)
+            if len(entered) == count:
+                raise _Covered
+
+    return watched
+
+
+def _result(status, st, trace, calls, entered, steps, **kw) -> ExecutionResult:
     return ExecutionResult(
         status=status,
         output=tuple(st.output),
         trace=tuple(trace) if trace is not None else None,
         calls=tuple(calls) if calls is not None else None,
         steps=steps,
+        entered=frozenset(entered) if entered is not None else None,
         **kw,
     )
 

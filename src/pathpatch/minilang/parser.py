@@ -18,6 +18,10 @@ Grammar sketch:
 Expressions are int/bool arithmetic and comparison with `&&`, `||`, `!`,
 array reads `a[i]`, calls `f(x)`, `alloc(n)`, `read_input()`, `nil`, and
 function references `&name`. Comments run from `#` to end of line.
+
+Nesting is limited to MAX_NESTING levels, counting blocks, subexpressions
+(parenthesized or not), unary operators and function types: a deeper
+program is a ParseError, never a RecursionError.
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ KEYWORDS = {
     "assert", "true", "false", "nil", "alloc", "read_input", "errval",
     "int", "bool", "ref", "unit",
 }
+
+# A parenthesized expression costs ten Python frames per level (from
+# `parse_expr` down to `parse_primary`), and lowering about three frames per
+# nested statement, so 64 levels stay well inside Python's default recursion
+# limit of 1000 wherever the frontend is called from.
+MAX_NESTING = 64
 
 TWO_CHAR = {"->", "==", "!=", "<=", ">=", "&&", "||"}
 ONE_CHAR = set("(){}[],;:=<>+-*/%!&")
@@ -131,6 +141,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     # --- token helpers ---
 
@@ -169,6 +180,17 @@ class Parser:
                 self.cur.col,
             )
         return self.advance()
+
+    def nested(self, parse):
+        """`parse()` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", self.cur.line, self.cur.col
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # --- declarations ---
 
@@ -235,12 +257,12 @@ class Parser:
             params = []
             if not self.check(")"):
                 while True:
-                    params.append(self.parse_type())
+                    params.append(self.nested(self.parse_type))
                     if not self.accept(","):
                         break
             self.expect(")")
             self.expect("->")
-            return FnType(params=tuple(params), ret=self.parse_type())
+            return FnType(params=tuple(params), ret=self.nested(self.parse_type))
         raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
 
     def parse_literal(self):
@@ -265,6 +287,9 @@ class Parser:
     # --- statements ---
 
     def parse_block(self) -> tuple:
+        return self.nested(self._block)
+
+    def _block(self) -> tuple:
         self.expect("{")
         stmts: list = []
         while not self.check("}"):
@@ -350,7 +375,7 @@ class Parser:
     # --- expressions (precedence climbing) ---
 
     def parse_expr(self):
-        return self.parse_or()
+        return self.nested(self.parse_or)
 
     def parse_or(self):
         left = self.parse_and()
@@ -391,9 +416,9 @@ class Parser:
     def parse_unary(self):
         tok = self.cur
         if self.accept("!"):
-            return UnaryOp("!", self.parse_unary(), tok.line)
+            return UnaryOp("!", self.nested(self.parse_unary), tok.line)
         if self.accept("-"):
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             if isinstance(operand, IntLit):
                 return IntLit(-operand.value, tok.line)  # fold negative literals
             return UnaryOp("-", operand, tok.line)

@@ -6,14 +6,18 @@ derived from exhaustive simple-path enumeration, interprocedural paths
 from a direct depth-first search with a no-repeat cutoff, the path graph
 from a frame-by-frame build along every chain (`reference_path_graph`),
 candidates from a recursive walk of every frame occurrence
-(`reference_candidate_locations`), and execution from a plain
-tree-walking interpreter (`reference_run`).
+(`reference_candidate_locations`), execution from a plain
+tree-walking interpreter (`reference_run`), and patch evaluation from
+running every case on every patched program
+(`reference_evaluate_patches`).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import random
+from fractions import Fraction
 
 from pathpatch.analysis import (
     EXIT,
@@ -43,6 +47,13 @@ from pathpatch.ir import (
     Unary,
     Var,
     block_sort_key,
+)
+from pathpatch.harness import (
+    Limits,
+    PatchEvaluation,
+    TestSuite,
+    check_exploit,
+    run_test_suite,
 )
 from pathpatch.locate import CandidatePatchLocation
 from pathpatch.minilang import lower, nodes, parse
@@ -83,6 +94,7 @@ from pathpatch.paths import (
     intraprocedural_paths,
     resolve_vulnerability,
 )
+from pathpatch.synth import Patch, apply_patch
 
 # ---------------------------------------------------------------------------
 # Abstract CFG construction
@@ -864,3 +876,69 @@ class _Interp:
         frame.call_site = stmt.id
         self.stack.append(self.make_frame(callee, args))
         return None
+
+
+# ---------------------------------------------------------------------------
+# Reference patch evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_evaluate_patch(
+    base: IRProgram, patch: Patch, suite: TestSuite, limits: Limits
+) -> PatchEvaluation:
+    try:
+        variant = apply_patch(base, patch)
+    except IRError as exc:
+        return PatchEvaluation(
+            patch=patch,
+            passed=0,
+            total=len(suite.cases),
+            pfr=Fraction(0),
+            exploit_blocked=None,
+            error=str(exc),
+        )
+    result = run_test_suite(variant, suite, limits)
+    blocked = None
+    if suite.exploit is not None and suite.exploit.statement is not None:
+        blocked = check_exploit(variant, suite, limits)
+    pfr = Fraction(result.passed, result.total) if result.total else Fraction(0)
+    return PatchEvaluation(
+        patch=patch,
+        passed=result.passed,
+        total=result.total,
+        pfr=pfr,
+        exploit_blocked=blocked,
+        verdicts=result.verdicts,
+    )
+
+
+def reference_evaluate_patches(
+    base: IRProgram,
+    patches: list[Patch],
+    suite: TestSuite,
+    limits: Limits = Limits(),
+    jobs: int = 1,
+) -> list[PatchEvaluation]:
+    """`harness.evaluate_patches` without test selection: every case and
+    the exploit run on every patched program.
+
+    Variants run independently (optionally in a worker pool); results are
+    assembled in patch-id order so the outcome never depends on scheduling.
+    """
+    if not patches:
+        return []
+    if jobs <= 1:
+        evaluations = [reference_evaluate_patch(base, p, suite, limits) for p in patches]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = {
+                pool.submit(reference_evaluate_patch, base, p, suite, limits): p.id
+                for p in patches
+            }
+            by_id = {
+                futures[future]: future.result()
+                for future in concurrent.futures.as_completed(futures)
+            }
+        evaluations = [by_id[p.id] for p in patches]
+    evaluations.sort(key=lambda ev: ev.patch.id)
+    return evaluations

@@ -2,6 +2,7 @@
 brute-force definitions on both hand-built and random CFGs."""
 
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,21 @@ from pathpatch.analysis import (
     build_call_graph,
     compute_control_dependencies,
     compute_postdominators,
+    referenced_functions,
+)
+from pathpatch.ir import (
+    INT,
+    Assign,
+    BasicBlock,
+    Binary,
+    Call,
+    FuncRef,
+    IntConst,
+    IRFunction,
+    IRProgram,
+    Return,
+    Unary,
+    Var,
 )
 from pathpatch.minilang import lower, parse
 
@@ -205,3 +221,28 @@ class TestCallGraph:
         cg = build_call_graph(program)
         assert {(e.caller, e.callee) for e in cg.edges} == {("main", "mystery")}
         assert cg.callees_of("mystery") == ()
+
+
+class TestReferencedFunctions:
+    def test_expressions_deeper_than_the_recursion_limit(self):
+        """The walk keeps an explicit stack: a FuncRef at the bottom of an
+        expression nested past Python's recursion limit is still found."""
+        deep = FuncRef("g")
+        for i in range(sys.getrecursionlimit() + 100):
+            deep = Unary("-", deep) if i % 2 else Binary("+", IntConst(i), deep)
+        block = BasicBlock(
+            "b0",
+            (
+                Assign("main:s0", "x", deep),
+                Call("main:s1", None, "f", None, (Var("x"), FuncRef("h"))),
+            ),
+            Return("main:s2", Binary("+", Var("x"), IntConst(1))),
+        )
+        main = IRFunction("main", "main", (), INT, {"b0": block}, "b0")
+        program = IRProgram(functions={"main": main}, entry="main", source_map={})
+        assert referenced_functions(program) == {"g", "h"}
+
+    def test_corpus_address_taken_sets(self, corpus_entry):
+        name, program, _, _ = corpus_entry
+        assert referenced_functions(program) == program.address_taken
+        assert bool(program.address_taken) == (name == "dispatch")

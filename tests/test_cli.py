@@ -9,6 +9,7 @@ import pytest
 from pathpatch import cli
 from pathpatch.cli import run
 from pathpatch.locate import candidate_locations
+from pathpatch.minilang.parser import MAX_NESTING
 
 from conftest import CORPUS
 
@@ -346,6 +347,52 @@ class TestDeepInputs:
         assert rows == [(f"f{n - 1}", 3, 0)]
 
 
+    @staticmethod
+    def _nested(tmp_path, kind, depth):
+        """`all` arguments for a program nested `depth` levels deep, counted
+        as the parser counts: the body block, one block per `if`, and the
+        innermost expression with each pair of parentheses around `x`."""
+        if kind == "if":
+            ifs, parens = depth - 2, 0
+        else:
+            ifs, parens = 1, depth - 3
+        body = (
+            "    if (x > 0) {\n" * ifs
+            + "    x = " + "(" * parens + "x" + ")" * parens + " + 1;\n"
+            + "    }\n" * ifs
+        )
+        program = tmp_path / f"{kind}{depth}.mini"
+        program.write_text(
+            "fn main() -> int {\n    let x: int = read_input();\n"
+            + body + "    print(x);\n    return 0;\n}\n"
+        )
+        vuln = tmp_path / "nested.vuln.json"
+        vuln.write_text(json.dumps({"function": "main", "line": 2 * ifs + 4}))
+        suite = tmp_path / "nested.suite"
+        suite.write_text("up | input: 1 | expect: 2\nflat | input: 0 | expect: 0\n")
+        return [
+            "all", "--program", str(program), "--vuln", str(vuln),
+            "--suite", str(suite), "--out", str(tmp_path / "out"),
+        ]
+
+    @pytest.mark.parametrize("kind", ["if", "paren"])
+    def test_nesting_of_1000_is_a_parse_error(self, tmp_path, capsys, kind):
+        """1000 nested ifs, or 1000 nested parentheses: a one-line parse
+        error and exit 3, where the recursive descent used to die with a
+        RecursionError traceback."""
+        assert invoke(*self._nested(tmp_path, kind, 1000)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: nesting deeper than {MAX_NESTING} levels at line ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["if", "paren"])
+    def test_nesting_at_the_limit_runs_through_all(self, tmp_path, capsys, kind):
+        assert invoke(*self._nested(tmp_path, kind, MAX_NESTING)) == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["summary"]["patches"] >= 1
+        assert invoke(*self._nested(tmp_path, kind, MAX_NESTING + 1)) == 3
+
+
 def graph_document(edges, conditional, vulnerable) -> str:
     """A one-function graph document for f: one statement per block, named
     after the block, and the blocks in `conditional` branch."""
@@ -404,8 +451,24 @@ class TestDiagnosticsAsData:
                 for command in ("analyze", "locate")
             ]
         assert codes == [0, 0]
-        # no Python warning or traceback: analyze prints the note once, and
-        # locate's walk has none of its own
-        assert capsys.readouterr().err == f"note: {note}\n"
+        # no Python warning or traceback: analyze and locate each print the
+        # note once, and locate's walk has none of its own
+        assert capsys.readouterr().err == f"note: {note}\n" * 2
         assert json.loads((out / "path_graph.json").read_text())["diagnostics"] == [note]
         assert json.loads((out / "candidates.json").read_text())["warnings"] == []
+
+    def test_locate_alone_prints_the_path_graph_notes(self, tmp_path, capsys):
+        """A locate-only run says that the irreducible cycle was cut, though
+        `candidates.json` keeps only the candidate walk's notes."""
+        program = tmp_path / "f.graph.json"
+        program.write_text(
+            graph_document(
+                [("a", "b", 0), ("a", "c", 1), ("b", "c", None), ("c", "b", 0), ("c", "d", 1)],
+                {"a", "c"},
+                "d",
+            )
+        )
+        code = invoke("locate", "--program", str(program), "--out", str(tmp_path))
+        assert code == 0
+        assert capsys.readouterr().err == "note: f: irreducible cycle; cut edges [('c', 'b')]\n"
+        assert json.loads((tmp_path / "candidates.json").read_text())["warnings"] == []

@@ -17,6 +17,7 @@ from pathpatch.ir import BasicBlock, IRError, IRProgram, Jump
 from pathpatch.locate import candidate_locations
 from pathpatch.minilang import lower, parse, run_program
 from pathpatch.minilang.interp import (
+    STATUS_COVERED,
     STATUS_FAULT,
     STATUS_INPUT_EXHAUSTED,
     STATUS_OK,
@@ -141,6 +142,42 @@ def test_random_programs_match_the_reference():
         assert_same(program, (), max_steps=RANDOM_INPUT_BUDGET, record_trace=True)
         for budget in SMALL_BUDGETS:
             assert_same(program, (), max_steps=budget)
+
+
+def test_watched_runs_record_entries_and_stop_once_all_are_entered():
+    """A watched run is the plain run plus `entered` (the watched blocks in
+    its trace) unless its trace enters every watched block; then it is the
+    traced run cut right after that entry, with status `covered`."""
+    stopped = 0
+    for name in CORPUS_NAMES:
+        program, vuln, suite = load_corpus_entry(name)
+        rng = random.Random(name)
+        keys = sorted((fn.id, b) for fn in program.functions.values() for b in fn.blocks)
+        inputs = [case.input for case in suite.cases] + [suite.exploit.input]
+        for values in inputs:
+            for kw in ({}, {"max_steps": rng.choice(SMALL_BUDGETS)}):
+                full = run_program(program, values, record_trace=True, **kw)
+                watch = frozenset(rng.sample(keys, rng.randint(1, 3)))
+                # the trace index at which the run has entered every watched block
+                cut, seen = None, set()
+                for i, key in enumerate(full.trace):
+                    if key in watch:
+                        seen.add(key)
+                        if seen == watch:
+                            cut = i
+                            break
+                watched = run_program(program, values, record_trace=True, watch=watch, **kw)
+                if cut is None:
+                    assert watched == replace(full, entered=frozenset(full.trace) & watch)
+                    assert run_program(program, values, watch=watch, **kw) == replace(
+                        full, trace=None, calls=None, entered=watched.entered
+                    )
+                else:
+                    stopped += 1
+                    assert watched.status == STATUS_COVERED
+                    assert watched.entered == watch
+                    assert watched.trace == full.trace[: cut + 1]
+    assert stopped > 0
 
 
 def test_steps_count_every_statement_and_terminator():
