@@ -18,7 +18,6 @@ from .checks import cut_disconnects, fuzz_vulnerability
 from .graphio import (
     GraphDocument,
     build_report,
-    export_graph,
     import_graph,
     pfr_display,
     pfr_percent,
@@ -28,12 +27,10 @@ from .harness import (
     PatchEvaluation,
     TestCase,
     TestSuite,
-    check_exploit,
     evaluate_patches,
     load_suite,
     parse_suite,
     rank,
-    run_test_suite,
 )
 from .ir import BasicBlock, IRFunction, IRProgram
 from .locate import CandidatePatchLocation, candidate_locations

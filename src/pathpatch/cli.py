@@ -14,6 +14,14 @@ input; graph documents may embed the vulnerable statement instead. Every
 subcommand builds the program path graph once and shares it between phases,
 and every subcommand but analyze computes the candidate locations once.
 
+`analyze` writes `path_graph.json` (schema `path-graph@2`). It lists each
+distinct frame (function and call site) once under `frames`, with an `id`,
+its path DAG's blocks and edges, its governing conditionals and its own
+`path_count`. `chain_count` counts the call chains, and `call_chains`
+lists each as frame ids, entry first, while `chain_count <= --cap`; the
+top-level `path_count` counts the maximal paths, and `paths` lists them
+while `path_count <= --cap`.
+
 Diagnostics are data: the path graph's notes go to `path_graph.json` and,
 once per run of every subcommand, to `note:` lines on stderr; the
 candidate walk's notes go to `candidates.json` and to locate's `warning:`
@@ -49,6 +57,7 @@ from .paths import (
     DEFAULT_ENUMERATION_CAP,
     Exploit,
     build_program_path_graph,
+    count_frame_paths,
     count_paths,
     enumerate_paths,
     resolve_vulnerability,
@@ -185,56 +194,60 @@ def write_out(args, name: str, text: str) -> None:
         (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def path_graph_document(program, ppg) -> dict:
-    chains = []
+def path_graph_document(program, ppg, cap: int) -> dict:
+    """The `path-graph@2` document: each distinct frame once, chains as
+    lists of frame ids while `chain_count <= cap`, and the maximal paths
+    while `path_count <= cap`."""
+    ids: dict = {}  # Frame -> its id, the index of its entry in `frames`
+    frames = []
     for chain_paths in ppg.chains:
-        frames = []
         for fp in chain_paths.frames:
-            fn = program.functions[fp.frame.function]
+            if fp.frame in ids:
+                continue
+            ids[fp.frame] = len(frames)
+            blocks = program.functions[fp.frame.function].blocks
             frames.append(
                 {
+                    "id": len(frames),
                     "function": fp.frame.function,
                     "target_statement": fp.target_statement,
                     "blocks": [
-                        {
-                            "id": b,
-                            "conditional": b in fp.conditional,
-                            "line": fn.blocks[b].line,
-                        }
+                        {"id": b, "conditional": b in fp.conditional, "line": blocks[b].line}
                         for b in fp.dag.blocks
                     ],
                     "edges": [list(e) for e in fp.dag.edges],
                     "governing_conditionals": [list(g) for g in fp.governing],
+                    "path_count": count_frame_paths(fp.dag),
                 }
             )
-        chains.append(
-            {"functions": list(chain_paths.chain.functions), "frames": frames}
-        )
-    return {
-        "schema": "path-graph@1",
+    doc = {
+        "schema": "path-graph@2",
         "vulnerability": {
             "function": ppg.vulnerability.function,
             "statement": ppg.vulnerability.statement,
         },
-        "chains": chains,
+        "frames": frames,
+        "chain_count": len(ppg.chains),
         "path_count": count_paths(ppg),
         "diagnostics": list(ppg.diagnostics),
     }
+    if doc["chain_count"] <= cap:
+        doc["call_chains"] = [
+            [ids[fp.frame] for fp in chain_paths.frames] for chain_paths in ppg.chains
+        ]
+    if doc["path_count"] <= cap:
+        doc["paths"] = [
+            ["/".join(entry) for entry in path] for path in enumerate_paths(ppg, cap=cap)
+        ]
+    return doc
 
 
 def cmd_analyze(args, program, vuln, ppg) -> int:
-    doc = path_graph_document(program, ppg)
-    # list paths explicitly while they fit under the cap; the DAG in
-    # `chains` is always present regardless
-    if doc["path_count"] <= args.cap:
-        doc["paths"] = [
-            ["/".join(entry) for entry in path]
-            for path in enumerate_paths(ppg, cap=args.cap)
-        ]
+    doc = path_graph_document(program, ppg, args.cap)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_out(args, "path_graph.json", text)
     print(
-        f"{len(ppg.chains)} call chain(s), {doc['path_count']} maximal path(s) "
+        f"{doc['chain_count']} call chain(s), {doc['path_count']} maximal path(s) "
         f"to statement {vuln.statement} in {vuln.function}"
     )
     if not args.out:

@@ -285,58 +285,6 @@ def import_graph(doc: GraphDocument) -> IRProgram:
     return program
 
 
-def export_graph(program: IRProgram, vulnerable: tuple[str, str] | None = None) -> GraphDocument:
-    """Project any program down to its graph document shape.
-
-    Calls are exported from the resolved call graph, so an indirect call
-    site appears once per signature-matching target and a reimport sees
-    the same over-approximation the analyses used.
-    """
-    from .analysis import build_call_graph
-
-    calls = [
-        (edge.caller, edge.call_site, edge.callee)
-        for edge in build_call_graph(program).edges
-        if not program.functions[edge.callee].external
-    ]
-    functions = []
-    # list the entry function first: a document's program entry is its
-    # first function
-    ordered = sorted(
-        program.functions.values(), key=lambda fn: fn.id != program.entry
-    )
-    for fn in ordered:
-        if fn.external:
-            continue
-        blocks = []
-        edges = []
-        for blk in fn.blocks.values():
-            blocks.append(
-                GraphBlock(
-                    id=blk.id,
-                    conditional=blk.is_conditional,
-                    statements=tuple(s.id for s in blk.statements),
-                )
-            )
-            term = blk.terminator
-            if isinstance(term, Branch):
-                edges.append((blk.id, term.then_target, 0))
-                edges.append((blk.id, term.else_target, 1))
-            elif isinstance(term, Jump):
-                edges.append((blk.id, term.target, None))
-        functions.append(
-            GraphFunction(
-                name=fn.id,
-                entry=fn.entry_block,
-                blocks=tuple(blocks),
-                edges=tuple(edges),
-            )
-        )
-    return GraphDocument(
-        functions=tuple(functions), calls=tuple(calls), vulnerable=vulnerable
-    )
-
-
 # ---------------------------------------------------------------------------
 # Result report
 # ---------------------------------------------------------------------------

@@ -142,13 +142,6 @@ class CaseVerdict:
     detail: str
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    passed: int
-    total: int
-    verdicts: tuple[CaseVerdict, ...]
-
-
 def _run(program: IRProgram, values, limits: Limits, watch=None) -> ExecutionResult:
     return run_program(
         program,
@@ -178,31 +171,6 @@ def _verdict(case: TestCase, result: ExecutionResult) -> CaseVerdict:
 def _blocked(exploit: Exploit, result: ExecutionResult) -> bool:
     """A fault elsewhere, a clean exit, or a timeout all count as mitigated."""
     return result.status != STATUS_FAULT or result.fault_at != exploit.statement
-
-
-def run_test_suite(
-    program: IRProgram, suite: TestSuite, limits: Limits = Limits()
-) -> SuiteResult:
-    verdicts = tuple(
-        _verdict(case, _run(program, case.input, limits)) for case in suite.cases
-    )
-    passed = sum(1 for v in verdicts if v.passed)
-    return SuiteResult(passed=passed, total=len(verdicts), verdicts=verdicts)
-
-
-def check_exploit(
-    program: IRProgram, suite: TestSuite, limits: Limits = Limits()
-) -> bool:
-    """True iff the exploit input no longer faults at the vulnerable statement.
-
-    The exploit must be anchored (see TestSuite.with_vulnerability).
-    """
-    exploit = suite.exploit
-    if exploit is None:
-        raise SuiteError("suite has no exploit specification")
-    if exploit.statement is None:
-        raise SuiteError("exploit is not anchored to a vulnerable statement")
-    return _blocked(exploit, _run(program, exploit.input, limits))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ array reads `a[i]`, calls `f(x)`, `alloc(n)`, `read_input()`, `nil`, and
 function references `&name`. Comments run from `#` to end of line.
 
 Nesting is limited to MAX_NESTING levels, counting blocks, subexpressions
-(parenthesized or not), unary operators and function types: a deeper
-program is a ParseError, never a RecursionError.
+(parenthesized or not), unary operators, function types, and each operator
+after the first in a chain such as `a + b + c`: a deeper program is a
+ParseError, never a RecursionError.
 """
 
 from __future__ import annotations
@@ -59,11 +60,15 @@ KEYWORDS = {
     "int", "bool", "ref", "unit",
 }
 
-# A parenthesized expression costs ten Python frames per level (from
+# A parenthesized expression costs eleven Python frames per level (from
 # `parse_expr` down to `parse_primary`), and lowering about three frames per
 # nested statement, so 64 levels stay well inside Python's default recursion
 # limit of 1000 wherever the frontend is called from.
 MAX_NESTING = 64
+
+# binary operators by precedence, loosest first; a comparison does not chain
+BINARY = (("||",), ("&&",), ("==", "!=", "<=", ">=", "<", ">"), ("+", "-"), ("*", "/", "%"))
+COMPARISON = 2
 
 TWO_CHAR = {"->", "==", "!=", "<=", ">=", "&&", "||"}
 ONE_CHAR = set("(){}[],;:=<>+-*/%!&")
@@ -181,13 +186,20 @@ class Parser:
             )
         return self.advance()
 
-    def nested(self, parse):
-        """`parse()` one nesting level deeper."""
+    def at(self, operators) -> bool:
+        return self.cur.kind == "op" and self.cur.text in operators
+
+    def descend(self) -> None:
+        """Go one nesting level deeper; past MAX_NESTING is a ParseError."""
         if self.depth == MAX_NESTING:
             raise ParseError(
                 f"nesting deeper than {MAX_NESTING} levels", self.cur.line, self.cur.col
             )
         self.depth += 1
+
+    def nested(self, parse):
+        """`parse()` one nesting level deeper."""
+        self.descend()
         node = parse()
         self.depth -= 1
         return node
@@ -375,42 +387,25 @@ class Parser:
     # --- expressions (precedence climbing) ---
 
     def parse_expr(self):
-        return self.nested(self.parse_or)
+        return self.nested(self.parse_binary)
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.check("||"):
+    def parse_binary(self, level: int = 0):
+        """Binary operators from BINARY[level] down. A chain `a + b + c ...`
+        nests one BinOp per operator, so every operator after the first
+        parses its operand one level deeper: a long flat chain meets
+        MAX_NESTING as deep parentheses do."""
+        if level == len(BINARY):
+            return self.parse_unary()
+        depth = self.depth
+        left = self.parse_binary(level + 1)
+        while self.at(BINARY[level]):
             tok = self.advance()
-            left = BinOp("||", left, self.parse_and(), tok.line)
-        return left
-
-    def parse_and(self):
-        left = self.parse_cmp()
-        while self.check("&&"):
-            tok = self.advance()
-            left = BinOp("&&", left, self.parse_cmp(), tok.line)
-        return left
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.check(op):
-                tok = self.advance()
-                return BinOp(op, left, self.parse_add(), tok.line)
-        return left
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.check("+") or self.check("-"):
-            tok = self.advance()
-            left = BinOp(tok.text, left, self.parse_mul(), tok.line)
-        return left
-
-    def parse_mul(self):
-        left = self.parse_unary()
-        while self.check("*") or self.check("/") or self.check("%"):
-            tok = self.advance()
-            left = BinOp(tok.text, left, self.parse_unary(), tok.line)
+            left = BinOp(tok.text, left, self.parse_binary(level + 1), tok.line)
+            if level == COMPARISON:
+                break
+            if self.at(BINARY[level]):
+                self.descend()
+        self.depth = depth
         return left
 
     def parse_unary(self):

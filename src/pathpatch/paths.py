@@ -424,7 +424,8 @@ def _frame_paths(dag: PathDag) -> list[tuple[str, ...]]:
     return results
 
 
-def _count_frame_paths(dag: PathDag) -> int:
+def count_frame_paths(dag: PathDag) -> int:
+    """Number of source -> target paths of one frame DAG."""
     if dag.empty:
         return 0
     counts = {dag.target: 1}
@@ -452,7 +453,7 @@ def count_paths(ppg: ProgramPathGraph) -> int:
         product = 1
         for fp in chain.frames:
             if fp.frame not in per_frame:
-                per_frame[fp.frame] = _count_frame_paths(fp.dag)
+                per_frame[fp.frame] = count_frame_paths(fp.dag)
             product *= per_frame[fp.frame]
         total += product
     return total

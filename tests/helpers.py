@@ -5,11 +5,13 @@ The oracles deliberately avoid the production algorithms: postdominance is
 derived from exhaustive simple-path enumeration, interprocedural paths
 from a direct depth-first search with a no-repeat cutoff, the path graph
 from a frame-by-frame build along every chain (`reference_path_graph`),
+its document from writing every chain's frames out in full
+(`reference_path_graph_document`, the `path-graph@1` schema),
 candidates from a recursive walk of every frame occurrence
 (`reference_candidate_locations`), execution from a plain
 tree-walking interpreter (`reference_run`), and patch evaluation from
 running every case on every patched program
-(`reference_evaluate_patches`).
+(`reference_evaluate_patches`, with `run_test_suite` and `check_exploit`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from pathpatch.analysis import (
@@ -48,12 +51,16 @@ from pathpatch.ir import (
     Var,
     block_sort_key,
 )
+from pathpatch.graphio import GraphBlock, GraphDocument, GraphFunction
 from pathpatch.harness import (
+    CaseVerdict,
     Limits,
     PatchEvaluation,
+    SuiteError,
     TestSuite,
-    check_exploit,
-    run_test_suite,
+    _blocked,
+    _run,
+    _verdict,
 )
 from pathpatch.locate import CandidatePatchLocation
 from pathpatch.minilang import lower, nodes, parse
@@ -90,6 +97,8 @@ from pathpatch.paths import (
     ChainPaths,
     FramePaths,
     ProgramPathGraph,
+    count_paths,
+    enumerate_paths,
     find_call_chains,
     intraprocedural_paths,
     resolve_vulnerability,
@@ -410,6 +419,61 @@ def canonical_shape(program: IRProgram):
 
 
 # ---------------------------------------------------------------------------
+# Graph export
+# ---------------------------------------------------------------------------
+
+
+def export_graph(program: IRProgram, vulnerable: tuple[str, str] | None = None) -> GraphDocument:
+    """Project any program down to its graph document shape.
+
+    Calls are exported from the resolved call graph, so an indirect call
+    site appears once per signature-matching target and a reimport sees
+    the same over-approximation the analyses used.
+    """
+    calls = [
+        (edge.caller, edge.call_site, edge.callee)
+        for edge in build_call_graph(program).edges
+        if not program.functions[edge.callee].external
+    ]
+    functions = []
+    # list the entry function first: a document's program entry is its
+    # first function
+    ordered = sorted(
+        program.functions.values(), key=lambda fn: fn.id != program.entry
+    )
+    for fn in ordered:
+        if fn.external:
+            continue
+        blocks = []
+        edges = []
+        for blk in fn.blocks.values():
+            blocks.append(
+                GraphBlock(
+                    id=blk.id,
+                    conditional=blk.is_conditional,
+                    statements=tuple(s.id for s in blk.statements),
+                )
+            )
+            term = blk.terminator
+            if isinstance(term, Branch):
+                edges.append((blk.id, term.then_target, 0))
+                edges.append((blk.id, term.else_target, 1))
+            elif isinstance(term, Jump):
+                edges.append((blk.id, term.target, None))
+        functions.append(
+            GraphFunction(
+                name=fn.id,
+                entry=fn.entry_block,
+                blocks=tuple(blocks),
+                edges=tuple(edges),
+            )
+        )
+    return GraphDocument(
+        functions=tuple(functions), calls=tuple(calls), vulnerable=vulnerable
+    )
+
+
+# ---------------------------------------------------------------------------
 # Reference path graph and candidate walk
 # ---------------------------------------------------------------------------
 
@@ -465,6 +529,75 @@ def reference_path_graph(program: IRProgram, vuln) -> ProgramPathGraph:
         chains=tuple(chain_paths),
         diagnostics=tuple(diagnostics),
     )
+
+
+def reference_path_graph_document(program: IRProgram, ppg: ProgramPathGraph, cap: int) -> dict:
+    """The `path-graph@1` document: every chain with its frames written out
+    in full, and the maximal paths while `path_count <= cap`."""
+    chains = []
+    for chain_paths in ppg.chains:
+        frames = []
+        for fp in chain_paths.frames:
+            fn = program.functions[fp.frame.function]
+            frames.append(
+                {
+                    "function": fp.frame.function,
+                    "target_statement": fp.target_statement,
+                    "blocks": [
+                        {
+                            "id": b,
+                            "conditional": b in fp.conditional,
+                            "line": fn.blocks[b].line,
+                        }
+                        for b in fp.dag.blocks
+                    ],
+                    "edges": [list(e) for e in fp.dag.edges],
+                    "governing_conditionals": [list(g) for g in fp.governing],
+                }
+            )
+        chains.append(
+            {"functions": list(chain_paths.chain.functions), "frames": frames}
+        )
+    doc = {
+        "schema": "path-graph@1",
+        "vulnerability": {
+            "function": ppg.vulnerability.function,
+            "statement": ppg.vulnerability.statement,
+        },
+        "chains": chains,
+        "path_count": count_paths(ppg),
+        "diagnostics": list(ppg.diagnostics),
+    }
+    if doc["path_count"] <= cap:
+        doc["paths"] = [
+            ["/".join(entry) for entry in path]
+            for path in enumerate_paths(ppg, cap=cap)
+        ]
+    return doc
+
+
+def expand_path_graph_document(doc: dict) -> dict:
+    """A `path-graph@2` document written back as `path-graph@1`: each chain's
+    frame ids replaced by the frames, without their `id` and `path_count`.
+    The document must list its `call_chains`."""
+    frames = [
+        {key: value for key, value in frame.items() if key not in ("id", "path_count")}
+        for frame in doc["frames"]
+    ]
+    expanded = {
+        key: value
+        for key, value in doc.items()
+        if key not in ("frames", "chain_count", "call_chains")
+    }
+    expanded["schema"] = "path-graph@1"
+    expanded["chains"] = [
+        {
+            "functions": [frames[i]["function"] for i in ids],
+            "frames": [frames[i] for i in ids],
+        }
+        for ids in doc["call_chains"]
+    ]
+    return expanded
 
 
 def level_of(chain: CallChain, function: str) -> int | None:
@@ -539,9 +672,10 @@ def reference_candidate_locations(ppg: ProgramPathGraph):
     return results, messages
 
 
-def call_fanout_program(n: int):
-    """(program, vulnerability) where f_i calls f_{i+1} from two sites, so
-    2**n chains reach f_n over 2n + 1 distinct frames."""
+def call_fanout_source(n: int) -> str:
+    """MiniLang source where f_i calls f_{i+1} from two sites, so 2**n
+    chains reach f_n over 2n + 2 distinct frames; the vulnerable statement
+    is on line 4, in f_n."""
     src = [
         f"fn f{n}(x: int) -> int {{\n let t: int = x;\n if (t > 3) {{\n"
         f" t = t + 1;\n }}\n return t;\n}}"
@@ -553,7 +687,12 @@ def call_fanout_program(n: int):
             f" return r; }}"
         )
     src.append("fn main() -> int { let v: int = read_input(); return f0(v); }")
-    program = lower(parse("\n".join(src)))
+    return "\n".join(src) + "\n"
+
+
+def call_fanout_program(n: int):
+    """(program, vulnerability) of `call_fanout_source(n)`."""
+    program = lower(parse(call_fanout_source(n)))
     return program, resolve_vulnerability(program, f"f{n}", line=4)
 
 
@@ -881,6 +1020,39 @@ class _Interp:
 # ---------------------------------------------------------------------------
 # Reference patch evaluation
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    passed: int
+    total: int
+    verdicts: tuple[CaseVerdict, ...]
+
+
+def run_test_suite(
+    program: IRProgram, suite: TestSuite, limits: Limits = Limits()
+) -> SuiteResult:
+    """Every functional case of `suite` run on `program`."""
+    verdicts = tuple(
+        _verdict(case, _run(program, case.input, limits)) for case in suite.cases
+    )
+    passed = sum(1 for v in verdicts if v.passed)
+    return SuiteResult(passed=passed, total=len(verdicts), verdicts=verdicts)
+
+
+def check_exploit(
+    program: IRProgram, suite: TestSuite, limits: Limits = Limits()
+) -> bool:
+    """True iff the exploit input no longer faults at the vulnerable statement.
+
+    The exploit must be anchored (see TestSuite.with_vulnerability).
+    """
+    exploit = suite.exploit
+    if exploit is None:
+        raise SuiteError("suite has no exploit specification")
+    if exploit.statement is None:
+        raise SuiteError("exploit is not anchored to a vulnerable statement")
+    return _blocked(exploit, _run(program, exploit.input, limits))
 
 
 def reference_evaluate_patch(

@@ -190,7 +190,7 @@ def test_criterion_7_per_patch_mitigation():
     with Criterion(
         7, "every patch on the exploit's path blocks the exploit", 60.0
     ):
-        from pathpatch.harness import check_exploit
+        from helpers import check_exploit
         from pathpatch.synth import apply_patch
 
         for name in CORPUS_NAMES:

@@ -1,6 +1,8 @@
 """Command-line driver: subcommands, exit codes, output determinism."""
 
 import json
+import math
+import random
 import time
 import warnings
 
@@ -8,14 +10,39 @@ import pytest
 
 from pathpatch import cli
 from pathpatch.cli import run
+from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
+from pathpatch.minilang import load_program, lower, run_program
 from pathpatch.minilang.parser import MAX_NESTING
+from pathpatch.paths import (
+    DEFAULT_ENUMERATION_CAP,
+    build_program_path_graph,
+    resolve_vulnerability,
+)
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
+from helpers import (
+    call_fanout_program,
+    call_fanout_source,
+    expand_path_graph_document,
+    pick_vulnerable_statement,
+    random_program_tree,
+    reference_path_graph,
+    reference_path_graph_document,
+)
 
 
 def invoke(*argv) -> int:
     return run(list(argv))
+
+
+def fanout_arguments(tmp_path, n) -> list[str]:
+    """`--program` and `--vuln` for `call_fanout_source(n)`, written to `tmp_path`."""
+    program = tmp_path / "fanout.mini"
+    program.write_text(call_fanout_source(n))
+    vuln = tmp_path / "fanout.vuln.json"
+    vuln.write_text(json.dumps({"function": f"f{n}", "line": 4}))
+    return ["--program", str(program), "--vuln", str(vuln)]
 
 
 class TestAnalyze:
@@ -62,7 +89,90 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads((tmp_path / "path_graph.json").read_text())
         assert doc["path_count"] == 6
-        assert len(doc["chains"]) == 2
+        assert doc["chain_count"] == len(doc["call_chains"]) == 2
+
+
+def checked_document(program, vuln, cap=DEFAULT_ENUMERATION_CAP) -> dict:
+    """The `path-graph@2` document of `program`, as written, after checking
+    it against the `path-graph@1` document of the reference path graph."""
+    ppg = build_program_path_graph(program, vuln)
+    doc = json.loads(json.dumps(cli.path_graph_document(program, ppg, cap)))
+    reference = reference_path_graph_document(
+        program, reference_path_graph(program, vuln), cap
+    )
+    assert expand_path_graph_document(doc) == reference
+    frames = doc["frames"]
+    assert [frame["id"] for frame in frames] == list(range(len(frames)))
+    # every frame once, in the order the chains first reach it
+    first_seen = dict.fromkeys(i for ids in doc["call_chains"] for i in ids)
+    assert list(first_seen) == list(range(len(frames)))
+    assert len({(f["function"], f["target_statement"]) for f in frames}) == len(frames)
+    assert doc["chain_count"] == len(doc["call_chains"])
+    assert doc["path_count"] == sum(
+        math.prod(frames[i]["path_count"] for i in ids) for ids in doc["call_chains"]
+    )
+    return doc
+
+
+class TestPathGraphDocument:
+    """`path-graph@2` lists each distinct frame once; written back as
+    `path-graph@1`, it equals the document of the frame-by-frame reference
+    path graph."""
+
+    def test_corpus_matches_reference(self):
+        for name in CORPUS_NAMES:
+            program, vuln, _ = load_corpus_entry(name)
+            checked_document(program, vuln)
+        program = import_graph(load_graph_file(CORPUS / "abstract.graph.json"))
+        checked_document(program, resolve_vulnerability(program, "f", statement="s5"))
+
+    def test_random_programs_match_reference(self):
+        rng = random.Random(6061)
+        nonempty = 0
+        for _ in range(120):
+            program = lower(random_program_tree(rng))
+            _, stmt = pick_vulnerable_statement(rng, program)
+            vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
+            nonempty += bool(checked_document(program, vuln)["frames"])
+        assert nonempty > 40
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_call_fanout_matches_reference(self, n):
+        doc = checked_document(*call_fanout_program(n))
+        assert doc["chain_count"] == doc["path_count"] == 2**n
+        assert len(doc["frames"]) == 2 * n + 2
+
+    def test_cap_below_the_chain_count_keeps_every_frame(self, tmp_path):
+        args = fanout_arguments(tmp_path, 3)
+        docs = {}
+        for cap in ("4", str(DEFAULT_ENUMERATION_CAP)):
+            out = tmp_path / cap
+            assert invoke("analyze", *args, "--cap", cap, "--out", str(out)) == 0
+            docs[cap] = json.loads((out / "path_graph.json").read_text())
+        capped, full = docs["4"], docs[str(DEFAULT_ENUMERATION_CAP)]
+        assert capped["chain_count"] == capped["path_count"] == 8
+        assert "call_chains" not in capped and "paths" not in capped
+        assert capped["frames"] == full["frames"] and len(full["frames"]) == 8
+        assert len(full["call_chains"]) == len(full["paths"]) == 8
+
+    def test_call_fanout_of_nine_writes_each_frame_once(self, tmp_path):
+        """512 chains over 20 distinct frames in a document under 400 KB;
+        written out per chain, the same graph took 4.6 MB."""
+        args = fanout_arguments(tmp_path, 9)
+        assert invoke("analyze", *args, "--out", str(tmp_path)) == 0
+        written = tmp_path / "path_graph.json"
+        doc = json.loads(written.read_text())
+        assert doc["chain_count"] == len(doc["call_chains"]) == 512
+        assert doc["path_count"] == 512
+        frames = doc["frames"]
+        assert len(frames) == 20
+        reached = {
+            (frames[i]["function"], frames[i]["target_statement"])
+            for ids in doc["call_chains"]
+            for i in ids
+        }
+        assert len(reached) == 20
+        assert written.stat().st_size < 400_000
 
 
 class TestLocate:
@@ -339,7 +449,9 @@ class TestDeepInputs:
             assert code == 0, capsys.readouterr().err
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads((tmp_path / "out" / "path_graph.json").read_text())
-        assert [chain["functions"] for chain in doc["chains"]] == [
+        assert doc["chain_count"] == 1
+        frames = doc["frames"]
+        assert [[frames[i]["function"] for i in ids] for ids in doc["call_chains"]] == [
             ["main"] + [f"f{i}" for i in range(n)]
         ]
         candidates = json.loads((tmp_path / "out" / "candidates.json").read_text())
@@ -391,6 +503,52 @@ class TestDeepInputs:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"]["patches"] >= 1
         assert invoke(*self._nested(tmp_path, kind, MAX_NESTING + 1)) == 3
+
+
+    @staticmethod
+    def _chain(tmp_path, operators):
+        """(program path, `all` arguments) for `x = x + 1 + ... + 1;` with
+        `operators` additions, inside one `if`; its deepest operand is
+        `operators + 2` levels deep: the body block, the `if` block, the
+        expression, and each `+` after the first."""
+        program = tmp_path / f"chain{operators}.mini"
+        program.write_text(
+            "fn main() -> int {\n    let x: int = read_input();\n"
+            "    if (x > 0) {\n        x = x" + " + 1" * operators + ";\n    }\n"
+            "    print(x);\n    return 0;\n}\n"
+        )
+        vuln = tmp_path / "chain.vuln.json"
+        vuln.write_text(json.dumps({"function": "main", "line": 4}))
+        suite = tmp_path / "chain.suite"
+        suite.write_text(
+            f"up | input: 1 | expect: {1 + operators}\nflat | input: 0 | expect: 0\n"
+        )
+        return program, [
+            "--program", str(program), "--vuln", str(vuln),
+            "--suite", str(suite), "--out", str(tmp_path / "out"),
+        ]
+
+    @pytest.mark.parametrize("command", ["analyze", "all"])
+    def test_operator_chain_of_1000_terms_is_a_parse_error(self, tmp_path, capsys, command):
+        """A flat chain is parsed by a loop, but it nests one BinOp per
+        operator; lowering used to die on 1000 terms with a RecursionError
+        traceback."""
+        _, args = self._chain(tmp_path, 999)
+        if command == "analyze":
+            args = args[:4]
+        assert invoke(command, *args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: nesting deeper than {MAX_NESTING} levels at line 4, ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_operator_chain_at_the_limit_runs_through_all(self, tmp_path, capsys):
+        program, args = self._chain(tmp_path, MAX_NESTING - 2)
+        assert invoke("all", *args) == 0, capsys.readouterr().err
+        assert run_program(load_program(program), [1]).output == (MAX_NESTING - 1,)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["summary"]["patches"] >= 1
+        _, args = self._chain(tmp_path, MAX_NESTING - 1)
+        assert invoke("all", *args) == 3
 
 
 def graph_document(edges, conditional, vulnerable) -> str:

@@ -8,7 +8,6 @@ from pathpatch.graphio import (
     GraphDocument,
     GraphImportError,
     build_report,
-    export_graph,
     import_graph,
     load_graph_file,
     pfr_display,
@@ -18,6 +17,8 @@ from pathpatch.graphio import (
 )
 from pathpatch.ir import IRError
 from pathpatch.minilang import lower, parse
+
+from helpers import export_graph
 
 
 def doc_from(payload: dict) -> GraphDocument:

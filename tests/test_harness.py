@@ -14,11 +14,9 @@ from pathpatch.harness import (
     Limits,
     PatchEvaluation,
     SuiteError,
-    check_exploit,
     evaluate_patches,
     parse_suite,
     rank,
-    run_test_suite,
 )
 from pathpatch.harness import TestCase as Case
 from pathpatch.harness import TestSuite as Suite
@@ -26,6 +24,8 @@ from pathpatch.locate import CandidatePatchLocation, candidate_locations
 from pathpatch.minilang import lower, parse
 from pathpatch.paths import build_program_path_graph
 from pathpatch.synth import ErrorReturnValue, Patch, synthesize_patches
+
+from helpers import check_exploit, run_test_suite
 
 
 @contextmanager

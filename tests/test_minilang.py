@@ -12,6 +12,7 @@ from pathpatch.minilang import (
     pretty_print,
     run_program,
 )
+from pathpatch.minilang.parser import MAX_NESTING
 from pathpatch.minilang.interp import (
     STATUS_FAULT,
     STATUS_INPUT_EXHAUSTED,
@@ -52,6 +53,34 @@ class TestParser:
     def test_function_typed_returns_are_rejected(self):
         with pytest.raises(ParseError, match="function types"):
             parse("fn pick() -> fn(int) -> int { return nil; }")
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "%", "&&", "||"])
+    def test_flat_operator_chain_counts_against_the_nesting_limit(self, op):
+        """`v = a op a op ...` with `terms` operands nests `terms` levels:
+        the body block, the expression, and each operator after the first.
+        Precedence and left association are unchanged."""
+        typ, operand = ("bool", "true") if op in ("&&", "||") else ("int", "7")
+
+        def source(terms):
+            chain = f" {op} ".join([operand] * terms)
+            return f"fn main() -> int {{ let v: {typ} = {chain}; return 0; }}"
+
+        expr = parse(source(MAX_NESTING)).functions[0].body[0].value
+        for _ in range(MAX_NESTING - 1):
+            assert expr.op == op
+            expr = expr.left
+        for terms in (MAX_NESTING + 1, 1000):
+            with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+                parse(source(terms))
+
+    def test_precedence_across_operator_tiers(self):
+        expr = parse(
+            "fn main() -> int { let v: bool = 1 + 2 * 3 < 4 - 5 && true || false; return 0; }"
+        ).functions[0].body[0].value
+        assert expr.op == "||" and expr.left.op == "&&"
+        cmp = expr.left.left
+        assert cmp.op == "<"
+        assert (cmp.left.op, cmp.left.right.op, cmp.right.op) == ("+", "*", "-")
 
     def test_bmp_reader_parses_with_conditionals_on_expected_lines(self, corpus_dir):
         tree = parse((corpus_dir / "bmp_reader.mini").read_text())

@@ -211,7 +211,8 @@ class TestApply:
             block = patched.functions["f"].blocks[patch.location.block]
             assert block.successors == ()
         from pathpatch.checks import vulnerable_statement_reachable
-        from pathpatch.graphio import export_graph
+
+        from helpers import export_graph
 
         assert not vulnerable_statement_reachable(patched, "s5")
         # structural patches stay exportable
