@@ -40,7 +40,6 @@ from .minilang import (
     lower,
     parse,
     parse_file,
-    pretty_print,
     run_program,
 )
 from .paths import (

@@ -345,14 +345,15 @@ def build_call_graph(program: IRProgram) -> CallGraph:
     return CallGraph(edges=tuple(edges))
 
 
-def referenced_functions(program: IRProgram) -> frozenset[str]:
-    """Functions whose address is taken anywhere in the program.
+def referenced_functions(functions: dict[str, IRFunction]) -> frozenset[str]:
+    """Functions whose address is taken anywhere in `functions`, a
+    program's function table.
 
     Expression trees are walked with an explicit stack, so their depth is
     not bounded by Python's recursion limit.
     """
     pending: list = []
-    for fn in program.functions.values():
+    for fn in functions.values():
         for blk in fn.blocks.values():
             for stmt in blk.statements:
                 pending.extend(

@@ -144,7 +144,7 @@ def load_inputs(args):
             raise UsageError(f"vulnerability spec {args.vuln!r} does not exist")
         try:
             vuln_raw = json.loads(vuln_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SuiteError(f"vulnerability spec is not valid JSON: {exc}") from exc
 
     if mode == "graph":
@@ -169,22 +169,33 @@ def load_inputs(args):
 
 
 def _vuln_from_json(program, raw):
-    if "function" not in raw:
-        raise SuiteError("vulnerability spec needs a 'function' field")
+    if not isinstance(raw, dict) or not isinstance(raw.get("function"), str):
+        raise SuiteError("vulnerability spec needs a 'function' field naming a function")
     exploit = None
-    if raw.get("exploit") is not None:
-        spec = raw["exploit"]
-        exploit = Exploit(
-            input=tuple(int(v) for v in spec.get("input", ())),
-            kind=spec.get("kind"),
-        )
+    spec = _spec_field(raw, "exploit", dict, "an object")
+    if spec is not None:
+        inputs = _spec_field(spec, "input", list, "a list of integers") or ()
+        if not all(isinstance(v, int) for v in inputs):
+            raise SuiteError(
+                "vulnerability spec field 'input' must be a list of integers"
+            )
+        kind = _spec_field(spec, "kind", str, "a string")
+        exploit = Exploit(input=tuple(inputs), kind=kind)
     return resolve_vulnerability(
         program,
         raw["function"],
-        statement=raw.get("statement"),
-        line=raw.get("line"),
+        statement=_spec_field(raw, "statement", str, "a string"),
+        line=_spec_field(raw, "line", int, "an integer"),
         exploit=exploit,
     )
+
+
+def _spec_field(record: dict, key: str, kind: type, what: str):
+    """`record[key]`, None when absent or null, else checked to be a `kind`."""
+    value = record.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise SuiteError(f"vulnerability spec field {key!r} must be {what}")
+    return value
 
 
 def write_out(args, name: str, text: str) -> None:
@@ -390,7 +401,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FrontendError, GraphImportError, SuiteError) as exc:
+    except (FrontendError, GraphImportError, SuiteError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AnalysisError as exc:

@@ -6,7 +6,7 @@ are never part of the document: they are always recomputed from structure,
 so a fixture cannot carry inconsistent labels.
 
 Graph-imported programs have opaque statement bodies (nops with the given
-ids); analyses accept them, execution and printing reject them.
+ids); analyses accept them, execution rejects them.
 """
 
 from __future__ import annotations
@@ -62,41 +62,47 @@ class GraphDocument:
     def from_json(text: str) -> "GraphDocument":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphImportError(f"not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise GraphImportError("the document must be a JSON object")
         if raw.get("schema") != SCHEMA_GRAPH:
             raise GraphImportError(
                 f"field 'schema': expected {SCHEMA_GRAPH!r}, got {raw.get('schema')!r}"
             )
         functions = []
-        for fn in raw.get("functions", []):
+        for fn in _items(raw, "functions"):
             blocks = tuple(
                 GraphBlock(
-                    id=str(b["id"]),
+                    id=str(_member(b, "id", "blocks")),
                     conditional=bool(b.get("conditional", False)),
-                    statements=tuple(str(s) for s in b.get("statements", ())),
+                    statements=tuple(str(s) for s in _items(b, "statements")),
                 )
-                for b in fn.get("blocks", [])
+                for b in _items(_object(fn, "functions"), "blocks")
             )
-            edges = tuple(
-                (str(e[0]), str(e[1]), None if e[2] is None else int(e[2]))
-                for e in fn.get("edges", [])
-            )
+            edges = []
+            for src, dst, index in _triples(fn, "edges"):
+                if index is not None and not isinstance(index, int):
+                    raise GraphImportError(
+                        "field 'edges': a branch index must be an integer or null"
+                    )
+                edges.append((str(src), str(dst), None if index is None else int(index)))
             functions.append(
                 GraphFunction(
-                    name=str(fn["name"]),
-                    entry=str(fn["entry"]),
+                    name=str(_member(fn, "name", "functions")),
+                    entry=str(_member(fn, "entry", "functions")),
                     blocks=blocks,
-                    edges=edges,
+                    edges=tuple(edges),
                 )
             )
-        calls = tuple(
-            (str(c[0]), str(c[1]), str(c[2])) for c in raw.get("calls", [])
-        )
+        calls = tuple(tuple(str(part) for part in c) for c in _triples(raw, "calls"))
         vulnerable = None
         if raw.get("vulnerable") is not None:
             v = raw["vulnerable"]
-            vulnerable = (str(v["function"]), str(v["statement"]))
+            vulnerable = (
+                str(_member(v, "function", "vulnerable")),
+                str(_member(v, "statement", "vulnerable")),
+            )
         return GraphDocument(
             functions=tuple(functions), calls=calls, vulnerable=vulnerable
         )
@@ -128,6 +134,41 @@ class GraphDocument:
             ),
         }
         return json.dumps(raw, indent=2, sort_keys=True) + "\n"
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise GraphImportError(
+            f"field {field!r}: expected an object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _member(record, key: str, field: str):
+    """`record[key]`; a GraphImportError names the field when `record` is
+    not an object or has no `key`."""
+    if key not in _object(record, field):
+        raise GraphImportError(f"field {field!r}: missing {key!r}")
+    return record[key]
+
+
+def _items(record: dict, key: str) -> list:
+    """The list under `key` of an object (empty when absent)."""
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise GraphImportError(
+            f"field {key!r}: expected a list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _triples(record: dict, key: str) -> list:
+    """The list under `key`, each item a list of three: an edge or a call."""
+    rows = _items(record, key)
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 3:
+            raise GraphImportError(f"field {key!r}: expected lists of three items")
+    return rows
 
 
 def load_graph_file(path) -> GraphDocument:

@@ -177,10 +177,6 @@ class Call:
 
     kind = "call"
 
-    @property
-    def is_indirect(self) -> bool:
-        return self.callee_ref is not None
-
 
 @dataclass(frozen=True)
 class Print:

@@ -1,10 +1,9 @@
-"""MiniLang frontend: parser, lowering, interpreter, and source printer."""
+"""MiniLang frontend: parser, lowering and interpreter."""
 
 from .interp import ExecutionResult, run_program
 from .lower import build_cfg, lower
 from .nodes import FrontendError, LoweringError, ParseError, ProgramTree
 from .parser import parse, parse_file
-from .printer import UnsupportedRepresentationError, pretty_print
 
 __all__ = [
     "ExecutionResult",
@@ -12,12 +11,10 @@ __all__ = [
     "LoweringError",
     "ParseError",
     "ProgramTree",
-    "UnsupportedRepresentationError",
     "build_cfg",
     "lower",
     "parse",
     "parse_file",
-    "pretty_print",
     "run_program",
 ]
 

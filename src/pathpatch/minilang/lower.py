@@ -7,7 +7,8 @@ terminator and so that condition blocks never hold statements:
     calls, alloc, or read_input); the condition occupies its own block
     unless the current block is still empty, in which case it is reused.
   - Impure subexpressions elsewhere are flattened into fresh temporaries
-    (`__t0`, `__t1`, ...), evaluated left to right.
+    (`__t0`, `__t1`, ...), evaluated left to right; an impure right-hand
+    side of a `let` or assignment is stored straight into its variable.
   - Statements after a `return` in the same sequence are unreachable and
     dropped.
   - Locals are function-scoped and default-initialized (0 / false / nil),
@@ -47,6 +48,7 @@ from ..ir import (
     Unary,
     Binary,
     Var,
+    const_type,
     validate_program,
 )
 from . import nodes
@@ -56,6 +58,7 @@ INT_OPS = {"+", "-", "*", "/", "%"}
 CMP_OPS = {"<", "<=", ">", ">="}
 EQ_OPS = {"==", "!="}
 BOOL_OPS = {"&&", "||"}
+IMPURE = (nodes.IndexExpr, nodes.CallExpr, nodes.AllocExpr, nodes.ReadInputExpr)
 
 
 def default_value(value_type):
@@ -158,7 +161,7 @@ class _FunctionBuilder:
         self.current = target
         return target
 
-    # --- type inference over pure expressions ---
+    # --- expression lowering (flattening) ---
 
     def type_of_var(self, name: str, line: int):
         vtype = self.env.get(name)
@@ -168,88 +171,36 @@ class _FunctionBuilder:
             )
         return vtype
 
-    def infer(self, expr) -> object:
-        if isinstance(expr, IntConst):
-            return INT
-        if isinstance(expr, BoolConst):
-            return BOOL
-        if isinstance(expr, NilConst):
-            return REF
-        if isinstance(expr, FuncRef):
-            sig = self.signatures.get(expr.name)
-            if sig is None:
-                raise LoweringError(f"reference to unknown function {expr.name!r}")
-            return sig
-        if isinstance(expr, Var):
-            return self.type_of_var(expr.name, 0)
-        if isinstance(expr, Unary):
-            inner = self.infer(expr.operand)
-            want = BOOL if expr.op == "!" else INT
-            if inner != want:
-                raise LoweringError(f"operator {expr.op!r} applied to {inner}")
-            return want
-        if isinstance(expr, Binary):
-            left = self.infer(expr.left)
-            right = self.infer(expr.right)
-            if expr.op in INT_OPS or expr.op in CMP_OPS:
-                if left != INT or right != INT:
-                    raise LoweringError(f"operator {expr.op!r} needs int operands")
-                return INT if expr.op in INT_OPS else BOOL
-            if expr.op in EQ_OPS:
-                if left != right:
-                    raise LoweringError(
-                        f"cannot compare {left} with {right} using {expr.op!r}"
-                    )
-                return BOOL
-            if expr.op in BOOL_OPS:
-                if left != BOOL or right != BOOL:
-                    raise LoweringError(f"operator {expr.op!r} needs bool operands")
-                return BOOL
-        raise LoweringError(f"cannot type expression {expr!r}")
+    def flatten(self, expr, pure: bool = False) -> tuple[object, object]:
+        """Lower any expression; returns (pure IR expression, its type).
 
-    # --- expression lowering (flattening) ---
-
-    def lower_pure(self, expr) -> object:
-        """Lower an expression that must contain no impure subexpression."""
+        Impure parts are stored into fresh temporaries, left to right. With
+        `pure` (an `if`/`while` condition) they are rejected instead.
+        """
+        if isinstance(expr, IMPURE):
+            if pure:
+                raise LoweringError(
+                    "array reads, calls, alloc and read_input are not allowed in "
+                    "conditions",
+                    expr.line,
+                )
+            return self.store(expr)
         if isinstance(expr, nodes.IntLit):
-            return IntConst(expr.value)
+            return IntConst(expr.value), INT
         if isinstance(expr, nodes.BoolLit):
-            return BoolConst(expr.value)
+            return BoolConst(expr.value), BOOL
         if isinstance(expr, nodes.NilLit):
-            return NilConst()
+            return NilConst(), REF
         if isinstance(expr, nodes.Name):
-            self.type_of_var(expr.name, expr.line)
-            return Var(expr.name)
+            return Var(expr.name), self.type_of_var(expr.name, expr.line)
         if isinstance(expr, nodes.FuncRefExpr):
             if expr.name not in self.signatures:
                 raise LoweringError(
                     f"reference to unknown function {expr.name!r}", expr.line
                 )
-            return FuncRef(expr.name)
+            return FuncRef(expr.name), self.signatures[expr.name]
         if isinstance(expr, nodes.UnaryOp):
-            return Unary(expr.op, self.lower_pure(expr.operand))
-        if isinstance(expr, nodes.BinOp):
-            return Binary(expr.op, self.lower_pure(expr.left), self.lower_pure(expr.right))
-        if isinstance(expr, (nodes.IndexExpr, nodes.CallExpr, nodes.AllocExpr, nodes.ReadInputExpr)):
-            raise LoweringError(
-                "array reads, calls, alloc and read_input are not allowed in "
-                "conditions",
-                expr.line,
-            )
-        raise LoweringError(f"unsupported expression {expr!r}")
-
-    def flatten(self, expr) -> tuple[object, object]:
-        """Lower any expression, emitting temporaries for impure parts.
-
-        Returns (pure IR expression, its type).
-        """
-        if isinstance(expr, nodes.IndexExpr):
-            value, vtype = self._flatten_impure(expr)
-            return value, vtype
-        if isinstance(expr, (nodes.CallExpr, nodes.AllocExpr, nodes.ReadInputExpr)):
-            return self._flatten_impure(expr)
-        if isinstance(expr, nodes.UnaryOp):
-            operand, otype = self.flatten(expr.operand)
+            operand, otype = self.flatten(expr.operand, pure)
             want = BOOL if expr.op == "!" else INT
             if otype != want:
                 raise LoweringError(
@@ -257,8 +208,8 @@ class _FunctionBuilder:
                 )
             return Unary(expr.op, operand), want
         if isinstance(expr, nodes.BinOp):
-            left, ltype = self.flatten(expr.left)
-            right, rtype = self.flatten(expr.right)
+            left, ltype = self.flatten(expr.left, pure)
+            right, rtype = self.flatten(expr.right, pure)
             result = Binary(expr.op, left, right)
             if expr.op in INT_OPS or expr.op in CMP_OPS:
                 if ltype != INT or rtype != INT:
@@ -279,48 +230,49 @@ class _FunctionBuilder:
                     )
                 return result, BOOL
             raise LoweringError(f"unknown operator {expr.op!r}", expr.line)
-        value = self.lower_pure(expr)
-        return value, self.infer(value)
+        raise LoweringError(f"unsupported expression {expr!r}")
 
-    def _flatten_impure(self, expr) -> tuple[Var, object]:
-        """Emit the statement computing an impure expression into a temp."""
-        if isinstance(expr, nodes.IndexExpr):
-            array_type = self.type_of_var(expr.array, expr.line)
-            if array_type != REF:
+    def store(self, expr, target: str | None = None, line: int | None = None):
+        """Emit the one statement that computes an impure expression (an
+        array read, call, alloc or read_input) into `target`, or into a fresh
+        temporary; returns (Var of the result, its type).
+
+        The statement is on `line` when given (a `let` or assignment storing
+        straight into its variable), else on the expression's own line; a
+        call always keeps its own.
+        """
+        if isinstance(expr, nodes.CallExpr):
+            operands, vtype = self.call_operands(expr)
+            if vtype == UNIT:
+                raise LoweringError(
+                    f"{expr.callee!r} returns unit and has no value", expr.line
+                )
+            kind, line = Call, expr.line
+        elif isinstance(expr, nodes.IndexExpr):
+            if self.type_of_var(expr.array, expr.line) != REF:
                 raise LoweringError(f"{expr.array!r} is not an array", expr.line)
             index, itype = self.flatten(expr.index)
             if itype != INT:
                 raise LoweringError("array index must be an int", expr.line)
-            temp = self.new_temp(INT)
-            self.emit(
-                ArrayRead(self.new_stmt_id(expr.line), temp, Var(expr.array), index),
-                expr.line,
-            )
-            return Var(temp), INT
-        if isinstance(expr, nodes.AllocExpr):
+            kind, operands, vtype = ArrayRead, (Var(expr.array), index), INT
+        elif isinstance(expr, nodes.AllocExpr):
             size, stype = self.flatten(expr.size)
             if stype != INT:
                 raise LoweringError("alloc size must be an int", expr.line)
-            temp = self.new_temp(REF)
-            self.emit(ArrayAlloc(self.new_stmt_id(expr.line), temp, size), expr.line)
-            return Var(temp), REF
-        if isinstance(expr, nodes.ReadInputExpr):
-            temp = self.new_temp(INT)
-            self.emit(ReadInput(self.new_stmt_id(expr.line), temp), expr.line)
-            return Var(temp), INT
-        if isinstance(expr, nodes.CallExpr):
-            ret_type = self.emit_call(expr, want_value=True)
-            temp = self.new_temp(ret_type)
-            # rewrite the just-emitted call to store into the temp
-            call = self.current.statements.pop()
-            self.current.statements.append(
-                Call(call.id, temp, call.callee_name, call.callee_ref, call.args)
-            )
-            return Var(temp), ret_type
-        raise LoweringError(f"unsupported expression {expr!r}")
+            kind, operands, vtype = ArrayAlloc, (size,), REF
+        else:
+            kind, operands, vtype = ReadInput, (), INT
+        if target is None:
+            target = self.new_temp(vtype)
+        if line is None:
+            line = expr.line
+        self.emit(kind(self.new_stmt_id(line), target, *operands), line)
+        return Var(target), vtype
 
-    def emit_call(self, expr: nodes.CallExpr, want_value: bool) -> object:
-        """Emit a call statement; returns the callee's return type."""
+    def call_operands(self, expr: nodes.CallExpr) -> tuple[tuple, object]:
+        """Check a call and flatten its arguments; returns the `Call`
+        operands (callee name, callee reference, arguments) and the callee's
+        return type."""
         callee_name = None
         callee_ref = None
         if expr.callee in self.env:
@@ -349,15 +301,7 @@ class _FunctionBuilder:
                     f"argument of type {vtype} where {expected} expected", expr.line
                 )
             args.append(value)
-        if want_value and sig.ret == UNIT:
-            raise LoweringError(
-                f"{expr.callee!r} returns unit and has no value", expr.line
-            )
-        self.emit(
-            Call(self.new_stmt_id(expr.line), None, callee_name, callee_ref, tuple(args)),
-            expr.line,
-        )
-        return sig.ret
+        return (callee_name, callee_ref, tuple(args)), sig.ret
 
     # --- statement lowering ---
 
@@ -373,15 +317,20 @@ class _FunctionBuilder:
                 stmt.type if isinstance(stmt, nodes.Let)
                 else self.type_of_var(stmt.name, stmt.line)
             )
-            value, vtype = self.flatten_into(stmt.value, stmt.name, declared, stmt.line)
-            if value is not None:
-                # nil is the null value for arrays and function references alike
-                nil_as_fn = isinstance(value, NilConst) and isinstance(declared, FnType)
-                if vtype != declared and not nil_as_fn:
-                    raise LoweringError(
-                        f"cannot assign {vtype} to {stmt.name!r} of type {declared}",
-                        stmt.line,
-                    )
+            # an impure right-hand side is stored straight into the variable
+            stored = isinstance(stmt.value, IMPURE)
+            if stored:
+                value, vtype = self.store(stmt.value, stmt.name, stmt.line)
+            else:
+                value, vtype = self.flatten(stmt.value)
+            # nil is the null value for arrays and function references alike
+            nil_as_fn = isinstance(value, NilConst) and isinstance(declared, FnType)
+            if vtype != declared and not nil_as_fn:
+                raise LoweringError(
+                    f"cannot assign {vtype} to {stmt.name!r} of type {declared}",
+                    stmt.line,
+                )
+            if not stored:
                 self.emit(Assign(self.new_stmt_id(stmt.line), stmt.name, value), stmt.line)
             return
         if isinstance(stmt, nodes.ArrayWriteStmt):
@@ -411,7 +360,9 @@ class _FunctionBuilder:
             self.emit(Assertion(self.new_stmt_id(stmt.line), cond), stmt.line)
             return
         if isinstance(stmt, nodes.ExprStmt):
-            self.emit_call(stmt.call, want_value=False)
+            operands, _ = self.call_operands(stmt.call)
+            line = stmt.call.line
+            self.emit(Call(self.new_stmt_id(line), None, *operands), line)
             return
         if isinstance(stmt, nodes.ReturnStmt):
             self.lower_return(stmt)
@@ -423,47 +374,6 @@ class _FunctionBuilder:
             self.lower_while(stmt)
             return
         raise LoweringError(f"unsupported statement {stmt!r}")
-
-    def flatten_into(self, expr, target: str, declared, line: int):
-        """Lower an assignment RHS; impure top-level forms write the target
-        directly instead of going through a temp."""
-        if isinstance(expr, nodes.IndexExpr):
-            if self.type_of_var(expr.array, expr.line) != REF:
-                raise LoweringError(f"{expr.array!r} is not an array", expr.line)
-            if declared != INT:
-                raise LoweringError("array cells hold ints", line)
-            index, itype = self.flatten(expr.index)
-            if itype != INT:
-                raise LoweringError("array index must be an int", expr.line)
-            self.emit(
-                ArrayRead(self.new_stmt_id(line), target, Var(expr.array), index), line
-            )
-            return None, INT
-        if isinstance(expr, nodes.AllocExpr):
-            if declared != REF:
-                raise LoweringError("alloc produces a ref", line)
-            size, stype = self.flatten(expr.size)
-            if stype != INT:
-                raise LoweringError("alloc size must be an int", expr.line)
-            self.emit(ArrayAlloc(self.new_stmt_id(line), target, size), line)
-            return None, REF
-        if isinstance(expr, nodes.ReadInputExpr):
-            if declared != INT:
-                raise LoweringError("read_input produces an int", line)
-            self.emit(ReadInput(self.new_stmt_id(line), target), line)
-            return None, INT
-        if isinstance(expr, nodes.CallExpr):
-            ret_type = self.emit_call(expr, want_value=True)
-            if ret_type != declared:
-                raise LoweringError(
-                    f"cannot assign {ret_type} to {target!r} of type {declared}", line
-                )
-            call = self.current.statements.pop()
-            self.current.statements.append(
-                Call(call.id, target, call.callee_name, call.callee_ref, call.args)
-            )
-            return None, ret_type
-        return self.flatten(expr)
 
     def lower_return(self, stmt: nodes.ReturnStmt) -> None:
         ret_type = self.decl.return_type
@@ -485,10 +395,14 @@ class _FunctionBuilder:
             )
         self.terminate(Return(self.new_stmt_id(stmt.line), value), stmt.line)
 
+    def condition(self, stmt, keyword: str) -> object:
+        cond, ctype = self.flatten(stmt.cond, pure=True)
+        if ctype != BOOL:
+            raise LoweringError(f"{keyword} condition must be a bool", stmt.line)
+        return cond
+
     def lower_if(self, stmt: nodes.If) -> None:
-        cond = self.lower_pure(stmt.cond)
-        if self.infer(cond) != BOOL:
-            raise LoweringError("if condition must be a bool", stmt.line)
+        cond = self.condition(stmt, "if")
         cond_block = self.condition_block(stmt.line)
         branch_id = self.new_stmt_id(stmt.line)
 
@@ -516,9 +430,7 @@ class _FunctionBuilder:
         self.current = join
 
     def lower_while(self, stmt: nodes.While) -> None:
-        cond = self.lower_pure(stmt.cond)
-        if self.infer(cond) != BOOL:
-            raise LoweringError("while condition must be a bool", stmt.line)
+        cond = self.condition(stmt, "while")
         header = self.condition_block(stmt.line)
         branch_id = self.new_stmt_id(stmt.line)
 
@@ -588,8 +500,6 @@ class _FunctionBuilder:
             value = BoolConst(lit.value)
         else:
             value = NilConst()
-        from ..ir import const_type
-
         expected = self.decl.return_type
         if const_type(value) != expected:
             raise LoweringError(
@@ -623,11 +533,7 @@ def build_cfg(
             external=True,
         )
     if signatures is None:
-        signatures = {
-            decl.name: FnType(
-                params=tuple(t for _, t in decl.params), ret=decl.return_type
-            )
-        }
+        signatures = function_signatures(nodes.ProgramTree((decl,)))
     builder = _FunctionBuilder(decl, signatures, path)
     builder.lower_body(decl.body)
     return builder.finish()
@@ -642,31 +548,19 @@ def lower(tree: nodes.ProgramTree) -> IRProgram:
     source_map: dict[str, tuple[str, int]] = {}
     for decl in tree.functions:
         if decl.external:
-            functions[decl.name] = build_cfg(decl, signatures, tree.path)
+            functions[decl.name] = build_cfg(decl)
             continue
         builder = _FunctionBuilder(decl, signatures, tree.path)
         builder.lower_body(decl.body)
         functions[decl.name] = builder.finish()
         source_map.update(builder.source_map)
-
-    program = IRProgram(
-        functions=functions,
-        entry="main",
-        source_map=source_map,
-        address_taken=frozenset(),
-        executable=True,
-    )
     from ..analysis import referenced_functions
 
-    taken = referenced_functions(program)
-    for name in taken:
-        if name not in functions:
-            raise LoweringError(f"reference to unknown function {name!r}")
     program = IRProgram(
         functions=functions,
         entry="main",
         source_map=source_map,
-        address_taken=taken,
+        address_taken=referenced_functions(functions),
         executable=True,
     )
     validate_program(program)

@@ -333,12 +333,9 @@ def intraprocedural_paths(fn, source: str, target: str, edges=None) -> PathDag:
 
 
 def build_program_path_graph(
-    program: IRProgram,
-    vuln: VulnerabilitySpec,
-    call_graph: CallGraph | None = None,
+    program: IRProgram, vuln: VulnerabilitySpec
 ) -> ProgramPathGraph:
-    if call_graph is None:
-        call_graph = build_call_graph(program)
+    call_graph = build_call_graph(program)
     index = program.statement_index()
     if vuln.statement not in index:
         raise AnalysisError(f"unknown vulnerable statement {vuln.statement!r}")

@@ -1,8 +1,10 @@
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -15,6 +17,15 @@ CORPUS = ROOT / "corpus"
 
 # Programs with a suite, a vulnerability spec, and a working exploit.
 CORPUS_NAMES = ["bmp_reader", "mandatory", "twopath", "sideeffect", "dispatch"]
+
+
+def pytest_configure(config):
+    """Hypothesis caches what it learns about the code under test; keep that
+    in a directory removed at the end of the run, not in `.hypothesis/`
+    under the working directory."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(scope="session")

@@ -380,45 +380,6 @@ def pick_vulnerable_statement(rng: random.Random, program: IRProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CFG isomorphism
-# ---------------------------------------------------------------------------
-
-
-def canonical_shape(program: IRProgram):
-    """Block-graph shape, independent of block naming: statement kinds,
-    terminator kind, conditional flag, successors in canonical numbering."""
-    shapes = {}
-    for fn_id in sorted(program.functions):
-        fn = program.functions[fn_id]
-        if fn.external:
-            shapes[fn_id] = "external"
-            continue
-        mapping: dict[str, int] = {}
-        order: list[str] = []
-        queue = [fn.entry_block]
-        while queue:
-            bid = queue.pop(0)
-            if bid in mapping:
-                continue
-            mapping[bid] = len(mapping)
-            order.append(bid)
-            queue.extend(fn.blocks[bid].successors)
-        rows = []
-        for bid in order:
-            blk = fn.blocks[bid]
-            rows.append(
-                (
-                    tuple(s.kind for s in blk.statements),
-                    type(blk.terminator).__name__,
-                    blk.is_conditional,
-                    tuple(mapping[t] for t in blk.successors),
-                )
-            )
-        shapes[fn_id] = tuple(rows)
-    return shapes
-
-
-# ---------------------------------------------------------------------------
 # Graph export
 # ---------------------------------------------------------------------------
 

@@ -240,9 +240,9 @@ class TestReferencedFunctions:
         )
         main = IRFunction("main", "main", (), INT, {"b0": block}, "b0")
         program = IRProgram(functions={"main": main}, entry="main", source_map={})
-        assert referenced_functions(program) == {"g", "h"}
+        assert referenced_functions(program.functions) == {"g", "h"}
 
     def test_corpus_address_taken_sets(self, corpus_entry):
         name, program, _, _ = corpus_entry
-        assert referenced_functions(program) == program.address_taken
+        assert referenced_functions(program.functions) == program.address_taken
         assert bool(program.address_taken) == (name == "dispatch")

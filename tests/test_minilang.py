@@ -1,4 +1,4 @@
-"""Frontend: parsing, lowering, interpretation, and printing."""
+"""Frontend: parsing, lowering and interpretation."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from pathpatch.ir import FnType, INT
 from pathpatch.minilang import (
     LoweringError,
     ParseError,
-    UnsupportedRepresentationError,
     lower,
     parse,
-    pretty_print,
     run_program,
 )
 from pathpatch.minilang.parser import MAX_NESTING
@@ -19,8 +17,6 @@ from pathpatch.minilang.interp import (
     STATUS_OK,
     STATUS_TIMEOUT,
 )
-
-from helpers import canonical_shape
 
 
 class TestParser:
@@ -152,6 +148,43 @@ class TestLowering:
         program = lower(parse("fn main() -> int {\n  print(1);\n  return 0;\n}"))
         lines = {line for _, line in program.source_map.values()}
         assert 2 in lines and 3 in lines
+
+    def test_condition_type_error_reports_its_line(self):
+        with pytest.raises(LoweringError, match="needs bool operands at line 2"):
+            lower(
+                parse(
+                    "fn main() -> int { let x: int = 1;\n"
+                    "  if (x && true) { return 1; }\n  return 0;\n}"
+                )
+            )
+
+    def test_mixed_precedence_expressions(self):
+        source = (
+            "fn main() -> int {\n"
+            "  let a: int = 2;\n"
+            "  let b: int = 3;\n"
+            "  let c: int = 1 + a * b - (a - 1) / 2;\n"
+            "  let d: bool = !(a < b) || a + 1 >= b && true;\n"
+            "  print(c);\n"
+            "  if (d) { print(-a % b); }\n"
+            "  print(0 - (a + b) * 2);\n"
+            "  return c;\n"
+            "}"
+        )
+        result = run_program(lower(parse(source)))
+        assert (result.status, result.output, result.exit_value) == (STATUS_OK, (7, -2, -10), 7)
+
+    def test_operator_semantics(self):
+        program = lower(
+            parse(
+                "fn main() -> int {"
+                " print(7 % 3); print(2 * 3 + 4); print(2 + 3 * 4);"
+                " print((1 < 2) && (3 < 2)); print((1 < 2) || (3 < 2));"
+                " print(!(1 == 1)); print(-(4 - 9));"
+                " return 0; }"
+            )
+        )
+        assert run_program(program).output == (1, 10, 14, 0, 1, 0, 5)
 
 
 class TestInterpreter:
@@ -339,96 +372,3 @@ def assert_trace_connected(program, trace):
                 matched = True
                 break
         assert matched, f"disconnected trace entry {(fn_id, block_id)}"
-
-
-class TestPrettyPrint:
-    def test_round_trip_is_isomorphic_for_corpus(self, corpus_entry):
-        name, program, vuln, suite = corpus_entry
-        text = pretty_print(program)
-        again = lower(parse(text))
-        assert canonical_shape(again) == canonical_shape(program)
-
-    def test_round_trip_preserves_behavior(self, corpus_entry):
-        name, program, vuln, suite = corpus_entry
-        again = lower(parse(pretty_print(program)))
-        for case in suite.cases[:5]:
-            before = run_program(program, case.input)
-            after = run_program(again, case.input)
-            assert (before.status, before.output) == (after.status, after.output)
-
-    def test_empty_body_prints_and_reparses(self):
-        program = lower(parse("fn noop() -> unit { } fn main() -> int { noop(); return 0; }"))
-        text = pretty_print(program)
-        assert lower(parse(text)).functions["noop"].return_type == "unit"
-
-    def test_mixed_precedence_expressions_round_trip(self):
-        source = (
-            "fn main() -> int {\n"
-            "  let a: int = 2;\n"
-            "  let b: int = 3;\n"
-            "  let c: int = 1 + a * b - (a - 1) / 2;\n"
-            "  let d: bool = !(a < b) || a + 1 >= b && true;\n"
-            "  print(c);\n"
-            "  if (d) { print(-a % b); }\n"
-            "  print(0 - (a + b) * 2);\n"
-            "  return c;\n"
-            "}"
-        )
-        program = lower(parse(source))
-        again = lower(parse(pretty_print(program)))
-        assert canonical_shape(again) == canonical_shape(program)
-        assert run_program(program).output == run_program(again).output
-
-    def test_operator_semantics(self):
-        program = lower(
-            parse(
-                "fn main() -> int {"
-                " print(7 % 3); print(2 * 3 + 4); print(2 + 3 * 4);"
-                " print((1 < 2) && (3 < 2)); print((1 < 2) || (3 < 2));"
-                " print(!(1 == 1)); print(-(4 - 9));"
-                " return 0; }"
-            )
-        )
-        assert run_program(program).output == (1, 10, 14, 0, 1, 0, 5)
-
-    def test_graph_imported_programs_are_rejected(self, corpus_dir):
-        from pathpatch.graphio import import_graph, load_graph_file
-
-        program = import_graph(load_graph_file(corpus_dir / "abstract.graph.json"))
-        with pytest.raises(UnsupportedRepresentationError):
-            pretty_print(program)
-
-    def test_random_programs_round_trip_isomorphically(self):
-        import random
-
-        from helpers import random_program_tree
-
-        rng = random.Random(777)
-        for _ in range(100):
-            program = lower(random_program_tree(rng))
-            again = lower(parse(pretty_print(program)))
-            assert canonical_shape(again) == canonical_shape(program)
-
-    def test_patched_program_shows_error_return_first(self, bmp_reader):
-        import json
-
-        from pathpatch import (
-            apply_patch,
-            build_program_path_graph,
-            candidate_locations,
-            synthesize_patches,
-        )
-
-        program, vuln, suite = bmp_reader
-        ppg = build_program_path_graph(program, vuln)
-        patches = synthesize_patches(program, candidate_locations(ppg))
-        line5 = next(p for p in patches if p.id == "read_image:b1")
-        patched = apply_patch(program, line5)
-        text = pretty_print(patched)
-        body = text.splitlines()
-        # first line of the then-branch of the bpp check is now the return
-        idx = next(i for i, l in enumerate(body) if "if (bpp <= 8)" in l)
-        assert body[idx + 1].strip() == "return nil;"
-        reparsed = lower(parse(text))
-        result = run_program(reparsed, suite.exploit.input)
-        assert result.fault_at != vuln.statement
