@@ -2,17 +2,21 @@
 
 Three subcommands mirror the pipeline stages, plus one that chains them:
 
-    pathpatch analyze  --program P --vuln V [--out DIR]
+    pathpatch analyze  --program P --vuln V [--out DIR] [--cap N]
     pathpatch locate   --program P --vuln V [--out DIR]
-    pathpatch evaluate --program P --vuln V --suite S [--out DIR] [--jobs N]
-    pathpatch all      --program P --vuln V --suite S [--out DIR]
+    pathpatch evaluate --program P --vuln V --suite S [--out DIR] [--fuzz N]
+                       [--seed N] [--max-steps N] [--max-heap-cells N] [--jobs N]
+    pathpatch all      the flags of analyze and evaluate together
 
-Programs are MiniLang sources (.mini) or graph documents (.json, analyzable
-but not executable). The vulnerability spec is a small JSON file naming the
-function plus a statement id or source line, optionally with an exploit
-input; graph documents may embed the vulnerable statement instead. Every
-subcommand builds the program path graph once and shares it between phases,
-and every subcommand but analyze computes the candidate locations once.
+Each subcommand takes only the flags that change what it does; `--jobs`
+is accepted and has no effect, since evaluation is serial. Programs are
+MiniLang sources (.mini) or graph documents (.json, analyzable but not
+executable); the extension decides which. The vulnerability spec is a
+small JSON file naming the function plus a statement id or source line,
+optionally with an exploit input; graph documents may embed the
+vulnerable statement instead. Every subcommand builds the program path
+graph once and shares it between phases, and every subcommand but analyze
+computes the candidate locations once.
 
 `analyze` writes `path_graph.json` (schema `path-graph@2`). It lists each
 distinct frame (function and call site) once under `frames`, with an `id`,
@@ -84,32 +88,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_suite in (
-        ("analyze", False),
-        ("locate", False),
-        ("evaluate", True),
-        ("all", True),
-    ):
+    for name in ("analyze", "locate", "evaluate", "all"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--program", required=True, help="program file (.mini or .json)")
         cmd.add_argument("--vuln", help="vulnerability spec file (JSON)")
-        cmd.add_argument(
-            "--mode",
-            choices=("minilang", "graph"),
-            help="input kind; default inferred from the program extension",
-        )
         cmd.add_argument("--out", help="directory for result files")
-        cmd.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_ENUMERATION_CAP,
-            help="maximal-path enumeration cap",
-        )
-        cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-        cmd.add_argument("--max-heap-cells", type=int, default=1_000_000)
-        cmd.add_argument("--jobs", type=int, default=1, help="evaluation workers")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for --fuzz inputs")
-        if needs_suite:
+        if name in ("analyze", "all"):
+            cmd.add_argument(
+                "--cap",
+                type=int,
+                default=DEFAULT_ENUMERATION_CAP,
+                help="maximal-path enumeration cap",
+            )
+        if name in ("evaluate", "all"):
             cmd.add_argument("--suite", help="test suite file")
             cmd.add_argument(
                 "--fuzz",
@@ -118,36 +109,48 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 metavar="N",
                 help="also fuzz the fully patched program with N random inputs",
             )
+            cmd.add_argument("--seed", type=int, default=0, help="seed for --fuzz inputs")
+            cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+            cmd.add_argument("--max-heap-cells", type=int, default=1_000_000)
+            cmd.add_argument(
+                "--jobs", type=int, default=1, help="has no effect; evaluation is serial"
+            )
     return parser
 
 
-def infer_mode(args) -> str:
-    if args.mode:
-        return args.mode
-    return "graph" if args.program.endswith(".json") else "minilang"
+def input_file(name: str, what: str) -> Path:
+    """The path `name` of an input file, which must exist and be no directory."""
+    path = Path(name)
+    if not path.exists():
+        raise UsageError(f"{what} {name!r} does not exist")
+    if path.is_dir():
+        raise UsageError(f"{what} {name!r} is a directory")
+    return path
 
 
 def load_inputs(args):
     """Load program and vulnerability spec; returns (program, vuln)."""
-    if args.cap < 1:
+    if "cap" in args and args.cap < 1:
         raise UsageError("--cap must be at least 1")
-    if args.jobs < 1:
+    if "jobs" in args and args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    program_path = Path(args.program)
-    if not program_path.exists():
-        raise UsageError(f"program file {args.program!r} does not exist")
-    mode = infer_mode(args)
+    if args.out:  # refuse an unusable --out before the work, not after it
+        out = Path(args.out)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise UsageError(
+                f"output directory {args.out!r}: {str(existing)!r} is not a directory"
+            )
+    program_path = input_file(args.program, "program file")
     vuln_raw = None
     if args.vuln:
-        vuln_path = Path(args.vuln)
-        if not vuln_path.exists():
-            raise UsageError(f"vulnerability spec {args.vuln!r} does not exist")
+        vuln_path = input_file(args.vuln, "vulnerability spec")
         try:
             vuln_raw = json.loads(vuln_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, RecursionError) as exc:
             raise SuiteError(f"vulnerability spec is not valid JSON: {exc}") from exc
 
-    if mode == "graph":
+    if args.program.endswith(".json"):
         doc = load_graph_file(program_path)
         program = import_graph(doc)
         if vuln_raw is not None:
@@ -310,18 +313,13 @@ def evaluation_suite(args, program, vuln):
         )
     if not args.suite:
         raise UsageError("evaluate requires --suite")
-    suite_path = Path(args.suite)
-    if not suite_path.exists():
-        raise UsageError(f"suite file {args.suite!r} does not exist")
-    return load_suite(suite_path).with_vulnerability(vuln)
+    return load_suite(input_file(args.suite, "suite file")).with_vulnerability(vuln)
 
 
 def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
     patches = synthesize_patches(program, locations)
     limits = Limits(max_steps=args.max_steps, max_heap_cells=args.max_heap_cells)
-    evaluations = rank(
-        evaluate_patches(program, patches, suite, limits, jobs=args.jobs)
-    )
+    evaluations = rank(evaluate_patches(program, patches, suite, limits))
 
     meta = {
         "program": Path(args.program).name,
@@ -332,7 +330,7 @@ def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
         "suite": {"cases": len(suite.cases), "exploit": suite.exploit is not None},
         "levels": max((len(c.chain.frames) for c in ppg.chains), default=0),
     }
-    if getattr(args, "fuzz", 0):
+    if args.fuzz:
         fully_patched = apply_patches(program, patches)
         runs, hits = fuzz_vulnerability(
             fully_patched,

@@ -28,7 +28,6 @@ function, patch id.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -251,14 +250,12 @@ def evaluate_patches(
     patches: list[Patch],
     suite: TestSuite,
     limits: Limits = Limits(),
-    jobs: int = 1,
 ) -> list[PatchEvaluation]:
     """Evaluate every patch, running on its patched program only the cases
     (and the exploit) whose coverage probe entered the patched block.
 
-    The probes run first, on the base program; the variants then run
-    independently (optionally in a worker pool), and results are assembled
-    in patch-id order so the outcome never depends on scheduling.
+    The probes run first, on the base program; the variants then run one
+    after another, and the results come back in patch-id order.
     """
     if not patches:
         return []
@@ -271,19 +268,9 @@ def evaluate_patches(
     if suite.exploit is not None and suite.exploit.statement is not None:
         entered, result = _probe(base, suite.exploit.input, limits, watch)
         exploit = (entered, None if result is None else _blocked(suite.exploit, result))
-    args = (suite, limits, cases, exploit)
-    if jobs <= 1:
-        evaluations = [_evaluate_patch(base, p, *args) for p in patches]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_evaluate_patch, base, p, *args): p.id for p in patches
-            }
-            by_id = {
-                futures[future]: future.result()
-                for future in concurrent.futures.as_completed(futures)
-            }
-        evaluations = [by_id[p.id] for p in patches]
+    evaluations = [
+        _evaluate_patch(base, p, suite, limits, cases, exploit) for p in patches
+    ]
     evaluations.sort(key=lambda ev: ev.patch.id)
     return evaluations
 

@@ -49,6 +49,7 @@ from ..ir import (
     Binary,
     Var,
     const_type,
+    terminator_targets,
     validate_program,
 )
 from . import nodes
@@ -477,14 +478,7 @@ class _FunctionBuilder:
         seen = {"b0"}
         stack = ["b0"]
         while stack:
-            block = by_id[stack.pop()]
-            term = block.terminator
-            targets = ()
-            if isinstance(term, Jump):
-                targets = (term.target,)
-            elif isinstance(term, Branch):
-                targets = (term.then_target, term.else_target)
-            for t in targets:
+            for t in terminator_targets(by_id[stack.pop()].terminator):
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)

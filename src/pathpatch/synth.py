@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import ControlDepGraph, compute_control_dependencies
+from .analysis import compute_control_dependencies
 from .ir import (
     BOOL,
     INT,
@@ -76,16 +76,12 @@ def _const_order(value) -> tuple:
     return (0, 0)  # nil: only one constant of its type
 
 
-def infer_error_return(
-    fn: IRFunction, cdg: ControlDepGraph | None = None
-) -> ErrorReturnValue:
+def infer_error_return(fn: IRFunction) -> ErrorReturnValue:
     if fn.declared_error_return is not None:
         return ErrorReturnValue(fn.declared_error_return, PROVENANCE_ANNOTATION)
 
     if not fn.external:
-        if cdg is None:
-            cdg = compute_control_dependencies(fn)
-        governed = {dep.governed for dep in cdg.deps}
+        governed = {dep.governed for dep in compute_control_dependencies(fn).deps}
         counts: dict[object, int] = {}
         for bid, blk in fn.blocks.items():
             term = blk.terminator

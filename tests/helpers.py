@@ -16,7 +16,6 @@ running every case on every patched program
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import random
 from dataclasses import dataclass
@@ -1050,28 +1049,11 @@ def reference_evaluate_patches(
     patches: list[Patch],
     suite: TestSuite,
     limits: Limits = Limits(),
-    jobs: int = 1,
 ) -> list[PatchEvaluation]:
     """`harness.evaluate_patches` without test selection: every case and
-    the exploit run on every patched program.
-
-    Variants run independently (optionally in a worker pool); results are
-    assembled in patch-id order so the outcome never depends on scheduling.
+    the exploit run on every patched program; results come back in
+    patch-id order.
     """
-    if not patches:
-        return []
-    if jobs <= 1:
-        evaluations = [reference_evaluate_patch(base, p, suite, limits) for p in patches]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(reference_evaluate_patch, base, p, suite, limits): p.id
-                for p in patches
-            }
-            by_id = {
-                futures[future]: future.result()
-                for future in concurrent.futures.as_completed(futures)
-            }
-        evaluations = [by_id[p.id] for p in patches]
+    evaluations = [reference_evaluate_patch(base, p, suite, limits) for p in patches]
     evaluations.sort(key=lambda ev: ev.patch.id)
     return evaluations

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import warnings
 
@@ -20,7 +23,7 @@ from pathpatch.paths import (
     resolve_vulnerability,
 )
 
-from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
+from conftest import CORPUS, CORPUS_NAMES, ROOT, load_corpus_entry
 from helpers import (
     call_fanout_program,
     call_fanout_source,
@@ -389,6 +392,41 @@ class TestAll:
         )
         assert code == 0
         assert len(calls) == 1
+
+
+BMP_INPUTS = (
+    "--program", str(CORPUS / "bmp_reader.mini"),
+    "--vuln", str(CORPUS / "bmp_reader.vuln.json"),
+)
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--seed", "1"),
+            ("analyze", "--jobs", "2"),
+            ("analyze", "--mode", "minilang"),
+            ("locate", "--max-steps", "5"),
+            ("locate", "--cap", "3"),
+            ("evaluate", "--cap", "3", "--suite", str(CORPUS / "bmp_reader.suite")),
+            ("evaluate", "--jobs", "0", "--suite", str(CORPUS / "bmp_reader.suite")),
+            ("analyze", "--cap", "0"),
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_flag_the_subcommand_does_not_use_is_a_usage_error(self, argv, capsys):
+        command, *flags = argv
+        assert invoke(command, *BMP_INPUTS, *flags) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        probe = "import sys, pathpatch.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"
 
 
 class TestDeepInputs:

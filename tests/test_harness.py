@@ -3,7 +3,6 @@
 import random
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -206,28 +205,6 @@ class TestEvaluate:
         healthy = [ev for ev in evaluations if ev.error is None]
         assert len(healthy) == len(patches)
 
-    def test_parallel_evaluation_matches_serial(self, bmp_reader):
-        program, vuln, suite = bmp_reader
-        patches = self._patches_for(program, vuln)
-        serial = evaluate_patches(program, patches, suite, jobs=1)
-        parallel = evaluate_patches(program, patches, suite, jobs=8)
-        assert [
-            (e.patch.id, e.passed, e.total, e.exploit_blocked) for e in serial
-        ] == [(e.patch.id, e.passed, e.total, e.exploit_blocked) for e in parallel]
-
-    def test_threads_compiling_shared_functions_agree_with_serial(self):
-        """Variants share every unpatched function, so with --jobs several
-        threads may compile the same function at once. A tiny switch
-        interval makes those races likely; the results must not change."""
-        program, patches, suite = self._fresh_bmp_reader()
-        assert all(fn.compiled is None for fn in program.functions.values())
-        with short_switch_interval():
-            start = time.monotonic()
-            threaded = evaluate_patches(program, patches, suite, jobs=8)
-            elapsed = time.monotonic() - start
-        assert evaluate_patches(*self._fresh_bmp_reader(), jobs=1) == threaded
-        assert elapsed < 30.0
-
     def test_runs_started_together_compile_safely(self):
         """Eight threads released at once run one fresh program, so they
         compile its functions together; every run must match a serial one."""
@@ -254,13 +231,6 @@ class TestEvaluate:
                     worker.join(timeout=30)
             assert not any(worker.is_alive() for worker in workers)
             assert results == [expected] * 8
-
-    def _fresh_bmp_reader(self):
-        """(program, patches, suite), lowered anew so nothing is compiled."""
-        from conftest import load_corpus_entry
-
-        program, vuln, suite = load_corpus_entry("bmp_reader")
-        return program, self._patches_for(program, vuln), suite
 
     def test_side_effect_fixture_shows_broken_invariant(self):
         """An early return that skips the release breaks the assertion in

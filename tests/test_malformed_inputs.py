@@ -107,6 +107,32 @@ def test_program_that_is_not_utf8_is_an_input_error(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+BMP = ["--program", CORPUS / "bmp_reader.mini", "--vuln", CORPUS / "bmp_reader.vuln.json"]
+# (argv, the path its error line must name), given an existing plain file
+WRONG_KIND_PATHS = {
+    "program-directory": lambda f: (
+        ["analyze", "--program", CORPUS, "--vuln", CORPUS / "bmp_reader.vuln.json"], CORPUS
+    ),
+    "vuln-directory": lambda f: (
+        ["analyze", "--program", CORPUS / "bmp_reader.mini", "--vuln", CORPUS], CORPUS
+    ),
+    "suite-directory": lambda f: (["evaluate", *BMP, "--suite", CORPUS], CORPUS),
+    "out-is-a-file": lambda f: (["analyze", *BMP, "--out", f], f),
+    "out-under-a-file": lambda f: (["analyze", *BMP, "--out", f / "sub"], f / "sub"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND_PATHS)
+def test_path_of_the_wrong_kind_is_a_usage_error(tmp_path, case):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv, named = WRONG_KIND_PATHS[case](plain)
+    code, out, err = run_captured(argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(str(named)) in err
+
+
 # --- generated inputs --------------------------------------------------------
 
 TOKENS = [
