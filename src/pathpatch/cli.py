@@ -134,6 +134,12 @@ def load_inputs(args):
         raise UsageError("--cap must be at least 1")
     if "jobs" in args and args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    if "max_steps" in args and args.max_steps < 1:
+        raise UsageError("--max-steps must be at least 1")
+    if "max_heap_cells" in args and args.max_heap_cells < 1:
+        raise UsageError("--max-heap-cells must be at least 1")
+    if "fuzz" in args and args.fuzz < 0:
+        raise UsageError("--fuzz must be at least 0")
     if args.out:  # refuse an unusable --out before the work, not after it
         out = Path(args.out)
         existing = next(p for p in (out, *out.parents) if p.exists())

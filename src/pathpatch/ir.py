@@ -278,8 +278,9 @@ class IRFunction:
     declared_error_return: object | None = None
     locals: dict[str, ValueType] = field(default_factory=dict)
     external: bool = False
-    # the interpreter's compiled form, set on first execution; see
-    # minilang.interp. Not copied by `replace`, never compared or printed.
+    # the interpreter's compiled form, set on first execution: one generated
+    # Python function per segment of each block, see minilang.interp. Not
+    # copied by `replace`, never compared or printed.
     compiled: object = field(default=None, init=False, compare=False, repr=False)
 
     def block(self, block_id: BlockId) -> BasicBlock:

@@ -1,23 +1,47 @@
 """Deterministic interpreter for lowered programs.
 
-Each function is compiled to Python closures once, on its first execution,
-and every later run reuses that code:
+Each function is compiled once, on its first execution, and every later
+run reuses that code. Each block is split into segments, each a run of
+statements ended by one call or by the block's terminator, and each
+segment becomes one generated Python function `seg(env, st)`: its body is
+the segment's statements in line, expressions included, and it returns
+what the run needs next:
 
-  - expressions become nested closures `env -> value`, with constant
-    subexpressions computed at compile time;
-  - statements become closures `(env, state) -> None`;
-  - each block is split into segments, each a run of statements ended by
-    one call or by the block's terminator;
-  - terminators become small tuples dispatched on an integer tag.
+  - a jump returns the index of its target block, and a branch
+    `THEN if COND else ELSE`, so the next segment is `blocks[value]`;
+  - a return returns its value;
+  - a call resolves its callee and returns it with the argument values;
+    the callee's environment is then built by its own generated `bind`.
+
+A segment is thus one Python call however many statements it holds, a
+superinstruction (Ertl & Gregg, "The Structure and Performance of
+Efficient Interpreters", JILP 2003). Constant subexpressions are folded by
+Python's own compiler. `/` and `%` with C semantics, array reads and
+writes, `alloc` and `read_input` call small helpers; `&&` and `||`
+evaluate both operands, left first.
+
+Program data reaches the generated source only through `repr()` of a
+string, int, bool or None: variable names are string keys of `env`, and
+statement ids and messages are literals. No name is ever spliced in as
+code, so no name can clash with the generated code's own identifiers. Any
+other constant, such as a function reference, is bound in the namespace of
+the segment's function. Compiling never raises: an unknown operator,
+statement kind or expression raises `IRError` only when it runs.
+
+Generated code objects are cached for the life of the process, keyed by
+their source text. A patched variant differs from its base program in one
+block (`synth.apply_patch` keeps the block order), so it compiles at most
+that block's segments and reuses every other code object.
 
 The compiled form is stored on the `IRFunction` itself (`fn.compiled`), so
 it lives exactly as long as the function. `dataclasses.replace` does not
 carry it over, and a patched variant shares every unchanged function with
-its base program (`synth.apply_patch`), so a variant compiles only the
-function its patch rewrote. The compiled code holds no per-run state and
-no reference back to a program: callees are looked up in the running
-program, so two threads that compile the same function at once both
-produce working code, and the single attribute store publishes either.
+its base program, so a variant compiles only the function its patch
+rewrote. The compiled code holds no per-run state and no reference back
+to a program: callees are looked up in the running program, so two threads
+that compile the same function at once both produce working code, and the
+single attribute store publishes either. The code cache is a plain dict;
+its reads and stores are atomic under the GIL.
 
 Execution is a loop over an explicit frame stack, so deep call chains never
 hit Python's recursion limit. All abnormal outcomes are encoded in the
@@ -38,10 +62,12 @@ Steps: every statement and every terminator costs one step, charged before
 it executes; a run times out on the step that exceeds `max_steps`.
 `ExecutionResult.steps` is the number of steps charged, the failing one
 included. A segment whose steps all fit in the remaining budget is charged
-in one addition; if one of its statements then stops the run, the count is
-corrected to the steps before the segment plus the position of that
-statement plus one. A segment that does not fit is run one step at a time,
-so a timeout happens at exactly the same statement either way.
+in one addition; if one of its statements, its call or its terminator then
+stops the run, the count is corrected to the steps before the segment plus
+the position of that step plus one. A segment that does not fit is run one
+step at a time, by one generated function per statement and one for the
+segment's end, made from the same statement source the first time a run
+needs them. So a timeout happens at exactly the same statement either way.
 
 Block entries: a run enters a block when its first segment becomes the
 current one, before any of its steps is charged. `record_trace` records
@@ -54,7 +80,6 @@ hook into the same two places, so a run with neither checks nothing more.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from ..ir import (
@@ -148,11 +173,12 @@ _NO_INPUT = object()
 
 
 class _State:
-    """Per-run machine state the statement closures read and update."""
+    """Per-run machine state the generated segments read and update."""
 
-    __slots__ = ("inputs", "heap", "heap_cells", "max_heap_cells", "output")
+    __slots__ = ("functions", "inputs", "heap", "heap_cells", "max_heap_cells", "output")
 
-    def __init__(self, input_values, max_heap_cells):
+    def __init__(self, functions, input_values, max_heap_cells):
+        self.functions = functions
         self.inputs = iter(tuple(input_values))
         self.heap: list[list[int]] = []
         self.heap_cells = 0
@@ -168,6 +194,12 @@ def _default_for(value_type):
     return None  # ref / fn-ref default to nil
 
 
+# What the run does with the value a segment returns. Block targets are
+# indices into the function's block tuple, so the compiled form has no
+# reference cycles and is freed with its function.
+_GOTO, _CALL, _RETURN, _HALT = range(4)
+
+
 def run_program(
     program: IRProgram,
     input_values=(),
@@ -179,8 +211,7 @@ def run_program(
     """Run a lowered program on a flat list of integer inputs."""
     if not program.executable:
         raise IRError("program has no executable statement bodies")
-    functions = program.functions
-    st = _State(input_values, max_heap_cells)
+    st = _State(program.functions, input_values, max_heap_cells)
     trace: list[tuple[str, str]] | None = [] if record_trace else None
     calls: list[tuple[str, str]] | None = [] if record_trace else None
     # called with the (function, block) key of every block the run enters
@@ -193,43 +224,34 @@ def run_program(
     stack: list[tuple] = []
     steps = 0
 
-    fn = functions[program.entry]
-    blocks, entry, params, defaults = fn.compiled or _compile(fn)
+    fn = program.functions[program.entry]
+    blocks, entry, bind, params, defaults = fn.compiled or _compile(fn)
     seg = blocks[entry]
     env = dict(defaults)
     try:
         if enter is not None:
             enter(seg[5])
         while True:
-            stmts, n, ids, call, after, _ = seg
+            run, n, ids, kind, call, _, stepwise = seg
             if steps + n <= max_steps:
                 steps += n
                 try:
-                    for stmt in stmts:
-                        stmt(env, st)
+                    value = run(env, st)
                 except _Stop as stop:
                     steps += ids.index(stop.at) + 1 - n
                     raise
             else:
-                for stmt in stmts:
+                for step in stepwise.steps():
                     steps += 1
                     if steps > max_steps:
                         raise _Timeout
-                    stmt(env, st)
-                steps += 1
-                if steps > max_steps:
-                    raise _Timeout
+                    value = step(env, st)
 
-            if call is not None:
-                site, callee_name, callee_ref, arg_values, target = call
-                if callee_name is not None:
-                    callee = functions[callee_name]
-                else:
-                    value = env[callee_ref]
-                    if value is None:
-                        raise _Fault(FAULT_NIL_DEREF, site)
-                    callee = functions[value.name]
-                args = arg_values(env)
+            if kind == _GOTO:
+                seg = blocks[value]
+            elif kind == _CALL:
+                callee, args = value
+                site, target, after = call
                 if calls is not None:
                     calls.append((site, callee.id))
                 if callee.external:
@@ -240,36 +262,28 @@ def run_program(
                     continue
                 stack.append((fn, blocks, env, after, target, site))
                 fn = callee
-                blocks, entry, params, defaults = fn.compiled or _compile(fn)
+                blocks, entry, bind, params, defaults = fn.compiled or _compile(fn)
                 seg = blocks[entry]
-                env = dict(zip(params, args))
-                env.update(defaults)
-            else:
-                tag = after[0]
-                if tag == _BRANCH:
-                    seg = blocks[after[2] if after[1](env) else after[3]]
-                elif tag == _JUMP:
-                    seg = blocks[after[1]]
-                elif tag == _RETURN:
-                    value = after[1](env)
-                    if not stack:
-                        return _result(
-                            STATUS_OK, st, trace, calls, entered, steps, exit_value=value
-                        )
-                    fn, blocks, env, seg, target, _ = stack.pop()
-                    if target is not None:
-                        env[target] = value
-                    continue
-                elif tag == _HALT:
+                try:
+                    env = bind(*args)
+                except TypeError:  # more or fewer arguments than parameters
+                    env = dict(zip(params, args))
+                    env.update(defaults)
+            elif kind == _RETURN:
+                if not stack:
                     return _result(
-                        STATUS_OK, st, trace, calls, entered, steps, exit_value=None
+                        STATUS_OK, st, trace, calls, entered, steps, exit_value=value
                     )
-                else:
-                    raise IRError(after[1])
+                fn, blocks, env, seg, target, _ = stack.pop()
+                if target is not None:
+                    env[target] = value
+                continue
+            else:
+                return _result(STATUS_OK, st, trace, calls, entered, steps, exit_value=None)
             if enter is not None:
                 enter(seg[5])
     except _Fault as fault:
-        backtrace = [(frame[0].id, frame[5]) for frame in stack]
+        backtrace = [(caller[0].id, caller[5]) for caller in stack]
         backtrace.append((fn.id, fault.at))
         return _result(
             STATUS_FAULT,
@@ -322,66 +336,56 @@ def _result(status, st, trace, calls, entered, steps, **kw) -> ExecutionResult:
 # Compilation
 # ---------------------------------------------------------------------------
 
-# Terminator tags. Targets are indices into the function's block tuple, so
-# the compiled form has no reference cycles and is freed with its function.
-_JUMP, _BRANCH, _RETURN, _HALT, _MISSING = range(5)
-
 
 def _compile(fn):
     """Compile `fn` and publish the result on `fn.compiled`.
 
-    The result is `(blocks, entry, params, defaults)`: `blocks[i]` is the
-    first segment of the i-th block, a tuple `(statements, steps, ids,
-    call, after, trace key)`. A segment ended by a call has `call =
-    (site, callee name, callee ref, args closure, target)` and continues
-    with the segment `after`; otherwise `after` is the terminator tuple.
-    Compilation never raises: what the IR cannot do raises when it runs.
+    The result is `(blocks, entry, bind, params, defaults)`.
+
+    `blocks[i]` is the first segment of the i-th block, a tuple `(run,
+    steps, ids, kind, call, trace key, stepwise)`. `run(env, st)` is the
+    generated function of the whole segment, and `stepwise` makes, on first
+    use, one function per step. `ids` holds the id of each step, so the
+    segment's call site or terminator id comes last. A segment of kind
+    `_CALL` has `call = (site, target, after)` and continues with the
+    segment `after`.
+
+    `bind(*args)`, also generated, returns the environment of a call: the
+    parameters bound to `args`, then the locals at their defaults. It
+    builds in one step what `dict(zip(params, args))` updated with
+    `defaults` builds, which a call with the wrong number of arguments
+    still uses.
+
+    A block id no block has is given a segment that raises `KeyError`
+    when entered, before any step. Compilation never raises: what the IR
+    cannot do raises when it runs.
     """
     index = {bid: i for i, bid in enumerate(fn.blocks)}
-    missing: list[tuple] = []
+    missing: list = []
 
     def target(bid):
-        # an unknown block raises KeyError when entered, before any step
         if bid not in index:
             index[bid] = len(index)
-            missing.append(((_raiser(KeyError, bid),), 0, (None,), None, None, None))
+            missing.append(bid)
         return index[bid]
 
     blocks = [_block(fn, block, target) for block in fn.blocks.values()]
     entry = target(fn.entry_block)
+    for bid in missing:
+        lowering = _Lowering()
+        raiser = f"raise KeyError({lowering.const(bid)})"
+        blocks.append(_segment(lowering, [raiser], (), _GOTO, None, None))
+    params = tuple(name for name, _ in fn.params)
     defaults = {name: _default_for(vtype) for name, vtype in fn.locals.items()}
-    compiled = (
-        tuple(blocks + missing),
-        entry,
-        tuple(name for name, _ in fn.params),
-        defaults,
-    )
+    compiled = (tuple(blocks), entry, _bind(params, defaults), params, defaults)
     object.__setattr__(fn, "compiled", compiled)
     return compiled
 
 
 def _block(fn, block, target):
+    """The first segment of `block`, each segment linked to the next."""
     key = (fn.id, block.id)
-    term = block.terminator
-    if isinstance(term, Jump):
-        after = (_JUMP, target(term.target))
-    elif isinstance(term, Branch):
-        after = (
-            _BRANCH,
-            _closure(_expr(term.cond, term.id)),
-            target(term.then_target),
-            target(term.else_target),
-        )
-    elif isinstance(term, Return):
-        value = None if term.value is None else _expr(term.value, term.id)
-        after = (_RETURN, _closure(value))
-    elif isinstance(term, Halt):
-        after = (_HALT,)
-    else:
-        after = (_MISSING, f"block {block.id} has no terminator")
-
-    # split at calls, then link the segments back to front
-    runs: list[tuple[list, object]] = [([], None)]
+    runs: list[tuple[list, object]] = [([], None)]  # split at calls
     for stmt in block.statements:
         if stmt.kind == "call":
             runs[-1] = (runs[-1][0], stmt)
@@ -390,240 +394,269 @@ def _block(fn, block, target):
             runs[-1][0].append(stmt)
     seg = None
     for stmts, call in reversed(runs):
-        seg = (
-            tuple(_statement(s) for s in stmts),
-            len(stmts) + 1,
-            tuple(s.id for s in stmts),
-            None if call is None else _call(call),
-            after if call is None else seg,
-            key,
-        )
+        lowering = _Lowering()
+        texts = [lowering.statement(s) for s in stmts]
+        ids = [s.id for s in stmts]
+        if call is None:
+            text, at, kind = lowering.terminator(block, target)
+            link = None
+        else:
+            text, at, kind = lowering.call(call), call.id, _CALL
+            link = (call.id, call.target, seg)
+        seg = _segment(lowering, texts + [text], ids + [at], kind, link, key)
     return seg
 
 
-def _call(stmt):
-    names = [a.name for a in stmt.args if isinstance(a, Var)]
-    if len(names) == len(stmt.args) > 1:
-        arg_values = operator.itemgetter(*names)  # one C call for all args
-    else:
-        args = [_closure(_expr(a, stmt.id)) for a in stmt.args]
-
-        def arg_values(env):
-            return [a(env) for a in args]
-
-    return (stmt.id, stmt.callee_name, stmt.callee_ref, arg_values, stmt.target)
+# Generated code objects by source text, for the life of the process.
+_CODE: dict[str, object] = {}
 
 
-class _Const:
-    """A compiled expression whose value is known at compile time."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-def _closure(compiled):
-    """The closure form of a compiled expression (None stays nil)."""
-    if compiled is None or isinstance(compiled, _Const):
-        value = None if compiled is None else compiled.value
-        return lambda env: value
-    return compiled
+def _define(source, lowering):
+    """Run `source` in a fresh namespace holding the helpers and the
+    constants of `lowering`; returns the namespace."""
+    code = _CODE.get(source)
+    if code is None:
+        code = _CODE[source] = compile(source, "<segment>", "exec")
+    namespace = dict(_HELPERS)
+    namespace.update(lowering.consts)
+    exec(code, namespace)
+    return namespace
 
 
-def _raiser(error, message):
-    """A closure that raises `error(message)` whenever it runs."""
-
-    def run(*_):
-        raise error(message)
-
-    return run
-
-
-def _div(op, at):
-    def divide(left, right):
-        if right == 0:
-            raise _Fault(FAULT_DIV_ZERO, at)
-        # C-style: quotient truncates toward zero, remainder matches
-        q = abs(left) // abs(right)
-        if (left < 0) != (right < 0):
-            q = -q
-        if op == "/":
-            return q
-        return left - q * right
-
-    return divide
+def _bind(params, defaults):
+    """The generated `bind` of a function with these parameters and locals."""
+    lowering = _Lowering()
+    args = [f"p{i}" for i in range(len(params))]
+    items = [f"{lowering.const(name)}: {arg}" for name, arg in zip(params, args)]
+    items += [f"{lowering.const(k)}: {lowering.const(v)}" for k, v in defaults.items()]
+    source = f"def bind({', '.join(args)}):\n    return {{{', '.join(items)}}}\n"
+    return _define(source, lowering)["bind"]
 
 
-_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
-    # both operands are always evaluated; no short circuit
-    "&&": lambda left, right: left and right,
-    "||": lambda left, right: left or right,
+def _function(name, texts):
+    body = "".join(f"\n    {line}" for text in texts for line in text.split("\n"))
+    return f"def {name}(env, st):{body}\n"
+
+
+def _segment(lowering, texts, ids, kind, link, key):
+    run = _define(_function("seg", texts), lowering)["seg"]
+    return (run, len(ids), tuple(ids), kind, link, key, _Stepwise(lowering, texts))
+
+
+class _Stepwise:
+    """A segment as one generated function per step, for a run whose step
+    budget ends inside it. Made from the segment's own statement source
+    the first time a run needs it."""
+
+    __slots__ = ("lowering", "texts", "functions")
+
+    def __init__(self, lowering, texts):
+        self.lowering = lowering
+        self.texts = texts
+        self.functions = None
+
+    def steps(self):
+        if self.functions is None:
+            names = [f"step{i}" for i in range(len(self.texts))]
+            source = "".join(_function(name, [text]) for name, text in zip(names, self.texts))
+            namespace = _define(source, self.lowering)
+            self.functions = tuple(namespace[name] for name in names)
+        return self.functions
+
+
+# Python operators with the IR operator's exact meaning.
+_INFIX = frozenset(("+", "-", "*", "<", "<=", ">", ">=", "==", "!="))
+
+
+class _Lowering:
+    """Python source for the statements and the end of one segment.
+
+    Each statement becomes text of one or more lines, with no indentation
+    of its own. Constants that are not a string, int, bool or None are
+    collected in `consts` under generated names.
+    """
+
+    def __init__(self):
+        self.consts: dict[str, object] = {}
+        self.temps = 0
+
+    def const(self, value) -> str:
+        """A Python expression for `value`."""
+        if value is None or type(value) in (bool, str):
+            return repr(value)
+        if type(value) is int and abs(value) < 1 << 64:  # repr of huge ints may raise
+            return f"({value!r})" if value < 0 else repr(value)
+        name = f"_c{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"_t{self.temps}"
+
+    def error(self, message: str, *operands: str) -> str:
+        """Code that evaluates `operands`, then raises `IRError(message)`."""
+        return f"_ir_error({', '.join((self.const(message),) + operands)})"
+
+    def expr(self, expr, at) -> str:
+        """A pure expression; `at` is the id of the statement it belongs to,
+        where its faults are reported."""
+        if isinstance(expr, (IntConst, BoolConst)):
+            return self.const(expr.value)
+        if isinstance(expr, NilConst):
+            return "None"
+        if isinstance(expr, FuncRef):
+            return self.const(FnVal(expr.name))
+        if isinstance(expr, Var):
+            return f"env[{self.const(expr.name)}]"
+        if isinstance(expr, Unary):
+            operand = self.expr(expr.operand, at)
+            return f"(not {operand})" if expr.op == "!" else f"(-{operand})"
+        if isinstance(expr, Binary):
+            return self.binary(expr, at)
+        return self.error(f"cannot evaluate {expr!r}")
+
+    def binary(self, expr, at) -> str:
+        op = expr.op
+        left = self.expr(expr.left, at)
+        right = self.expr(expr.right, at)
+        if op in _INFIX:
+            return f"({left} {op} {right})"
+        if op in ("&&", "||"):
+            # both operands are always evaluated, left first; no short circuit
+            a, b = self.temp(), self.temp()
+            word = "and" if op == "&&" else "or"
+            return f"({a} {word} {b} if [{a} := {left}, {b} := {right}] else None)"
+        if op in ("/", "%"):
+            c = expr.right.value if isinstance(expr.right, IntConst) else None
+            if type(c) is int and c > 0:
+                # C-style division by a positive constant cannot fault
+                v = self.temp()
+                py = "//" if op == "/" else "%"
+                return f"({v} {py} {right} if ({v} := {left}) >= 0 else -(-{v} {py} {right}))"
+            return f"_div({left}, {right}, {self.const(at)}, {op == '%'})"
+        return self.error(f"unknown operator {op!r}", left, right)
+
+    def statement(self, stmt) -> str:
+        """One non-call statement."""
+        kind = stmt.kind
+        at = self.const(stmt.id)
+        if kind == "assign":
+            return f"env[{self.const(stmt.target)}] = {self.expr(stmt.value, stmt.id)}"
+        if kind == "array_read":
+            array = self.expr(stmt.array, stmt.id)
+            index = self.expr(stmt.index, stmt.id)
+            return f"env[{self.const(stmt.target)}] = _aread(st, {array}, {index}, {at})"
+        if kind == "array_write":
+            array = self.expr(stmt.array, stmt.id)
+            index = self.expr(stmt.index, stmt.id)
+            value = self.expr(stmt.value, stmt.id)
+            return f"_awrite(st, {array}, {index}, {value}, {at})"
+        if kind == "array_alloc":
+            size = self.expr(stmt.size, stmt.id)
+            return f"env[{self.const(stmt.target)}] = _alloc(st, {size}, {at})"
+        if kind == "print":
+            return f"st.output.append(int({self.expr(stmt.value, stmt.id)}))"
+        if kind == "read_input":
+            return f"env[{self.const(stmt.target)}] = _read(st, {at})"
+        if kind == "assertion":
+            cond = self.expr(stmt.cond, stmt.id)
+            return f"if not {cond}:\n    raise _Fault({FAULT_ASSERT!r}, {at})"
+        if kind == "nop":
+            return "pass"
+        return self.error(f"cannot execute statement kind {kind!r}")
+
+    def call(self, stmt) -> str:
+        """Resolve the callee, then evaluate the arguments, left first."""
+        args = "".join(f"{self.expr(a, stmt.id)}, " for a in stmt.args)
+        if stmt.callee_name is not None:
+            return f"return st.functions[{self.const(stmt.callee_name)}], ({args})"
+        return (
+            f"f = env[{self.const(stmt.callee_ref)}]\n"
+            f"if f is None:\n"
+            f"    raise _Fault({FAULT_NIL_DEREF!r}, {self.const(stmt.id)})\n"
+            f"return st.functions[f.name], ({args})"
+        )
+
+    def terminator(self, block, target) -> tuple[str, object, int]:
+        """(text, step id, kind) of the block's terminator."""
+        term = block.terminator
+        if isinstance(term, Jump):
+            return f"return {target(term.target)}", None, _GOTO
+        if isinstance(term, Branch):
+            then, else_ = target(term.then_target), target(term.else_target)
+            cond = self.expr(term.cond, term.id)
+            return f"return {then} if {cond} else {else_}", term.id, _GOTO
+        if isinstance(term, Return):
+            value = "None" if term.value is None else self.expr(term.value, term.id)
+            return f"return {value}", term.id, _RETURN
+        if isinstance(term, Halt):
+            return "return None", None, _HALT
+        return self.error(f"block {block.id} has no terminator"), None, _HALT
+
+
+# ---------------------------------------------------------------------------
+# Helpers the generated code calls
+# ---------------------------------------------------------------------------
+
+
+def _div(left, right, at, remainder):
+    """`left / right`, or `left % right` with `remainder`, as C computes
+    them; a zero divisor is a fault at statement `at`."""
+    if right == 0:
+        raise _Fault(FAULT_DIV_ZERO, at)
+    # C-style: quotient truncates toward zero, remainder matches
+    q = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        q = -q
+    return left - q * right if remainder else q
+
+
+def _aread(st, ref, i, at):
+    if ref is None:
+        raise _Fault(FAULT_NIL_DEREF, at)
+    cells = st.heap[ref]
+    if i < 0 or i >= len(cells):
+        raise _Fault(FAULT_OOB, at)
+    return cells[i]
+
+
+def _awrite(st, ref, i, value, at):
+    if ref is None:
+        raise _Fault(FAULT_NIL_DEREF, at)
+    cells = st.heap[ref]
+    if i < 0 or i >= len(cells):
+        raise _Fault(FAULT_OOB, at)
+    cells[i] = value
+
+
+def _alloc(st, size, at):
+    if size < 0:
+        raise _Fault(FAULT_OOB, at)
+    if st.heap_cells + size > st.max_heap_cells:
+        raise _Timeout(at)
+    st.heap.append([0] * size)
+    st.heap_cells += size
+    return len(st.heap) - 1
+
+
+def _read(st, at):
+    value = next(st.inputs, _NO_INPUT)
+    if value is _NO_INPUT:
+        raise _InputExhausted(at)
+    return value
+
+
+def _ir_error(message, *_operands):
+    raise IRError(message)
+
+
+_HELPERS = {
+    "_Fault": _Fault,
+    "_div": _div,
+    "_aread": _aread,
+    "_awrite": _awrite,
+    "_alloc": _alloc,
+    "_read": _read,
+    "_ir_error": _ir_error,
 }
-
-
-def _expr(expr, at):
-    """Compile a pure expression into a closure `env -> value`, or into a
-    `_Const` when it has no variables and cannot fault. `at` is the id of
-    the statement it belongs to, where its faults are reported."""
-    if isinstance(expr, (IntConst, BoolConst)):
-        return _Const(expr.value)
-    if isinstance(expr, NilConst):
-        return _Const(None)
-    if isinstance(expr, FuncRef):
-        return _Const(FnVal(expr.name))
-    if isinstance(expr, Var):
-        return operator.itemgetter(expr.name)
-    if isinstance(expr, Unary):
-        op = operator.not_ if expr.op == "!" else operator.neg
-        operand = _expr(expr.operand, at)
-        if isinstance(operand, _Const):
-            return _fold(op, operand.value)
-        return lambda env: op(operand(env))
-    if isinstance(expr, Binary):
-        return _binary(expr, at)
-    return _raiser(IRError, f"cannot evaluate {expr!r}")
-
-
-def _fold(op, *values):
-    """Apply `op` at compile time; keep it for run time if it raises."""
-    try:
-        return _Const(op(*values))
-    except (_Fault, IRError, TypeError):
-        return lambda env: op(*values)
-
-
-def _binary(expr, at):
-    if expr.op in ("/", "%"):
-        op = _div(expr.op, at)
-    else:
-        op = _OPS.get(expr.op) or _raiser(IRError, f"unknown operator {expr.op!r}")
-    left = _expr(expr.left, at)
-    right = _expr(expr.right, at)
-    left_var = isinstance(expr.left, Var)
-    if isinstance(right, _Const):
-        c = right.value
-        if isinstance(left, _Const):
-            return _fold(op, left.value, c)
-        if expr.op in ("/", "%") and type(c) is int and c > 0:
-            # C-style division by a positive constant cannot fault
-            if expr.op == "/":
-                return lambda env: v // c if (v := left(env)) >= 0 else -(-v // c)
-            return lambda env: v % c if (v := left(env)) >= 0 else -(-v % c)
-        if left_var:
-            name = expr.left.name
-            return lambda env: op(env[name], c)
-        return lambda env: op(left(env), c)
-    if isinstance(left, _Const):
-        c = left.value
-        return lambda env: op(c, right(env))
-    if left_var and isinstance(expr.right, Var):
-        a, b = expr.left.name, expr.right.name
-        return lambda env: op(env[a], env[b])
-    return lambda env: op(left(env), right(env))
-
-
-def _statement(stmt):
-    """Compile one non-call statement into a closure `(env, state)`."""
-    kind = stmt.kind
-    at = stmt.id
-    if kind == "assign":
-        target = stmt.target
-        value = _expr(stmt.value, at)
-        if isinstance(value, _Const):
-            c = value.value
-
-            def assign_const(env, st):
-                env[target] = c
-
-            return assign_const
-
-        def assign(env, st):
-            env[target] = value(env)
-
-        return assign
-    if kind == "array_read":
-        target = stmt.target
-        array = _closure(_expr(stmt.array, at))
-        index = _closure(_expr(stmt.index, at))
-
-        def array_read(env, st):
-            ref = array(env)
-            i = index(env)
-            if ref is None:
-                raise _Fault(FAULT_NIL_DEREF, at)
-            cells = st.heap[ref]
-            if i < 0 or i >= len(cells):
-                raise _Fault(FAULT_OOB, at)
-            env[target] = cells[i]
-
-        return array_read
-    if kind == "array_write":
-        array = _closure(_expr(stmt.array, at))
-        index = _closure(_expr(stmt.index, at))
-        value = _closure(_expr(stmt.value, at))
-
-        def array_write(env, st):
-            ref = array(env)
-            i = index(env)
-            v = value(env)
-            if ref is None:
-                raise _Fault(FAULT_NIL_DEREF, at)
-            cells = st.heap[ref]
-            if i < 0 or i >= len(cells):
-                raise _Fault(FAULT_OOB, at)
-            cells[i] = v
-
-        return array_write
-    if kind == "array_alloc":
-        target = stmt.target
-        size_of = _closure(_expr(stmt.size, at))
-
-        def array_alloc(env, st):
-            size = size_of(env)
-            if size < 0:
-                raise _Fault(FAULT_OOB, at)
-            if st.heap_cells + size > st.max_heap_cells:
-                raise _Timeout(at)
-            st.heap.append([0] * size)
-            st.heap_cells += size
-            env[target] = len(st.heap) - 1
-
-        return array_alloc
-    if kind == "print":
-        value = _closure(_expr(stmt.value, at))
-
-        def print_(env, st):
-            st.output.append(int(value(env)))
-
-        return print_
-    if kind == "read_input":
-        target = stmt.target
-
-        def read_input(env, st):
-            value = next(st.inputs, _NO_INPUT)
-            if value is _NO_INPUT:
-                raise _InputExhausted(at)
-            env[target] = value
-
-        return read_input
-    if kind == "assertion":
-        cond = _closure(_expr(stmt.cond, at))
-
-        def assertion(env, st):
-            if not cond(env):
-                raise _Fault(FAULT_ASSERT, at)
-
-        return assertion
-    if kind == "nop":
-        return lambda env, st: None
-    return _raiser(IRError, f"cannot execute statement kind {kind!r}")

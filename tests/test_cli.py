@@ -420,6 +420,25 @@ class TestFlags:
         assert invoke(command, *BMP_INPUTS, *flags) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--max-steps", "0"),
+            ("--max-steps", "-5"),
+            ("--max-heap-cells", "0"),
+            ("--max-heap-cells", "-1"),
+            ("--fuzz", "-3"),
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "all"])
+    def test_budget_below_its_least_value_is_a_usage_error(self, command, flags, capsys):
+        suite = ("--suite", str(CORPUS / "bmp_reader.suite"))
+        assert invoke(command, *BMP_INPUTS, *suite, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_importing_the_cli_loads_no_thread_pool(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         probe = "import sys, pathpatch.cli; print('concurrent.futures' in sys.modules)"

@@ -8,12 +8,36 @@ random lowered programs, under step budgets small enough to time out at
 every kind of statement and a heap budget small enough to trip `alloc`.
 """
 
+import builtins
 import random
 from dataclasses import replace
 
 import pytest
 
-from pathpatch.ir import BasicBlock, IRError, IRProgram, Jump
+from pathpatch.ir import (
+    BOOL,
+    INT,
+    REF,
+    ArrayAlloc,
+    ArrayRead,
+    ArrayWrite,
+    Assertion,
+    Assign,
+    BasicBlock,
+    Binary,
+    Branch,
+    Call,
+    FuncRef,
+    IntConst,
+    IRError,
+    IRProgram,
+    Jump,
+    Print,
+    ReadInput,
+    Return,
+    Unary,
+    Var,
+)
 from pathpatch.locate import candidate_locations
 from pathpatch.minilang import lower, parse, run_program
 from pathpatch.minilang.interp import (
@@ -72,6 +96,19 @@ def test_corpus_and_every_patch_variant_match_the_reference(name):
             for budget in SMALL_BUDGETS:
                 assert_same(variant, values, max_steps=budget, record_trace=True)
     assert STATUS_OK in statuses
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_timeout_at_every_step_of_the_exploit_matches_the_reference(name):
+    """The exploit run of every variant, cut by every step budget from one
+    step to its whole length, so a timeout lands on each statement, call
+    and terminator of each segment the run passes."""
+    program, vuln, suite = load_corpus_entry(name)
+    values = suite.exploit.input
+    for variant in variants(program, vuln):
+        full = assert_same(variant, values)
+        for budget in range(1, full.steps + 1):
+            assert_same(variant, values, max_steps=budget, record_trace=True)
 
 
 FEATURES = """
@@ -189,12 +226,25 @@ def test_steps_count_every_statement_and_terminator():
     assert timed_out.status == STATUS_TIMEOUT and timed_out.steps == 3
 
 
-def test_variants_compile_only_the_patched_function():
+def test_variants_compile_only_the_patched_function(monkeypatch):
+    """A variant shares every unchanged function with its base program and
+    rebuilds the patched one, which reuses the cached code of every segment
+    but the patched block's: at most one `compile()` call per variant."""
     program, vuln, suite = load_corpus_entry("bmp_reader")
-    for case in suite.cases:
-        run_program(program, case.input)
+    for values in [case.input for case in suite.cases] + [suite.exploit.input]:
+        run_program(program, values)
     compiled = {fn_id: fn.compiled for fn_id, fn in program.functions.items()}
-    for variant in variants(program, vuln)[1:]:
+    patched = variants(program, vuln)[1:]
+    sources = []
+    compile_ = builtins.compile
+
+    def counting_compile(source, *args, **kwargs):
+        sources.append(source)
+        return compile_(source, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    for variant in patched:
+        before = len(sources)
         run_program(variant, suite.exploit.input)
         fresh = [
             fn_id
@@ -202,6 +252,95 @@ def test_variants_compile_only_the_patched_function():
             if fn.compiled is not None and fn.compiled is not compiled[fn_id]
         ]
         assert len(fresh) <= 1
+        assert len(sources) - before <= 1, sources[before:]
+
+
+# Names a generated segment must keep as data: quotes, backslashes, a
+# newline and `#`, and the generated code's own identifiers.
+HOSTILE = (
+    "env", "st", "seg", "bind", "p0", "f", "_t1", "_c0", "step0", "_div", "_aread",
+    "_awrite", "_alloc", "_read", "_ir_error", "_Fault", "it's", 'say "hi"', "back\\slash",
+    "two\nlines", "# not a comment", "\'\'\'\"\"\"", "x) or (1",
+)
+
+
+def hostile_program() -> IRProgram:
+    """`main` reads two inputs `a` and `b` (held in variables named
+    "two\\nlines" and "_c0") and calls `callee` through a function
+    reference; every name and id is one of HOSTILE or holds quotes, a
+    backslash, a newline and `#`. Faults: `b` outside 0..2 (oob
+    in main), `a` outside 1..3 (oob in the callee), `b == 0` (division by
+    zero in the callee), `a == 2` (assertion), `b == 2` (nil call)."""
+    main_name, callee_name = "main'\"\\\n#", "callee\"'#\n\\"
+    a, b, env, st, ref, result, flag, nil_ref = (
+        "two\nlines", "_c0", "env", "st", "f", "_t1", "# not a comment", "seg",
+    )
+
+    def sid(fn, i):
+        return f"{fn}:s{i}'\"\\\n# {HOSTILE[i % len(HOSTILE)]}"
+
+    m = lambda i: sid(main_name, i)  # noqa: E731
+    main_blocks = {
+        "b0'": BasicBlock("b0'", (
+            ReadInput(m(0), a),
+            ReadInput(m(1), b),
+            Assign(m(2), env, Binary("+", Var(a), IntConst(1))),
+            ArrayAlloc(m(3), st, IntConst(3)),
+            ArrayWrite(m(4), Var(st), Var(b), Var(env)),
+            Assign(m(5), ref, FuncRef(callee_name)),
+            Call(m(6), result, None, ref, (Var(env), Var(st), Var(b))),
+            Print(m(7), Binary("/", Var(result), Binary("-", Var(b), IntConst(7)))),
+            Assertion(m(8), Binary("!=", Var(env), IntConst(3))),
+        ), Branch(
+            m(9),
+            Binary("&&", Binary("<", Var(b), IntConst(2)), Unary("!", Var(flag))),
+            'b"1',
+            "b\n2",
+        )),
+        'b"1': BasicBlock('b"1', (Print(m(10), Var("it's")),), Return(m(11), Var(result))),
+        "b\n2": BasicBlock("b\n2", (Call(m(12), None, None, nil_ref, ()),), Return(m(13), None)),
+    }
+    c = lambda i: sid(callee_name, i)  # noqa: E731
+    callee_blocks = {
+        "#b0": BasicBlock("#b0", (
+            ArrayRead(c(0), "_aread", Var(st), Binary("-", Var(env), IntConst(2))),
+            Assign(c(1), "it's", Binary("%", Var("_aread"), Var("p0"))),
+        ), Return(c(2), Binary("*", Var("it's"), IntConst(-3)))),
+    }
+    main = replace(
+        make_function({"b": []}, entry="b", name=main_name),
+        blocks=main_blocks,
+        entry_block="b0'",
+        locals={a: INT, b: INT, env: INT, st: REF, ref: REF, result: INT, flag: BOOL,
+                nil_ref: REF, "it's": INT},
+    )
+    callee = replace(
+        make_function({"b": []}, entry="b", name=callee_name),
+        blocks=callee_blocks,
+        entry_block="#b0",
+        params=((env, INT), (st, REF), ("p0", INT)),
+        locals={"_aread": INT, "it's": INT},
+    )
+    return IRProgram(
+        functions={main_name: main, callee_name: callee}, entry=main_name, source_map={}
+    )
+
+
+def test_hostile_names_stay_data():
+    """No name or id can change the generated code: every run, fault ids
+    and backtraces included, matches the reference."""
+    program = hostile_program()
+    cases = [(x, y) for x in range(-1, 7) for y in range(-1, 4)] + [(1,), ()]
+    results = []
+    for values in cases:
+        results.append(assert_same(program, values, record_trace=True))
+        for budget in SMALL_BUDGETS:
+            assert_same(program, values, max_steps=budget)
+    faults = {(r.fault_kind, r.fault_stack) for r in results if r.status == STATUS_FAULT}
+    assert {kind for kind, _ in faults} == {"oob", "div_zero", "nil_deref", "assert_fail"}
+    # fault ids and call sites come back exactly as written, newline included
+    assert any(len(stack) == 2 and "\n# " in stack[0][1] for _, stack in faults)
+    assert {r.status for r in results} == {STATUS_OK, STATUS_FAULT, STATUS_INPUT_EXHAUSTED}
 
 
 def test_malformed_ir_fails_only_where_it_runs():
@@ -221,3 +360,20 @@ def test_malformed_ir_fails_only_where_it_runs():
             reference_run(program(entry))
         with pytest.raises(error):
             run_program(program(entry))
+
+
+def test_calls_with_the_wrong_argument_count_match_the_reference():
+    """Arguments bind to parameters as `zip` pairs them: an extra argument
+    is dropped, and a parameter with no argument is left unbound."""
+    program = lower(parse(
+        "fn g(a: int, b: int) -> int { let c: int = 4; print(c); return 7; }\n"
+        "fn main() -> int { let x: int = g(1, 2); print(x); return x; }\n"
+    ))
+    main = program.functions["main"]
+    (bid, block), = ((b, blk) for b, blk in main.blocks.items() if blk.statements)
+    call = next(s for s in block.statements if s.kind == "call")
+    for args in ((), (IntConst(1),), (IntConst(1), IntConst(2), IntConst(3))):
+        statements = tuple(replace(s, args=args) if s is call else s for s in block.statements)
+        blocks = dict(main.blocks, **{bid: replace(block, statements=statements)})
+        functions = dict(program.functions, main=replace(main, blocks=blocks))
+        assert assert_same(replace(program, functions=functions), ()).exit_value == 7
