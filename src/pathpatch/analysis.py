@@ -9,17 +9,18 @@ conditional A's edge k exactly when B postdominates A's k-th successor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ir import (
+    Binary,
     Branch,
     FnType,
     FuncRef,
     IRError,
     IRFunction,
     IRProgram,
+    Unary,
     block_sort_key,
 )
+from .record import Record
 
 # Synthetic exit block id; never collides with real ids.
 EXIT = "<exit>"
@@ -46,13 +47,16 @@ def predecessors_map(fn: IRFunction) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PostDominators:
+class PostDominators(Record):
     """Immediate-postdominator tree, rooted at the synthetic exit."""
 
     ipdom: dict[str, str]
     warnings: tuple[str, ...] = ()
-    _chains: dict[str, frozenset] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # not a field: the query cache of `chain`, so it never takes part in
+        # equality
+        object.__setattr__(self, "_chains", {})
 
     def chain(self, block: str) -> frozenset:
         """The set {block} ∪ all its postdominators (including EXIT)."""
@@ -195,21 +199,18 @@ def back_edges(fn: IRFunction) -> frozenset[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ControlDep:
+class ControlDep(Record):
     governed: str
     governor: str
     branch_index: int
 
 
-@dataclass(frozen=True)
-class ControlDepGraph:
+class ControlDepGraph(Record):
     deps: tuple[ControlDep, ...]
-    # governed block -> its (governor, edge) pairs in `deps` order; an index
-    # built at construction, never compared or printed
-    _governors: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # not a field: governed block -> its (governor, edge) pairs in `deps`
+        # order
         governors: dict[str, list[tuple[str, int]]] = {}
         for d in self.deps:
             governors.setdefault(d.governed, []).append((d.governor, d.branch_index))
@@ -265,23 +266,19 @@ def compute_control_dependencies(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CallEdge:
+class CallEdge(Record):
     caller: str
     call_site: str  # statement id
     callee: str
     via_reference: bool
 
 
-@dataclass(frozen=True)
-class CallGraph:
+class CallGraph(Record):
     edges: tuple[CallEdge, ...]
-    # caller -> its edges and callee -> its edges, in `edges` order; indexes
-    # built at construction, never compared or printed
-    _by_caller: dict = field(init=False, compare=False, repr=False)
-    _by_callee: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # not fields: caller -> its edges and callee -> its edges, in `edges`
+        # order
         by_caller: dict[str, list[CallEdge]] = {}
         by_callee: dict[str, list[CallEdge]] = {}
         for e in self.edges:
@@ -368,9 +365,8 @@ def referenced_functions(functions: dict[str, IRFunction]) -> frozenset[str]:
         expr = pending.pop()
         if isinstance(expr, FuncRef):
             taken.add(expr.name)
-        elif hasattr(expr, "__dataclass_fields__"):
-            pending.extend(
-                getattr(expr, attr, None)
-                for attr in ("operand", "left", "right", "value", "index", "size", "cond")
-            )
+        elif isinstance(expr, Unary):
+            pending.append(expr.operand)
+        elif isinstance(expr, Binary):
+            pending.extend((expr.left, expr.right))
     return frozenset(taken)

@@ -12,7 +12,6 @@ ids); analyses accept them, execution rejects them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .ir import (
     UNIT,
@@ -28,6 +27,7 @@ from .ir import (
     Opaque,
     validate_program,
 )
+from .record import Record
 
 SCHEMA_GRAPH = "program-graph@1"
 SCHEMA_REPORT = "patch-report@1"
@@ -37,23 +37,20 @@ class GraphImportError(IRError):
     pass
 
 
-@dataclass(frozen=True)
-class GraphBlock:
+class GraphBlock(Record):
     id: str
     conditional: bool
     statements: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GraphFunction:
+class GraphFunction(Record):
     name: str
     entry: str
     blocks: tuple[GraphBlock, ...]
     edges: tuple[tuple[str, str, int | None], ...]
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(Record):
     functions: tuple[GraphFunction, ...]
     calls: tuple[tuple[str, str, str], ...] = ()  # (caller, call_site, callee)
     vulnerable: tuple[str, str] | None = None  # (function, statement id)

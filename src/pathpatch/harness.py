@@ -28,7 +28,6 @@ function, patch id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .ir import IRError, IRProgram, block_sort_key
@@ -42,6 +41,7 @@ from .minilang.interp import (
     run_program,
 )
 from .paths import Exploit, VulnerabilitySpec
+from .record import Record, replace
 from .synth import Patch, apply_patch
 
 FAULT = "FAULT"
@@ -51,15 +51,13 @@ class SuiteError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(Record):
     name: str
     input: tuple[int, ...]
     expect: tuple[int, ...] | str  # output values, or FAULT
 
 
-@dataclass(frozen=True)
-class TestSuite:
+class TestSuite(Record):
     cases: tuple[TestCase, ...]
     exploit: Exploit | None = None
 
@@ -74,8 +72,7 @@ class TestSuite:
         )
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     max_steps: int = DEFAULT_MAX_STEPS
     max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS
 
@@ -134,11 +131,16 @@ def load_suite(path) -> TestSuite:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(Record):
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name, passed, detail):  # hot: see record.py
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "_values", (name, passed, detail))
 
 
 def _run(program: IRProgram, values, limits: Limits, watch=None) -> ExecutionResult:
@@ -177,8 +179,7 @@ def _blocked(exploit: Exploit, result: ExecutionResult) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatchEvaluation:
+class PatchEvaluation(Record):
     patch: Patch
     passed: int
     total: int

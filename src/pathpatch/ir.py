@@ -2,10 +2,11 @@
 
 A program is a set of functions; each function is a control flow graph of
 basic blocks holding straight-line statements and ending in a terminator.
-Everything is immutable after construction: analyses and patch application
-always build new objects and may share unchanged substructure. The one
-exception is `IRFunction.compiled`, a cache the interpreter fills on a
-function's first execution.
+Every node is a `Record`, which makes it immutable after construction:
+analyses and patch application always build new objects and may share
+unchanged substructure. The one exception is `IRFunction.compiled`, a cache
+the interpreter fills on a function's first execution; it is an attribute,
+not a field, so it is never compared, printed or copied by `record.replace`.
 
 Conventions:
   - `FunctionId` is the function name (parser enforces uniqueness).
@@ -18,7 +19,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+
+from .record import Record
 
 FunctionId = str
 BlockId = str
@@ -39,8 +42,7 @@ REF = "ref"
 UNIT = "unit"
 
 
-@dataclass(frozen=True)
-class FnType:
+class FnType(Record):
     """Type of a function reference value; used to resolve indirect calls."""
 
     params: tuple[object, ...]
@@ -60,48 +62,40 @@ ValueType = object
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntConst:
+class IntConst(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class BoolConst:
+class BoolConst(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class NilConst:
+class NilConst(Record):
     pass
 
 
-@dataclass(frozen=True)
-class FuncRef:
+class FuncRef(Record):
     """Reference to a function by name (`&name` in source)."""
 
     name: FunctionId
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(Record):
     op: str  # "-" | "!"
     operand: object
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record):
     op: str  # + - * / % < <= > >= == != && ||
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Opaque:
+class Opaque(Record):
     """Placeholder condition for graph-imported blocks; never evaluated."""
 
 
@@ -123,8 +117,7 @@ def const_type(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record):
     id: StatementId
     target: str
     value: object  # pure expression
@@ -132,8 +125,7 @@ class Assign:
     kind = "assign"
 
 
-@dataclass(frozen=True)
-class ArrayRead:
+class ArrayRead(Record):
     id: StatementId
     target: str
     array: object
@@ -142,8 +134,7 @@ class ArrayRead:
     kind = "array_read"
 
 
-@dataclass(frozen=True)
-class ArrayWrite:
+class ArrayWrite(Record):
     id: StatementId
     array: object
     index: object
@@ -152,8 +143,7 @@ class ArrayWrite:
     kind = "array_write"
 
 
-@dataclass(frozen=True)
-class ArrayAlloc:
+class ArrayAlloc(Record):
     id: StatementId
     target: str
     size: object
@@ -161,8 +151,7 @@ class ArrayAlloc:
     kind = "array_alloc"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     """Call statement; exactly one of callee_name / callee_ref is set.
 
     `callee_name` is a direct call to a named function; `callee_ref` names a
@@ -178,32 +167,28 @@ class Call:
     kind = "call"
 
 
-@dataclass(frozen=True)
-class Print:
+class Print(Record):
     id: StatementId
     value: object
 
     kind = "print"
 
 
-@dataclass(frozen=True)
-class ReadInput:
+class ReadInput(Record):
     id: StatementId
     target: str
 
     kind = "read_input"
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Record):
     id: StatementId
     cond: object
 
     kind = "assertion"
 
 
-@dataclass(frozen=True)
-class Nop:
+class Nop(Record):
     id: StatementId
 
     kind = "nop"
@@ -214,27 +199,23 @@ class Nop:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(Record):
     target: BlockId
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     id: StatementId  # conditionals carry an id so source lines attach to them
     cond: object
     then_target: BlockId
     else_target: BlockId
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(Record):
     id: StatementId
     value: object | None  # None for unit functions
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(Record):
     """Terminator for graph-imported sink blocks with no outgoing edge."""
 
 
@@ -251,8 +232,7 @@ def terminator_targets(term) -> tuple[BlockId, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(Record):
     id: BlockId
     statements: tuple[object, ...]
     terminator: object
@@ -267,8 +247,7 @@ class BasicBlock:
         return terminator_targets(self.terminator)
 
 
-@dataclass(frozen=True)
-class IRFunction:
+class IRFunction(Record):
     id: FunctionId
     name: str
     params: tuple[tuple[str, ValueType], ...]
@@ -276,12 +255,13 @@ class IRFunction:
     blocks: dict[BlockId, BasicBlock]
     entry_block: BlockId | None
     declared_error_return: object | None = None
-    locals: dict[str, ValueType] = field(default_factory=dict)
+    locals: dict[str, ValueType] = MappingProxyType({})  # a shared default: read-only
     external: bool = False
-    # the interpreter's compiled form, set on first execution: one generated
-    # Python function per segment of each block, see minilang.interp. Not
-    # copied by `replace`, never compared or printed.
-    compiled: object = field(default=None, init=False, compare=False, repr=False)
+
+    # not a field: the interpreter's compiled form, set on first execution:
+    # one generated Python function per segment of each block, see
+    # minilang.interp
+    compiled = None
 
     def block(self, block_id: BlockId) -> BasicBlock:
         try:
@@ -295,8 +275,7 @@ class IRFunction:
                 yield blk, stmt
 
 
-@dataclass(frozen=True)
-class IRProgram:
+class IRProgram(Record):
     functions: dict[FunctionId, IRFunction]
     entry: FunctionId
     source_map: dict[StatementId, tuple[str, int]]

@@ -19,14 +19,12 @@ has a conditional at all, give notes, not exceptions or Python warnings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import block_sort_key
 from .paths import Frame, FramePaths, ProgramPathGraph
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CandidatePatchLocation:
+class CandidatePatchLocation(Record):
     function: str
     block: str
     governing_conditional: str

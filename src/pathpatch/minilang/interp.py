@@ -34,7 +34,7 @@ block (`synth.apply_patch` keeps the block order), so it compiles at most
 that block's segments and reuses every other code object.
 
 The compiled form is stored on the `IRFunction` itself (`fn.compiled`), so
-it lives exactly as long as the function. `dataclasses.replace` does not
+it lives exactly as long as the function. `record.replace` does not
 carry it over, and a patched variant shares every unchanged function with
 its base program, so a variant compiles only the function its patch
 rewrote. The compiled code holds no per-run state and no reference back
@@ -80,8 +80,6 @@ hook into the same two places, so a run with neither checks nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ir import (
     BOOL,
     INT,
@@ -99,6 +97,7 @@ from ..ir import (
     Unary,
     Var,
 )
+from ..record import Record
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_HEAP_CELLS = 1_000_000
@@ -115,15 +114,13 @@ STATUS_INPUT_EXHAUSTED = "input_exhausted"
 STATUS_COVERED = "covered"
 
 
-@dataclass(frozen=True)
-class FnVal:
+class FnVal(Record):
     """Runtime value of a function reference."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(Record):
     status: str
     exit_value: object | None = None
     fault_kind: str | None = None
@@ -138,6 +135,35 @@ class ExecutionResult:
     steps: int = 0
     # the watched blocks the run entered, for a run with `watch`
     entered: frozenset[tuple[str, str]] | None = None
+
+    def __init__(  # hot: see record.py
+        self,
+        status,
+        exit_value=None,
+        fault_kind=None,
+        fault_at=None,
+        fault_stack=None,
+        output=(),
+        trace=None,
+        calls=None,
+        steps=0,
+        entered=None,
+    ):
+        store = object.__setattr__
+        store(self, "status", status)
+        store(self, "exit_value", exit_value)
+        store(self, "fault_kind", fault_kind)
+        store(self, "fault_at", fault_at)
+        store(self, "fault_stack", fault_stack)
+        store(self, "output", output)
+        store(self, "trace", trace)
+        store(self, "calls", calls)
+        store(self, "steps", steps)
+        store(self, "entered", entered)
+        store(self, "_values", (
+            status, exit_value, fault_kind, fault_at, fault_stack,
+            output, trace, calls, steps, entered,
+        ))
 
     @property
     def ok(self) -> bool:

@@ -19,8 +19,6 @@ Lowering is deterministic: the same tree always produces the same ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..ir import (
     BOOL,
     INT,
@@ -72,12 +70,14 @@ def default_value(value_type):
     return None
 
 
-@dataclass
 class _Block:
-    id: str
-    statements: list = field(default_factory=list)
-    terminator: object | None = None
-    line: int | None = None
+    """A block under construction; `finish` freezes it into a BasicBlock."""
+
+    def __init__(self, id: str, line: int | None = None):
+        self.id = id
+        self.statements: list = []
+        self.terminator: object | None = None
+        self.line = line
 
 
 class _FunctionBuilder:

@@ -6,7 +6,7 @@ Every node carries the 1-based source line it came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import Record
 
 
 class FrontendError(Exception):
@@ -30,136 +30,116 @@ class LoweringError(FrontendError):
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record):
     value: int
     line: int
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Record):
     value: bool
     line: int
 
 
-@dataclass(frozen=True)
-class NilLit:
+class NilLit(Record):
     line: int
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record):
     name: str
     line: int
 
 
-@dataclass(frozen=True)
-class FuncRefExpr:
+class FuncRefExpr(Record):
     name: str
     line: int
 
 
-@dataclass(frozen=True)
-class UnaryOp:
+class UnaryOp(Record):
     op: str
     operand: object
     line: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str
     left: object
     right: object
     line: int
 
 
-@dataclass(frozen=True)
-class IndexExpr:
+class IndexExpr(Record):
     array: str
     index: object
     line: int
 
 
-@dataclass(frozen=True)
-class CallExpr:
+class CallExpr(Record):
     callee: str
     args: tuple[object, ...]
     line: int
 
 
-@dataclass(frozen=True)
-class AllocExpr:
+class AllocExpr(Record):
     size: object
     line: int
 
 
-@dataclass(frozen=True)
-class ReadInputExpr:
+class ReadInputExpr(Record):
     line: int
 
 
 # --- statements -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Let:
+class Let(Record):
     name: str
     type: object
     value: object
     line: int
 
 
-@dataclass(frozen=True)
-class AssignStmt:
+class AssignStmt(Record):
     name: str
     value: object
     line: int
 
 
-@dataclass(frozen=True)
-class ArrayWriteStmt:
+class ArrayWriteStmt(Record):
     array: str
     index: object
     value: object
     line: int
 
 
-@dataclass(frozen=True)
-class If:
+class If(Record):
     cond: object
     then_body: tuple[object, ...]
     else_body: tuple[object, ...] | None
     line: int
 
 
-@dataclass(frozen=True)
-class While:
+class While(Record):
     cond: object
     body: tuple[object, ...]
     line: int
 
 
-@dataclass(frozen=True)
-class ReturnStmt:
+class ReturnStmt(Record):
     value: object | None
     line: int
 
 
-@dataclass(frozen=True)
-class PrintStmt:
+class PrintStmt(Record):
     value: object
     line: int
 
 
-@dataclass(frozen=True)
-class AssertStmt:
+class AssertStmt(Record):
     cond: object
     line: int
 
 
-@dataclass(frozen=True)
-class ExprStmt:
+class ExprStmt(Record):
     call: CallExpr
     line: int
 
@@ -167,8 +147,7 @@ class ExprStmt:
 # --- declarations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuncDecl:
+class FuncDecl(Record):
     name: str
     params: tuple[tuple[str, object], ...]
     return_type: object
@@ -178,7 +157,6 @@ class FuncDecl:
     external: bool = False
 
 
-@dataclass(frozen=True)
-class ProgramTree:
+class ProgramTree(Record):
     functions: tuple[FuncDecl, ...]
     path: str = "<memory>"

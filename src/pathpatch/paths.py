@@ -34,7 +34,6 @@ is unreachable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .analysis import (
     AnalysisError,
@@ -45,6 +44,7 @@ from .analysis import (
     compute_postdominators,
 )
 from .ir import IRProgram, block_sort_key
+from .record import Record
 
 DEFAULT_ENUMERATION_CAP = 10_000
 
@@ -53,37 +53,41 @@ class PathEnumerationError(AnalysisError):
     """Raised when explicit enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class Exploit:
+class Exploit(Record):
     input: tuple[int, ...]
     kind: str | None = None
     statement: str | None = None  # the vulnerable statement, once anchored
 
 
-@dataclass(frozen=True)
-class VulnerabilitySpec:
+class VulnerabilitySpec(Record):
     function: str
     statement: str
     exploit: Exploit | None = None
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     function: str
     call_site: str | None  # statement calling the next frame; None on the last
 
+    def __init__(self, function, call_site):  # hot: see record.py
+        object.__setattr__(self, "function", function)
+        object.__setattr__(self, "call_site", call_site)
+        object.__setattr__(self, "_values", (function, call_site))
 
-@dataclass(frozen=True)
-class CallChain:
+
+class CallChain(Record):
     frames: tuple[Frame, ...]
+
+    def __init__(self, frames):  # hot: see record.py
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_values", (frames,))
 
     @property
     def functions(self) -> tuple[str, ...]:
         return tuple(f.function for f in self.frames)
 
 
-@dataclass(frozen=True)
-class PathDag:
+class PathDag(Record):
     """Blocks and edges lying on some acyclic source -> target path."""
 
     function: str
@@ -91,11 +95,9 @@ class PathDag:
     target: str
     blocks: tuple[str, ...]
     edges: tuple[tuple[str, str, int | None], ...]
-    # block -> its (successor, edge) pairs in `edges` order; an index built
-    # at construction, never compared or printed
-    _successors: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # not a field: block -> its (successor, edge) pairs in `edges` order
         successors: dict[str, list[tuple[str, int | None]]] = {}
         for src, dst, idx in self.edges:
             successors.setdefault(src, []).append((dst, idx))
@@ -111,8 +113,7 @@ class PathDag:
         return self._successors.get(block, ())
 
 
-@dataclass(frozen=True)
-class FramePaths:
+class FramePaths(Record):
     frame: Frame
     target_statement: str
     dag: PathDag
@@ -121,14 +122,17 @@ class FramePaths:
     governing: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class ChainPaths:
+class ChainPaths(Record):
     chain: CallChain
     frames: tuple[FramePaths, ...]
 
+    def __init__(self, chain, frames):  # hot: see record.py
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_values", (chain, frames))
 
-@dataclass(frozen=True)
-class ProgramPathGraph:
+
+class ProgramPathGraph(Record):
     vulnerability: VulnerabilitySpec
     vulnerable_block: str | None
     chains: tuple[ChainPaths, ...]

@@ -18,8 +18,6 @@ fired so downstream consumers can audit the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .analysis import compute_control_dependencies
 from .ir import (
     BOOL,
@@ -38,6 +36,7 @@ from .ir import (
     const_type,
 )
 from .locate import CandidatePatchLocation
+from .record import Record, replace
 
 PROVENANCE_ANNOTATION = "annotation"
 PROVENANCE_MINED = "mined_from_error_path"
@@ -48,8 +47,7 @@ class PatchError(IRError):
     pass
 
 
-@dataclass(frozen=True)
-class ErrorReturnValue:
+class ErrorReturnValue(Record):
     value: object | None  # IntConst | BoolConst | NilConst | None for unit
     provenance: str
 
@@ -60,8 +58,7 @@ class ErrorReturnValue:
         return const_type(self.value)
 
 
-@dataclass(frozen=True)
-class Patch:
+class Patch(Record):
     id: str
     location: CandidatePatchLocation
     errval: ErrorReturnValue

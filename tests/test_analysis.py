@@ -9,6 +9,7 @@ import pytest
 from pathpatch.analysis import (
     EXIT,
     AnalysisError,
+    PostDominators,
     build_call_graph,
     compute_control_dependencies,
     compute_postdominators,
@@ -78,6 +79,15 @@ class TestPostdominators:
             fn = random_cfg(rng, max_blocks=10)
             pdoms = compute_postdominators(fn)
             assert pdom_sets_from_tree(fn, pdoms) == bf_postdominator_sets(fn)
+
+    def test_equality_does_not_depend_on_the_chain_cache(self):
+        """`chain` caches its answers on the object; two trees with the
+        same postdominators stay equal whichever of them was queried."""
+        queried = PostDominators(ipdom={"b0": EXIT})
+        fresh = PostDominators(ipdom={"b0": EXIT})
+        assert queried == fresh
+        assert queried.chain("b0") == {"b0", EXIT}
+        assert queried == fresh and repr(queried) == repr(fresh)
 
 
 class TestControlDependence:
@@ -183,7 +193,7 @@ class TestCallGraph:
     def test_call_to_undeclared_function_is_rejected(self):
         # assembled by hand: the frontend would already refuse to lower this
         from pathpatch.ir import Call, IRProgram
-        from dataclasses import replace
+        from pathpatch.record import replace
 
         fn = make_function({"a": []}, entry="a")
         call = Call(id="f:a:call", target=None, callee_name="ghost", callee_ref=None, args=())

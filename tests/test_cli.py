@@ -440,12 +440,16 @@ class TestFlags:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_importing_the_cli_loads_no_thread_pool(self):
+        """Every run pays the import: no thread pool, and no `dataclasses`,
+        whose per-class code generation and `inspect` import cost most of
+        it."""
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        probe = "import sys, pathpatch.cli; print('concurrent.futures' in sys.modules)"
+        heavy = ("concurrent.futures", "dataclasses", "inspect")
+        probe = f"import sys, pathpatch.cli; print([m for m in {heavy!r} if m in sys.modules])"
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout == "False\n"
+        assert done.stdout == "[]\n"
 
 
 class TestDeepInputs:

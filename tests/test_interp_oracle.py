@@ -10,7 +10,6 @@ every kind of statement and a heap budget small enough to trip `alloc`.
 
 import builtins
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -48,6 +47,7 @@ from pathpatch.minilang.interp import (
     STATUS_TIMEOUT,
 )
 from pathpatch.paths import build_program_path_graph
+from pathpatch.record import replace
 from pathpatch.synth import apply_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry

@@ -109,7 +109,7 @@ def test_validate_rejects_dangling_terminator_target():
     broken = make_function({"a": ["zzz"], "zzz": []}, entry="a")
     blocks = dict(broken.blocks)
     del blocks["zzz"]
-    from dataclasses import replace
+    from pathpatch.record import replace
 
     from pathpatch.ir import IRProgram
 
@@ -120,7 +120,7 @@ def test_validate_rejects_dangling_terminator_target():
 
 
 def test_validate_rejects_duplicate_statement_ids():
-    from dataclasses import replace
+    from pathpatch.record import replace
 
     from pathpatch.ir import IRProgram, Nop
 

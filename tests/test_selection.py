@@ -11,7 +11,6 @@ patched block.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,7 @@ from pathpatch.locate import CandidatePatchLocation, candidate_locations
 from pathpatch.minilang import lower, parse, run_program
 from pathpatch.minilang.interp import STATUS_COVERED
 from pathpatch.paths import Exploit, build_program_path_graph, resolve_vulnerability
+from pathpatch.record import replace
 from pathpatch.synth import synthesize_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry
