@@ -60,6 +60,7 @@ from .synth import (
     apply_patch,
     apply_patches,
     infer_error_return,
+    patch_returns,
     synthesize_patch,
     synthesize_patches,
 )

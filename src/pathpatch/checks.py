@@ -77,11 +77,15 @@ def fuzz_vulnerability(
     max_input_len: int = 12,
     max_steps: int = 200_000,
     max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS,
+    patches: dict[tuple[str, str], object] | None = None,
 ) -> tuple[int, int]:
     """Run `runs` random inputs; count faults at the vulnerable statement.
 
-    Returns (runs, faults at the vulnerable statement). Inputs mix small
-    values, boundary-sized values, and occasional negatives.
+    `patches` are applied as data, as `run_program` takes them
+    (`synth.patch_returns` makes them), so fuzzing the fully patched
+    program runs the code of `program` itself. Returns (runs, faults at
+    the vulnerable statement). Inputs mix small values, boundary-sized
+    values, and occasional negatives.
     """
     rng = random.Random(seed)
     hits = 0
@@ -97,7 +101,11 @@ def fuzz_vulnerability(
             else:
                 values.append(rng.randint(-50, -1))
         result = run_program(
-            program, values, max_steps=max_steps, max_heap_cells=max_heap_cells
+            program,
+            values,
+            max_steps=max_steps,
+            max_heap_cells=max_heap_cells,
+            patches=patches,
         )
         if result.status == STATUS_FAULT and result.fault_at == vuln_statement:
             hits += 1

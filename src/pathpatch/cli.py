@@ -66,7 +66,7 @@ from .paths import (
     enumerate_paths,
     resolve_vulnerability,
 )
-from .synth import apply_patches, synthesize_patches
+from .synth import patch_returns, synthesize_patches
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -153,7 +153,7 @@ def load_inputs(args):
         vuln_path = input_file(args.vuln, "vulnerability spec")
         try:
             vuln_raw = json.loads(vuln_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
             raise SuiteError(f"vulnerability spec is not valid JSON: {exc}") from exc
 
     if args.program.endswith(".json"):
@@ -337,14 +337,14 @@ def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
         "levels": max((len(c.chain.frames) for c in ppg.chains), default=0),
     }
     if args.fuzz:
-        fully_patched = apply_patches(program, patches)
         runs, hits = fuzz_vulnerability(
-            fully_patched,
+            program,
             vuln.statement,
             runs=args.fuzz,
             seed=args.seed,
             max_steps=limits.max_steps,
             max_heap_cells=limits.max_heap_cells,
+            patches=patch_returns(program, patches),
         )
         meta["fuzz"] = {
             "runs": runs,

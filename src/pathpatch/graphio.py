@@ -59,7 +59,7 @@ class GraphDocument(Record):
     def from_json(text: str) -> "GraphDocument":
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
             raise GraphImportError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise GraphImportError("the document must be a JSON object")

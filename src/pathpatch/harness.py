@@ -24,6 +24,14 @@ patch runs that case. The preserved functionality ratio is exact (a
 Fraction), and ranking sorts by PFR descending with deterministic
 tie-breaks: exploit blocked first, then lower level, then block id,
 function, patch id.
+
+Patches run as data: a patched run is the base program's run with
+`patches={(function, block): error value}` (`synth.patch_returns`), which
+behaves exactly as the `synth.apply_patch` variant would. The probes'
+watch set is every patched block, so the interpreter compiles the base
+program once, with a guard on each of those blocks, and that code serves
+the probes and every patched run: evaluation builds and compiles no
+patched program.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .minilang.interp import (
 )
 from .paths import Exploit, VulnerabilitySpec
 from .record import Record, replace
-from .synth import Patch, apply_patch
+from .synth import Patch, patch_returns
 
 FAULT = "FAULT"
 
@@ -143,13 +151,16 @@ class CaseVerdict(Record):
         object.__setattr__(self, "_values", (name, passed, detail))
 
 
-def _run(program: IRProgram, values, limits: Limits, watch=None) -> ExecutionResult:
+def _run(
+    program: IRProgram, values, limits: Limits, watch=None, patches=None
+) -> ExecutionResult:
     return run_program(
         program,
         values,
         max_steps=limits.max_steps,
         max_heap_cells=limits.max_heap_cells,
         watch=watch,
+        patches=patches,
     )
 
 
@@ -215,7 +226,7 @@ def _evaluate_patch(
     exploit: tuple[frozenset, bool | None] | None,
 ) -> PatchEvaluation:
     try:
-        variant = apply_patch(base, patch)
+        returns = patch_returns(base, [patch])
     except IRError as exc:
         return PatchEvaluation(
             patch=patch,
@@ -227,14 +238,17 @@ def _evaluate_patch(
         )
     key = (patch.location.function, patch.location.block)
     verdicts = tuple(
-        _verdict(case, _run(variant, case.input, limits)) if key in entered else verdict
+        _verdict(case, _run(base, case.input, limits, patches=returns))
+        if key in entered
+        else verdict
         for case, (entered, verdict) in zip(suite.cases, cases)
     )
     blocked = None
     if exploit is not None:
         entered, blocked = exploit
         if key in entered:
-            blocked = _blocked(suite.exploit, _run(variant, suite.exploit.input, limits))
+            result = _run(base, suite.exploit.input, limits, patches=returns)
+            blocked = _blocked(suite.exploit, result)
     passed = sum(1 for v in verdicts if v.passed)
     return PatchEvaluation(
         patch=patch,

@@ -4,9 +4,10 @@ A program is a set of functions; each function is a control flow graph of
 basic blocks holding straight-line statements and ending in a terminator.
 Every node is a `Record`, which makes it immutable after construction:
 analyses and patch application always build new objects and may share
-unchanged substructure. The one exception is `IRFunction.compiled`, a cache
-the interpreter fills on a function's first execution; it is an attribute,
-not a field, so it is never compared, printed or copied by `record.replace`.
+unchanged substructure. The exceptions are `IRFunction.compiled`,
+`IRFunction.fast` and `IRProgram.fast`, caches the interpreter fills on
+first execution; they are attributes, not fields, so they are never
+compared, printed or copied by `record.replace`.
 
 Conventions:
   - `FunctionId` is the function name (parser enforces uniqueness).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .record import Record
+from .record import Record, replace
 
 FunctionId = str
 BlockId = str
@@ -258,10 +259,12 @@ class IRFunction(Record):
     locals: dict[str, ValueType] = MappingProxyType({})  # a shared default: read-only
     external: bool = False
 
-    # not a field: the interpreter's compiled form, set on first execution:
-    # one generated Python function per segment of each block, see
+    # not fields: the interpreter's checked form, set on the first checked
+    # run that reaches the function (one generated Python function per
+    # segment of each block), and its fast form's last generated code, see
     # minilang.interp
     compiled = None
+    fast = None
 
     def block(self, block_id: BlockId) -> BasicBlock:
         try:
@@ -282,6 +285,10 @@ class IRProgram(Record):
     address_taken: frozenset[FunctionId] = frozenset()
     executable: bool = True  # graph-imported programs are analyzable only
 
+    # not a field: the interpreter's fast forms, each compiled on first use
+    # with the guards a run asked for, see minilang.interp
+    fast = ()
+
     def function(self, fn_id: FunctionId) -> IRFunction:
         try:
             return self.functions[fn_id]
@@ -299,6 +306,28 @@ class IRProgram(Record):
                 if isinstance(term, (Branch, Return)):
                     index[term.id] = (fn.id, blk.id)
         return index
+
+
+def with_returns(program: IRProgram, returns) -> IRProgram:
+    """`program` with each block in `returns`, a map from `(function,
+    block)` to a value (an IR constant, or None for a bare return),
+    replaced by a block that only returns that value; the return's id is
+    `<function>:<block>:patch`. Unchanged functions and blocks are shared
+    with `program`. Raises IRError for a block `program` does not have."""
+    functions = dict(program.functions)
+    for (fn_id, block_id), value in returns.items():
+        fn = functions.get(fn_id)
+        if fn is None or block_id not in fn.blocks:
+            raise IRError(f"no block {block_id!r} in function {fn_id!r}")
+        blocks = dict(fn.blocks)
+        blocks[block_id] = BasicBlock(
+            id=block_id,
+            statements=(),
+            terminator=Return(f"{fn_id}:{block_id}:patch", value),
+            line=fn.blocks[block_id].line,
+        )
+        functions[fn_id] = replace(fn, blocks=blocks)
+    return replace(program, functions=functions)
 
 
 def block_sort_key(block_id: BlockId) -> tuple[int, str]:

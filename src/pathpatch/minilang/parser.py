@@ -141,6 +141,17 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _int(tok: Token) -> int:
+    """The value of an integer token; Python converts at most
+    `sys.get_int_max_str_digits()` digits (4300 by default)."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.col
+        ) from None
+
+
 class Parser:
     def __init__(self, text: str, path: str = "<memory>"):
         self.tokens = tokenize(text)
@@ -284,10 +295,10 @@ class Parser:
             num = self.advance()
             if num.kind != "int":
                 raise ParseError("expected an integer literal", num.line, num.col)
-            return IntLit(-int(num.text), tok.line)
+            return IntLit(-_int(num), tok.line)
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text), tok.line)
+            return IntLit(_int(tok), tok.line)
         if self.accept("true"):
             return BoolLit(True, tok.line)
         if self.accept("false"):
@@ -436,7 +447,7 @@ class Parser:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text), tok.line)
+            return IntLit(_int(tok), tok.line)
         if self.accept("true"):
             return BoolLit(True, tok.line)
         if self.accept("false"):

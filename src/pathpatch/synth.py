@@ -24,7 +24,6 @@ from .ir import (
     INT,
     REF,
     UNIT,
-    BasicBlock,
     BoolConst,
     Const,
     IntConst,
@@ -34,6 +33,7 @@ from .ir import (
     NilConst,
     Return,
     const_type,
+    with_returns,
 )
 from .locate import CandidatePatchLocation
 from .record import Record, replace
@@ -134,34 +134,36 @@ def synthesize_patches(
     return patches
 
 
+def patch_returns(program: IRProgram, patches) -> dict[tuple[str, str], object]:
+    """The patches as data: each patched `(function, block)` and the error
+    value it returns, as `run_program(patches=...)` takes them. A later
+    patch of the same block wins, as in `apply_patches`. Raises PatchError
+    for a patch whose block `program` does not have."""
+    returns = {}
+    for patch in patches:
+        loc = patch.location
+        fn = program.functions.get(loc.function)
+        if fn is None or loc.block not in fn.blocks:
+            raise PatchError(
+                f"patch {patch.id} no longer applies: {loc.function}:{loc.block} missing"
+            )
+        returns[(loc.function, loc.block)] = patch.errval.value
+    return returns
+
+
 def apply_patch(program: IRProgram, patch: Patch) -> IRProgram:
     """A new program with the patched block replaced by the error return.
 
     The input program is never modified; unchanged functions and blocks are
     shared between the two programs.
     """
-    loc = patch.location
-    fn = program.functions.get(loc.function)
-    if fn is None or loc.block not in fn.blocks:
-        raise PatchError(
-            f"patch {patch.id} no longer applies: {loc.function}:{loc.block} missing"
-        )
-    stmt_id = f"{loc.function}:{loc.block}:patch"
-    patched_block = BasicBlock(
-        id=loc.block,
-        statements=(),
-        terminator=Return(stmt_id, patch.errval.value),
-        line=fn.blocks[loc.block].line,
-    )
-    blocks = dict(fn.blocks)
-    blocks[loc.block] = patched_block
-    functions = dict(program.functions)
-    functions[loc.function] = replace(fn, blocks=blocks)
+    patched = with_returns(program, patch_returns(program, [patch]))
     source_map = dict(program.source_map)
     if patch.line is not None:
         path = next(iter(source_map.values()))[0] if source_map else "<patched>"
-        source_map[stmt_id] = (path, patch.line)
-    return replace(program, functions=functions, source_map=source_map)
+        loc = patch.location
+        source_map[f"{loc.function}:{loc.block}:patch"] = (path, patch.line)
+    return replace(patched, source_map=source_map)
 
 
 def apply_patches(program: IRProgram, patches: list[Patch]) -> IRProgram:

@@ -661,6 +661,27 @@ def call_fanout_program(n: int):
 # ---------------------------------------------------------------------------
 
 
+# A product of two non-constant operands at least this large in magnitude
+# ends the run with status timeout at its statement.
+PRODUCT_LIMIT = 2**4096
+
+# Squares its first input forty times, which the value budget stops, then
+# reads `buf` at its second input.
+SQUARING = """fn main() -> int {
+    let x: int = read_input();
+    let i: int = 0;
+    while (i < 40) {
+        x = x * x;
+        i = i + 1;
+    }
+    let buf: ref = alloc(4);
+    let k: int = read_input();
+    print(buf[k]);
+    return 0;
+}
+"""
+
+
 def reference_run(
     program: IRProgram,
     input_values=(),
@@ -672,7 +693,8 @@ def reference_run(
 
     It re-resolves every expression node and operator on every evaluation
     and ticks one step per statement and terminator; it is the oracle the
-    compiled interpreter is checked against.
+    compiled interpreter is checked against. The heap budget and the value
+    budget (`PRODUCT_LIMIT`) end a run with status timeout.
     """
     if not program.executable:
         raise IRError("program has no executable statement bodies")
@@ -764,7 +786,15 @@ class _Interp:
         if isinstance(expr, Binary):
             left = self.eval(expr.left, env)
             right = self.eval(expr.right, env)
-            return self.binop(expr.op, left, right)
+            value = self.binop(expr.op, left, right)
+            if (
+                expr.op == "*"
+                and not isinstance(expr.left, (IntConst, BoolConst, NilConst))
+                and not isinstance(expr.right, (IntConst, BoolConst, NilConst))
+                and abs(value) >= PRODUCT_LIMIT
+            ):
+                raise _Timeout  # the value budget
+            return value
         raise IRError(f"cannot evaluate {expr!r}")
 
     def binop(self, op, left, right):

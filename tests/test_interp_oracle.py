@@ -36,9 +36,10 @@ from pathpatch.ir import (
     Return,
     Unary,
     Var,
+    with_returns,
 )
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import lower, parse, run_program
+from pathpatch.minilang import interp, lower, parse, run_program
 from pathpatch.minilang.interp import (
     STATUS_COVERED,
     STATUS_FAULT,
@@ -227,12 +228,14 @@ def test_steps_count_every_statement_and_terminator():
 
 
 def test_variants_compile_only_the_patched_function(monkeypatch):
-    """A variant shares every unchanged function with its base program and
-    rebuilds the patched one, which reuses the cached code of every segment
-    but the patched block's: at most one `compile()` call per variant."""
+    """In the checked form, a variant shares every unchanged function with
+    its base program and rebuilds the patched one, which reuses the cached
+    code of every segment but the patched block's: at most one `compile()`
+    call per variant. (Evaluation passes patches as data and compiles no
+    variant at all: see test_fast_form.py.)"""
     program, vuln, suite = load_corpus_entry("bmp_reader")
     for values in [case.input for case in suite.cases] + [suite.exploit.input]:
-        run_program(program, values)
+        run_program(program, values, record_trace=True)
     compiled = {fn_id: fn.compiled for fn_id, fn in program.functions.items()}
     patched = variants(program, vuln)[1:]
     sources = []
@@ -245,7 +248,7 @@ def test_variants_compile_only_the_patched_function(monkeypatch):
     monkeypatch.setattr(builtins, "compile", counting_compile)
     for variant in patched:
         before = len(sources)
-        run_program(variant, suite.exploit.input)
+        run_program(variant, suite.exploit.input, record_trace=True)
         fresh = [
             fn_id
             for fn_id, fn in variant.functions.items()
@@ -255,12 +258,14 @@ def test_variants_compile_only_the_patched_function(monkeypatch):
         assert len(sources) - before <= 1, sources[before:]
 
 
-# Names a generated segment must keep as data: quotes, backslashes, a
-# newline and `#`, and the generated code's own identifiers.
+# Names generated code must keep as data: quotes, backslashes, a newline
+# and `#`, and the identifiers of both forms' generated code.
 HOSTILE = (
     "env", "st", "seg", "bind", "p0", "f", "_t1", "_c0", "step0", "_div", "_aread",
     "_awrite", "_alloc", "_read", "_ir_error", "_Fault", "it's", 'say "hi"', "back\\slash",
     "two\nlines", "# not a comment", "\'\'\'\"\"\"", "x) or (1",
+    "run", "L", "H", "E", "see", "g", "B", "F", "f0", "d", "b", "v0", "x0", "_mul", "_fn",
+    "_print",
 )
 
 
@@ -273,7 +278,7 @@ def hostile_program() -> IRProgram:
     zero in the callee), `a == 2` (assertion), `b == 2` (nil call)."""
     main_name, callee_name = "main'\"\\\n#", "callee\"'#\n\\"
     a, b, env, st, ref, result, flag, nil_ref = (
-        "two\nlines", "_c0", "env", "st", "f", "_t1", "# not a comment", "seg",
+        "two\nlines", "_c0", "env", "st", "g", "_t1", "# not a comment", "seg",
     )
 
     def sid(fn, i):
@@ -304,8 +309,8 @@ def hostile_program() -> IRProgram:
     callee_blocks = {
         "#b0": BasicBlock("#b0", (
             ArrayRead(c(0), "_aread", Var(st), Binary("-", Var(env), IntConst(2))),
-            Assign(c(1), "it's", Binary("%", Var("_aread"), Var("p0"))),
-        ), Return(c(2), Binary("*", Var("it's"), IntConst(-3)))),
+            Assign(c(1), "L", Binary("%", Var("_aread"), Var("v0"))),
+        ), Return(c(2), Binary("*", Var("L"), IntConst(-3)))),
     }
     main = replace(
         make_function({"b": []}, entry="b", name=main_name),
@@ -318,17 +323,19 @@ def hostile_program() -> IRProgram:
         make_function({"b": []}, entry="b", name=callee_name),
         blocks=callee_blocks,
         entry_block="#b0",
-        params=((env, INT), (st, REF), ("p0", INT)),
-        locals={"_aread": INT, "it's": INT},
+        params=((env, INT), (st, REF), ("v0", INT)),
+        locals={"_aread": INT, "L": INT},
     )
     return IRProgram(
         functions={main_name: main, callee_name: callee}, entry=main_name, source_map={}
     )
 
 
-def test_hostile_names_stay_data():
+def test_hostile_names_stay_data(monkeypatch):
     """No name or id can change the generated code: every run, fault ids
-    and backtraces included, matches the reference."""
+    and backtraces included, matches the reference, in the checked form
+    (traced runs) and in the fast form, whose runs here, patches as data
+    on the hostile blocks and watched runs included, never bail."""
     program = hostile_program()
     cases = [(x, y) for x in range(-1, 7) for y in range(-1, 4)] + [(1,), ()]
     results = []
@@ -341,6 +348,24 @@ def test_hostile_names_stay_data():
     # fault ids and call sites come back exactly as written, newline included
     assert any(len(stack) == 2 and "\n# " in stack[0][1] for _, stack in faults)
     assert {r.status for r in results} == {STATUS_OK, STATUS_FAULT, STATUS_INPUT_EXHAUSTED}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fast form bailed")
+
+    monkeypatch.setattr(interp, "_run_checked", refuse)
+    main, callee = program.entry, next(f for f in program.functions if f != program.entry)
+    patched = [{}, {(main, 'b"1'): IntConst(-1)}, {(callee, "#b0"): IntConst(7)}]
+    watch = frozenset({(main, "b\n2"), (callee, "#b0")})
+    for values, traced in zip(cases, results):
+        assert run_program(program, values) == replace(traced, trace=None, calls=None)
+        entered = frozenset(traced.trace) & watch
+        if entered != watch:
+            assert run_program(program, values, watch=watch) == replace(
+                traced, trace=None, calls=None, entered=entered
+            )
+        for returns in patched:
+            expected = reference_run(with_returns(program, returns), values)
+            assert run_program(program, values, patches=returns) == expected
 
 
 def test_malformed_ir_fails_only_where_it_runs():

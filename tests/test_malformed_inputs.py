@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pathpatch.cli import run
 
 from conftest import CORPUS, CORPUS_NAMES
+from helpers import SQUARING
 
 EXIT_CODES = {0, 2, 3, 4}
 GENERATED = settings(
@@ -58,6 +59,8 @@ def edited_graph(edit) -> str:
 
 
 DEEP = "[" * 100_000  # deeper than the JSON decoder's recursion limit
+# more digits than Python converts to an int (4300 by default)
+DIGITS = "1" * 5000
 REPRODUCERS = {
     # --vuln for corpus/bmp_reader.mini
     "vuln-number": ("vuln", "5"),
@@ -66,6 +69,10 @@ REPRODUCERS = {
     "vuln-exploit-string": ("vuln", '{"function": "read_image", "exploit": "abc"}'),
     "vuln-statement-list": ("vuln", '{"function": "read_image", "statement": ["s"]}'),
     "vuln-deep": ("vuln", DEEP),
+    "vuln-line-5000-digits": ("vuln", f'{{"function": "read_image", "line": {DIGITS}}}'),
+    "vuln-exploit-input-5000-digits": (
+        "vuln", f'{{"function": "read_image", "exploit": {{"input": [{DIGITS}]}}}}'
+    ),
     # corpus/abstract.graph.json, edited
     "graph-block-without-id": (
         "graph", edited_graph(lambda doc: doc["functions"][0]["blocks"][0].pop("id"))
@@ -78,6 +85,7 @@ REPRODUCERS = {
     "graph-short-call": ("graph", edited_graph(lambda doc: doc.update(calls=[["f"]]))),
     "graph-document-list": ("graph", "[1]"),
     "graph-deep": ("graph", DEEP),
+    "graph-number-5000-digits": ("graph", f'{{"schema": "x", "functions": [{DIGITS}]}}'),
 }
 
 
@@ -95,6 +103,43 @@ def test_malformed_input_is_an_input_error(tmp_path, case):
     code, out, err = run_captured(argv)
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        f"fn main() -> int {{ return {DIGITS}; }}\n",
+        f"fn main() -> int errval {DIGITS} {{ return 0; }}\n",
+        f"fn main() -> int errval -{DIGITS} {{ return 0; }}\n",
+    ],
+    ids=["expression", "errval", "negative-errval"],
+)
+def test_integer_literal_of_5000_digits_is_an_input_error(tmp_path, source):
+    program = tmp_path / "p.mini"
+    program.write_text(source)
+    vuln = tmp_path / "v.json"
+    vuln.write_text('{"function": "main", "line": 1}')
+    code, out, err = run_captured(["analyze", "--program", program, "--vuln", vuln])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "5000 digits" in err
+
+
+def test_a_squaring_loop_ends_in_a_report(tmp_path):
+    """`x = x * x` forty times would build a number of 2**40 bits; the
+    value budget ends each such run with status timeout instead."""
+    program = tmp_path / "squaring.mini"
+    program.write_text(SQUARING)
+    vuln = tmp_path / "squaring.vuln.json"
+    vuln.write_text('{"function": "main", "line": 10, "exploit": {"input": [3, 9]}}')
+    suite = tmp_path / "squaring.suite"
+    suite.write_text("grows | input: 3, 1 | expect: 0\nstays | input: 1, 2 | expect: 0\n")
+    code, out, err = run_captured(
+        ["all", "--program", program, "--vuln", vuln, "--suite", suite, "--fuzz", "20",
+         "--out", tmp_path / "out"]
+    )
+    assert code == 0, err
+    assert "Traceback" not in out + err
 
 
 def test_program_that_is_not_utf8_is_an_input_error(tmp_path):
