@@ -4,10 +4,10 @@ A program is a set of functions; each function is a control flow graph of
 basic blocks holding straight-line statements and ending in a terminator.
 Every node is a `Record`, which makes it immutable after construction:
 analyses and patch application always build new objects and may share
-unchanged substructure. The exceptions are `IRFunction.compiled`,
-`IRFunction.fast` and `IRProgram.fast`, caches the interpreter fills on
-first execution; they are attributes, not fields, so they are never
-compared, printed or copied by `record.replace`.
+unchanged substructure. The exceptions are `IRFunction.compiled` and
+`IRProgram.fast`, caches the interpreter fills on first execution; they
+are attributes, not fields, so they are never compared, printed or copied
+by `record.replace`.
 
 Conventions:
   - `FunctionId` is the function name (parser enforces uniqueness).
@@ -259,12 +259,10 @@ class IRFunction(Record):
     locals: dict[str, ValueType] = MappingProxyType({})  # a shared default: read-only
     external: bool = False
 
-    # not fields: the interpreter's checked form, set on the first checked
-    # run that reaches the function (one generated Python function per
-    # segment of each block), and its fast form's last generated code, see
-    # minilang.interp
+    # not a field: the interpreter's checked form, set on the first checked
+    # run that reaches the function: one generated Python function per
+    # segment of each block, see minilang.interp
     compiled = None
-    fast = None
 
     def block(self, block_id: BlockId) -> BasicBlock:
         try:

@@ -43,10 +43,10 @@ step countdown and `d` the call depth:
 
   - locals are Python locals `v0`, `v1`, ... and parameters are Python
     parameters;
-  - blocks run in a local dispatch loop, `while 1:` over `if b==i:` tests
-    in block order, so a forward jump falls through to its target and a
-    backward one continues the loop; a block that only its predecessor's
-    jump reaches follows the predecessor's code with no test;
+  - blocks run in a local dispatch loop, `while 1:` over one `if b==i:`
+    test per block in block order, so a forward jump falls through to its
+    target and a backward one continues the loop; an entry block that no
+    block jumps to runs before the loop;
   - calls are native Python calls, `v3=f2(st,L,d+1,...);L=st.L`: a
     return leaves the countdown in `st.L` for its caller;
   - each segment of a block (its statements up to and including a call,
@@ -65,9 +65,9 @@ run uses the first whose guards cover its watched and patched blocks, and
 compiles one otherwise. The harness's probes watch every patched block, so
 the form they compile also serves every patched run and the fuzz run that
 patches all candidates at once: evaluation and fuzzing compile nothing.
-Each function is its own compile unit, kept on the IR function with the
-names and guards its text depends on, so another form of the same program
-or a patched variant compiles only the functions that differ.
+Each function is its own compile unit, and code is cached by its source
+text, so another form of the same program or a patched variant compiles
+only the functions whose text differs.
 
 Faults, input exhaustion and the heap and value budgets are exact in the
 fast form. The whole segment's steps were charged before it ran, and each
@@ -870,13 +870,8 @@ class _FastLowering(_Lowering):
     the call depth; a return stores the countdown in `st.L`, and a caller
     reads it back after the call. Variables are `v<k>` in the order the
     function first names them, parameters first. Helpers get no statement
-    id: the line they are called from names it.
-
-    A block that only its predecessor's jump reaches follows that
-    predecessor's code directly, with no dispatch, and its first segment
-    is charged together with the predecessor's last unless a guard stands
-    between them. The entry block, when no jump reaches it, runs before
-    the dispatch loop.
+    id: the line they are called from names it. The entry block, when no
+    block jumps to it, runs before the dispatch loop.
     """
 
     def __init__(self, program, guards):
@@ -899,28 +894,13 @@ class _FastLowering(_Lowering):
             self.sites[len(self.lines)] = site
 
     def unit(self, name, fn):
-        """`(code, sites, consts)` of IR function `name`. It is kept on
-        the function (`fn.fast`) with what its text and sites depend on
-        besides the function itself: its name, the generated names of the
-        function and its callees, and its guards. So a patched variant,
-        which shares every unchanged function with its base program, and a
-        form with other guards generate and compile only the functions
-        that differ."""
-        calls = (s.callee_name for _, s in fn.statements() if s.kind == "call")
-        key = (
-            name,
-            self.names[name],
-            tuple(self.guards.get((name, bid)) for bid in fn.blocks),
-            tuple(self.names.get(callee) for callee in calls),
-        )
-        kept = fn.fast
-        if kept is None or kept[0] != key:
-            self.consts = {}
-            self.prefix = f"_{self.names[name]}c"
-            source, sites = self.function(name, fn)
-            kept = (key, _code(source, _FAST_FILE), sites, self.consts)
-            object.__setattr__(fn, "fast", kept)
-        return kept[1:]
+        """`(code, sites, consts)` of IR function `name`. Its code comes
+        from `_CODE` when another form, or a patched variant, generated the
+        same text before."""
+        self.consts = {}
+        self.prefix = f"_{self.names[name]}c"
+        source, sites = self.function(name, fn)
+        return _code(source, _FAST_FILE), sites, self.consts
 
     def function(self, name, fn) -> tuple[str, dict]:
         self.lines: list[str] = []
@@ -947,21 +927,12 @@ class _FastLowering(_Lowering):
         for bid in fn.blocks:
             target(bid)
         blocks = list(fn.blocks.values())
-        edges: dict = {}
-        jumped = set()
-        for block in blocks:
-            for succ in block.successors:
-                edges[succ] = edges.get(succ, 0) + 1
-            if isinstance(block.terminator, Jump):
-                jumped.add(block.terminator.target)
-        follows = {
-            bid for bid in jumped
-            if edges[bid] == 1 and bid in fn.blocks and bid != fn.entry_block
-        }
-        heads = [i for i, block in enumerate(blocks) if block.id not in follows]
+        heads = list(range(len(blocks)))
         entry = target(fn.entry_block)
-        if entry < len(blocks) and fn.entry_block not in edges:
-            self.chain(name, fn, blocks[entry], follows, 1, target, None)
+        if entry < len(blocks) and all(fn.entry_block not in b.successors for b in blocks):
+            # nothing jumps to the entry block: it runs once, before the loop,
+            # with no dispatch test and less indentation, a shorter text
+            self.block(name, blocks[entry], target, None, 1)
             heads.remove(entry)
         else:
             self.emit(1, f"b={entry}")
@@ -969,49 +940,33 @@ class _FastLowering(_Lowering):
             self.emit(1, "while 1:")
             for i in heads:
                 self.emit(2, f"if b=={i}:")
-                self.chain(name, fn, blocks[i], follows, 3, target, i)
+                self.block(name, blocks[i], target, i, 3)
             for i in range(len(blocks), len(index)):
                 # no such block: the checked form raises KeyError
                 self.emit(2, f"if b=={i}:raise B")
         return "\n".join(self.lines) + "\n", self.sites
 
-    def chain(self, name, fn, block, follows, depth, target, head) -> None:
-        """`block`, then each block that follows its predecessor's jump;
-        `head` is the chain's index in the dispatch loop, None before it."""
-        chain = [block]
-        while isinstance(block.terminator, Jump) and block.terminator.target in follows:
-            block = fn.blocks[block.terminator.target]
-            chain.append(block)
-        # (guard, steps) per charge; a step is (kind, statement, block)
-        pieces: list[tuple[object, list]] = []
-        for block in chain:
-            guard = self.guards.get((name, block.id))
-            segments = [
-                [("s", s, block) for s in stmts]
-                + [("c", call, block) if call else ("t", None, block)]
-                for stmts, call in _segments(block)
-            ]
-            if pieces and guard is None:
-                pieces[-1][1].extend(segments.pop(0))
-            pieces += [(guard if k == 0 else None, steps) for k, steps in enumerate(segments)]
-        last = chain[-1]
-        for guard, steps in pieces:
-            if guard is not None:
-                self.emit(depth, f"if {guard} in st.H and _g(st,{guard}):return _ret(st,L,{guard})")
-            ids = [_step_id(kind, stmt, block) for kind, stmt, block in steps]
+    def block(self, name, block, target, head, depth) -> None:
+        """Block `head` of the dispatch loop (None: before the loop) at
+        indentation `depth`: its guard, if it has one, then each segment,
+        charged in one subtraction."""
+        guard = self.guards.get((name, block.id))
+        if guard is not None:
+            self.emit(depth, f"if {guard} in st.H and _g(st,{guard}):return _ret(st,L,{guard})")
+        for stmts, call in _segments(block):
+            ids = [s.id for s in stmts] + [call.id if call else _term_id(block)]
             n = len(ids)
             first: dict = {}
             for k, sid in enumerate(ids):
                 first.setdefault(sid, k)
+            sites = [None if sid is None else (name, sid, first[sid] + 1 - n) for sid in ids]
             self.emit(depth, f"if (L:=L-{n})<0:raise B")
-            for (kind, stmt, block), sid in zip(steps, ids):
-                site = None if sid is None else (name, sid, first[sid] + 1 - n)
-                if kind == "s":
-                    self.emit(depth, self.statement(stmt), site)
-                elif kind == "c":
-                    self.emit(depth, self.call(stmt), site)
-                elif block is last:
-                    self.emit(depth, self.terminator(block, target, head), site)
+            for stmt, site in zip(stmts, sites):
+                self.emit(depth, self.statement(stmt), site)
+            if call:
+                self.emit(depth, self.call(call), sites[-1])
+            else:
+                self.emit(depth, self.terminator(block, target, head), sites[-1])
 
     def call(self, stmt) -> str:
         """The call, then the countdown the callee left in `st.L`."""
@@ -1027,8 +982,9 @@ class _FastLowering(_Lowering):
         return call + ";L=st.L"
 
     def terminator(self, block, target, head) -> str:
-        """The block's terminator; a jump back to the chain at `head` or
-        before it continues the dispatch loop."""
+        """The terminator of block `head` (None: before the loop); a jump
+        back to it or before it continues the dispatch loop, a forward one
+        falls through."""
         term = block.terminator
         if isinstance(term, Jump):
             t = target(term.target)
@@ -1046,11 +1002,9 @@ class _FastLowering(_Lowering):
         return "raise B"
 
 
-def _step_id(kind, stmt, block):
-    """The statement id of a step: a statement's or call's own, a branch's
-    or return's, or None for a jump, a halt and a missing terminator."""
-    if kind != "t":
-        return stmt.id
+def _term_id(block):
+    """The statement id of a block's terminator step: a branch's or
+    return's, or None for a jump, a halt and a missing terminator."""
     term = block.terminator
     return term.id if isinstance(term, (Branch, Return)) else None
 

@@ -18,7 +18,22 @@ import pytest
 from pathpatch import harness, synth
 from pathpatch.checks import fuzz_vulnerability
 from pathpatch.harness import evaluate_patches
-from pathpatch.ir import IntConst, IRError
+from pathpatch.ir import (
+    INT,
+    Assign,
+    BasicBlock,
+    Binary,
+    Branch,
+    IntConst,
+    IRError,
+    IRFunction,
+    IRProgram,
+    Jump,
+    Print,
+    Return,
+    Var,
+    with_returns,
+)
 from pathpatch.locate import CandidatePatchLocation, candidate_locations
 from pathpatch.minilang import interp, lower, parse, run_program
 from pathpatch.minilang.interp import (
@@ -178,6 +193,30 @@ def test_random_programs_with_patches_as_data_match_the_reference(fast_only):
             for budget in (SHALLOW_BUDGET, 50, 7):
                 assert_fast(program, applied, (), max_steps=budget)
             assert_fast(program, applied, (), watch=watch, max_steps=SHALLOW_BUDGET)
+
+
+def test_a_loop_back_to_the_entry_block_matches_the_reference(fast_only):
+    """The fast form runs the entry block before its dispatch loop only
+    when no block jumps to it; here a branch and a jump both do."""
+    x = Var("x")
+    blocks = {
+        "top": BasicBlock("top", (Assign("s0", "x", Binary("+", x, IntConst(1))),), Branch(
+            "br", Binary("<", x, IntConst(2)), "top", "again"
+        )),
+        "again": BasicBlock("again", (Print("s1", x),), Branch(
+            "br2", Binary("<", x, IntConst(5)), "more", "out"
+        )),
+        "more": BasicBlock("more", (), Jump("top")),
+        "out": BasicBlock("out", (), Return("ret", x)),
+    }
+    main = IRFunction("main", "main", (), INT, blocks, "top", locals={"x": INT})
+    program = IRProgram(functions={"main": main}, entry="main", source_map={})
+    for patches in ({}, {("main", "again"): IntConst(-1)}, {("main", "top"): IntConst(-2)}):
+        expected = reference_run(with_returns(program, patches), ())
+        assert run_program(program, (), patches=patches) == expected
+    watch = frozenset({("main", "again"), ("main", "out")})
+    assert run_program(program, (), watch=watch).status == STATUS_COVERED
+    assert reference_run(program, ()).output == (2, 3, 4, 5)
 
 
 def test_a_patch_of_no_block_is_an_ir_error():

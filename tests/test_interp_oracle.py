@@ -271,14 +271,15 @@ HOSTILE = (
 
 def hostile_program() -> IRProgram:
     """`main` reads two inputs `a` and `b` (held in variables named
-    "two\\nlines" and "_c0") and calls `callee` through a function
-    reference; every name and id is one of HOSTILE or holds quotes, a
+    "two\\nlines" and "_c0") and calls `callee(env, st, p0, v0)` through a
+    function reference, with `v0` 1; every name and id is one of HOSTILE
+    or holds quotes, a
     backslash, a newline and `#`. Faults: `b` outside 0..2 (oob
     in main), `a` outside 1..3 (oob in the callee), `b == 0` (division by
     zero in the callee), `a == 2` (assertion), `b == 2` (nil call)."""
     main_name, callee_name = "main'\"\\\n#", "callee\"'#\n\\"
     a, b, env, st, ref, result, flag, nil_ref = (
-        "two\nlines", "_c0", "env", "st", "g", "_t1", "# not a comment", "seg",
+        "two\nlines", "_c0", "env", "st", "f", "_t1", "# not a comment", "seg",
     )
 
     def sid(fn, i):
@@ -293,7 +294,7 @@ def hostile_program() -> IRProgram:
             ArrayAlloc(m(3), st, IntConst(3)),
             ArrayWrite(m(4), Var(st), Var(b), Var(env)),
             Assign(m(5), ref, FuncRef(callee_name)),
-            Call(m(6), result, None, ref, (Var(env), Var(st), Var(b))),
+            Call(m(6), result, None, ref, (Var(env), Var(st), Var(b), IntConst(1))),
             Print(m(7), Binary("/", Var(result), Binary("-", Var(b), IntConst(7)))),
             Assertion(m(8), Binary("!=", Var(env), IntConst(3))),
         ), Branch(
@@ -309,8 +310,9 @@ def hostile_program() -> IRProgram:
     callee_blocks = {
         "#b0": BasicBlock("#b0", (
             ArrayRead(c(0), "_aread", Var(st), Binary("-", Var(env), IntConst(2))),
-            Assign(c(1), "L", Binary("%", Var("_aread"), Var("v0"))),
-        ), Return(c(2), Binary("*", Var("L"), IntConst(-3)))),
+            Assign(c(1), "it's", Binary("%", Var("_aread"), Var("p0"))),
+            Assign(c(2), "L", Binary("*", Var("it's"), Var("v0"))),
+        ), Return(c(3), Binary("*", Var("L"), IntConst(-3)))),
     }
     main = replace(
         make_function({"b": []}, entry="b", name=main_name),
@@ -323,8 +325,8 @@ def hostile_program() -> IRProgram:
         make_function({"b": []}, entry="b", name=callee_name),
         blocks=callee_blocks,
         entry_block="#b0",
-        params=((env, INT), (st, REF), ("v0", INT)),
-        locals={"_aread": INT, "L": INT},
+        params=((env, INT), (st, REF), ("p0", INT), ("v0", INT)),
+        locals={"_aread": INT, "it's": INT, "L": INT},
     )
     return IRProgram(
         functions={main_name: main, callee_name: callee}, entry=main_name, source_map={}
