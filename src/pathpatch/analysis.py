@@ -1,10 +1,12 @@
 """Intraprocedural CFG analyses and the interprocedural call graph.
 
 Postdominance is computed against a synthetic exit node that joins every
-return/halt block, using the classic set-intersection fixpoint on the
-reversed CFG. Control dependence follows from it: block B depends on
-conditional A's edge k exactly when B postdominates A's k-th successor
-(or is that successor) but does not postdominate A itself.
+return/halt block, as the dominator tree of the reversed CFG; dominator
+trees come from the iterative algorithm of Cooper, Harvey & Kennedy, in
+time and memory near-linear in the blocks. Control dependence follows from
+it: block B depends on conditional A's edge k exactly when B postdominates
+A's k-th successor (or is that successor) but does not postdominate A
+itself.
 """
 
 from __future__ import annotations
@@ -53,91 +55,93 @@ class PostDominators(Record):
     ipdom: dict[str, str]
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        # not a field: the query cache of `chain`, so it never takes part in
-        # equality
-        object.__setattr__(self, "_chains", {})
 
-    def chain(self, block: str) -> frozenset:
-        """The set {block} ∪ all its postdominators (including EXIT)."""
-        cached = self._chains.get(block)
-        if cached is not None:
-            return cached
-        members = set()
-        cur = block
-        while cur != EXIT:
-            members.add(cur)
-            cur = self.ipdom[cur]
-        members.add(EXIT)
-        result = frozenset(members)
-        self._chains[block] = result
-        return result
+def _reverse_postorder(root: str, successors: dict) -> list[str]:
+    """The nodes reachable from `root`, in reverse postorder of a depth-first
+    walk over `successors`; a node comes after every node that dominates
+    it."""
+    order = []
+    seen = {root}
+    stack = [(root, iter(successors[root]))]
+    while stack:
+        node, pending = stack[-1]
+        for nxt in pending:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, iter(successors[nxt])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    order.reverse()
+    return order
 
-    def postdominates(self, a: str, b: str) -> bool:
-        """True iff a postdominates b (reflexively; EXIT postdominates all)."""
-        if a == EXIT:
-            return True
-        return a in self.chain(b)
+
+def _immediate_dominators(order: list[str], predecessors: dict) -> list[int]:
+    """Immediate dominators of `order`, a reverse postorder from the root
+    `order[0]`, as indices into `order`; the root is its own. Cooper, Harvey
+    & Kennedy, "A Simple, Fast Dominance Algorithm" (2001): in reverse
+    postorder a dominator has the smaller index, so two dominator-tree
+    paths meet where the larger index stops climbing."""
+    number = {node: i for i, node in enumerate(order)}
+    preds = [[number[p] for p in predecessors[node] if p in number] for node in order]
+    idom = [0] + [-1] * (len(order) - 1)
+    changed = True
+    while changed:
+        changed = False
+        for b in range(1, len(order)):
+            new = -1
+            for p in preds[b]:
+                if idom[p] < 0:
+                    continue  # not reached yet in this pass
+                if new < 0:
+                    new = p
+                    continue
+                while p != new:
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            if new != idom[b]:
+                idom[b] = new
+                changed = True
+    return idom
 
 
 def compute_postdominators(fn: IRFunction) -> PostDominators:
     """Immediate postdominators of every block, against a synthetic exit.
 
-    Blocks that cannot reach any exit (a cycle with no way out) are attached
-    directly to the synthetic exit; each gets a note in the result's
-    `warnings`, in `fn.blocks` order. Nothing is raised.
+    The dominator tree of the reversed CFG rooted at the exit; successors
+    that cannot reach an exit place no constraint, since no path through
+    them arrives there. Blocks that cannot reach any exit (a cycle with no
+    way out) are attached directly to the synthetic exit; each gets a note
+    in the result's `warnings`, in `fn.blocks` order. Nothing is raised.
     """
-    succs = successors_map(fn)
-    exit_blocks = [bid for bid, blk in fn.blocks.items() if not blk.successors]
-
-    # Blocks that reach some exit, via reverse reachability.
-    reaching: set[str] = set(exit_blocks)
-    preds = predecessors_map(fn)
-    stack = list(exit_blocks)
-    while stack:
-        cur = stack.pop()
-        for p in preds[cur]:
-            if p not in reaching:
-                reaching.add(p)
-                stack.append(p)
-
-    universe = set(reaching) | {EXIT}
-    pdom: dict[str, set[str]] = {bid: set(universe) for bid in reaching}
-    pdom[EXIT] = {EXIT}
-
-    order = sorted(reaching, key=block_sort_key, reverse=True)
-    changed = True
-    while changed:
-        changed = False
-        for bid in order:
-            outs = succs[bid]
-            if not outs:
-                succ_sets = [pdom[EXIT]]
-            else:
-                # Paths through non-reaching successors never arrive at the
-                # exit, so they place no constraint on postdominance.
-                succ_sets = [pdom[s] for s in outs if s in reaching]
-                if not succ_sets:
-                    continue
-            new = {bid} | set.intersection(*succ_sets)
-            if new != pdom[bid]:
-                pdom[bid] = new
-                changed = True
+    exits = []
+    preds: dict = {bid: [] for bid in fn.blocks}
+    succs: dict = {}
+    for bid, blk in fn.blocks.items():
+        outs = blk.successors
+        succs[bid] = outs or (EXIT,)
+        if not outs:
+            exits.append(bid)
+        for target in outs:
+            preds[target].append(bid)
+    preds[EXIT] = exits
+    succs[EXIT] = ()
+    order = _reverse_postorder(EXIT, preds)
+    idom = _immediate_dominators(order, succs)
+    reaching = dict(zip(order, idom))
 
     ipdom: dict[str, str] = {}
     warns: list[str] = []
     for bid in fn.blocks:
-        if bid not in reaching:
+        index = reaching.get(bid)
+        if index is None:
             ipdom[bid] = EXIT
             warns.append(f"{fn.id}:{bid} cannot reach any exit; attached to exit")
-            continue
-        strict = pdom[bid] - {bid}
-        # The immediate postdominator is the strict postdominator farthest
-        # from the exit, i.e. with the largest postdominator set of its own.
-        ipdom[bid] = max(
-            strict,
-            key=lambda p: (len(pdom[p]) if p != EXIT else 1, block_sort_key(p)),
-        )
+        else:
+            ipdom[bid] = order[index]
     return PostDominators(ipdom=ipdom, warnings=tuple(warns))
 
 
@@ -146,51 +150,37 @@ def compute_postdominators(fn: IRFunction) -> PostDominators:
 # ---------------------------------------------------------------------------
 
 
-def compute_dominators(fn: IRFunction) -> dict[str, frozenset]:
-    """Dominator sets over blocks reachable from the function entry."""
-    entry = fn.entry_block
-    succs = successors_map(fn)
-    reachable = {entry}
-    stack = [entry]
-    while stack:
-        for s in succs[stack.pop()]:
-            if s not in reachable:
-                reachable.add(s)
-                stack.append(s)
-    preds = {bid: [] for bid in reachable}
-    for bid in reachable:
-        for s in succs[bid]:
-            if s in reachable:
-                preds[s].append(bid)
-
-    dom: dict[str, set[str]] = {bid: set(reachable) for bid in reachable}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for bid in sorted(reachable, key=block_sort_key):
-            if bid == entry:
-                continue
-            if preds[bid]:
-                new = {bid} | set.intersection(*(dom[p] for p in preds[bid]))
-            else:
-                new = {bid}
-            if new != dom[bid]:
-                dom[bid] = new
-                changed = True
-    return {bid: frozenset(members) for bid, members in dom.items()}
-
-
 def back_edges(fn: IRFunction) -> frozenset[tuple[str, str]]:
-    """Edges u→v where v dominates u; these close loops in structured CFGs."""
-    dom = compute_dominators(fn)
+    """Edges u→v where v dominates u; these close loops in structured CFGs.
+
+    Blocks the entry cannot reach have no dominators and no back edges.
+    Dominance is read off preorder intervals of the dominator tree: v
+    dominates u exactly when u's preorder number lies in v's subtree.
+    """
+    succs = successors_map(fn)
+    order = _reverse_postorder(fn.entry_block, succs)
+    idom = _immediate_dominators(order, predecessors_map(fn))
+    n = len(order)
+    children: list[list[int]] = [[] for _ in range(n)]
+    size = [1] * n
+    for b in range(n - 1, 0, -1):  # a node's index exceeds its dominator's
+        children[idom[b]].append(b)
+        size[idom[b]] += size[b]
+    pre = [0] * n
+    stack = [0]
+    counter = 0
+    while stack:
+        b = stack.pop()
+        pre[b] = counter
+        counter += 1
+        stack.extend(children[b])
+    number = {node: i for i, node in enumerate(order)}
     result = set()
-    for bid, blk in fn.blocks.items():
-        if bid not in dom:
-            continue
-        for target in blk.successors:
-            if target in dom.get(bid, frozenset()):
-                result.add((bid, target))
+    for u, i in number.items():
+        for v in succs[u]:
+            j = number[v]
+            if pre[j] <= pre[i] < pre[j] + size[j]:
+                result.add((u, v))
     return frozenset(result)
 
 
@@ -243,6 +233,17 @@ def compute_control_dependencies(
 ) -> ControlDepGraph:
     if pdoms is None:
         pdoms = compute_postdominators(fn)
+    ipdom = pdoms.ipdom
+    depth = {EXIT: 0}  # in the postdominator tree
+    for bid in fn.blocks:
+        climb = []
+        while bid not in depth:
+            climb.append(bid)
+            bid = ipdom[bid]
+        d = depth[bid]
+        for bid in reversed(climb):
+            d += 1
+            depth[bid] = d
     deps: list[ControlDep] = []
     for bid in sorted(fn.blocks, key=block_sort_key):
         blk = fn.blocks[bid]
@@ -250,13 +251,17 @@ def compute_control_dependencies(
             continue
         term: Branch = blk.terminator
         for k, succ in enumerate((term.then_target, term.else_target)):
-            # Walk the postdominator chain upward from the successor until a
-            # node that postdominates the conditional itself; everything
-            # strictly before that point is governed by this edge.
-            cur = succ
-            while not pdoms.postdominates(cur, bid):
-                deps.append(ControlDep(governed=cur, governor=bid, branch_index=k))
-                cur = pdoms.ipdom[cur]
+            # Climb from the successor and from the conditional to where
+            # their postdominator chains meet, always moving the deeper
+            # one: every block the successor's side passes strictly before
+            # that point is governed by this edge.
+            cur, stop = succ, bid
+            while cur != stop:
+                if depth[cur] >= depth[stop]:
+                    deps.append(ControlDep(cur, bid, k))  # governed, governor, edge
+                    cur = ipdom[cur]
+                else:
+                    stop = ipdom[stop]
     deps.sort(key=lambda d: (block_sort_key(d.governed), block_sort_key(d.governor), d.branch_index))
     return ControlDepGraph(deps=tuple(deps))
 

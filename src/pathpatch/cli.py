@@ -2,7 +2,7 @@
 
 Three subcommands mirror the pipeline stages, plus one that chains them:
 
-    pathpatch analyze  --program P --vuln V [--out DIR] [--cap N]
+    pathpatch analyze  --program P --vuln V [--out DIR]
     pathpatch locate   --program P --vuln V [--out DIR]
     pathpatch evaluate --program P --vuln V --suite S [--out DIR] [--fuzz N]
                        [--seed N] [--max-steps N] [--max-heap-cells N] [--jobs N]
@@ -18,13 +18,21 @@ vulnerable statement instead. Every subcommand builds the program path
 graph once and shares it between phases, and every subcommand but analyze
 computes the candidate locations once.
 
-`analyze` writes `path_graph.json` (schema `path-graph@2`). It lists each
+`analyze` writes `path_graph.json` (schema `path-graph@3`). It lists each
 distinct frame (function and call site) once under `frames`, with an `id`,
-its path DAG's blocks and edges, its governing conditionals and its own
-`path_count`. `chain_count` counts the call chains, and `call_chains`
-lists each as frame ids, entry first, while `chain_count <= --cap`; the
-top-level `path_count` counts the maximal paths, and `paths` lists them
-while `path_count <= --cap`.
+its path DAG's blocks and edges, its governing conditionals, its own
+`path_count`, and `next`: the ids of the frames that follow it on some
+call chain, in the order the chain search tries the call edges. Each edge
+`[source, target, branch, increment]` carries its Ball–Larus increment,
+so a frame's paths are numbered 0 .. path_count - 1 by the sum of the
+increments along them. The call chains, in order, are the walks that
+start at an entry frame (one that no `next` names, in id order), follow
+`next` in its order, repeat no function and end at the vulnerable frame
+(the one with an empty `next`); with recursion the frames can form a
+cycle, which no chain closes.
+`chain_count` counts the chains, and the top-level `path_count` the
+maximal paths. No chain or path is listed, so the document grows with the
+frames and their DAGs, not with the chains or paths.
 
 Diagnostics are data: the path graph's notes go to `path_graph.json` and,
 once per run of every subcommand, to `note:` lines on stderr; the
@@ -58,12 +66,11 @@ from .locate import candidate_locations
 from .minilang import FrontendError, load_program
 from .minilang.interp import DEFAULT_MAX_STEPS
 from .paths import (
-    DEFAULT_ENUMERATION_CAP,
     Exploit,
     build_program_path_graph,
     count_frame_paths,
     count_paths,
-    enumerate_paths,
+    path_increments,
     resolve_vulnerability,
 )
 from .synth import patch_returns, synthesize_patches
@@ -93,13 +100,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--program", required=True, help="program file (.mini or .json)")
         cmd.add_argument("--vuln", help="vulnerability spec file (JSON)")
         cmd.add_argument("--out", help="directory for result files")
-        if name in ("analyze", "all"):
-            cmd.add_argument(
-                "--cap",
-                type=int,
-                default=DEFAULT_ENUMERATION_CAP,
-                help="maximal-path enumeration cap",
-            )
         if name in ("evaluate", "all"):
             cmd.add_argument("--suite", help="test suite file")
             cmd.add_argument(
@@ -130,8 +130,6 @@ def input_file(name: str, what: str) -> Path:
 
 def load_inputs(args):
     """Load program and vulnerability spec; returns (program, vuln)."""
-    if "cap" in args and args.cap < 1:
-        raise UsageError("--cap must be at least 1")
     if "jobs" in args and args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     if "max_steps" in args and args.max_steps < 1:
@@ -214,34 +212,44 @@ def write_out(args, name: str, text: str) -> None:
         (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def path_graph_document(program, ppg, cap: int) -> dict:
-    """The `path-graph@2` document: each distinct frame once, chains as
-    lists of frame ids while `chain_count <= cap`, and the maximal paths
-    while `path_count <= cap`."""
-    ids: dict = {}  # Frame -> its id, the index of its entry in `frames`
-    frames = []
+def path_graph_document(program, ppg) -> dict:
+    """The `path-graph@3` document: each distinct frame once, with the
+    frames that follow it on some chain and its DAG's Ball–Larus
+    increments; no chain or path is listed."""
+    follows: dict = {}  # Frame -> its FramePaths and the frames after it
     for chain_paths in ppg.chains:
-        for fp in chain_paths.frames:
-            if fp.frame in ids:
-                continue
-            ids[fp.frame] = len(frames)
-            blocks = program.functions[fp.frame.function].blocks
-            frames.append(
-                {
-                    "id": len(frames),
-                    "function": fp.frame.function,
-                    "target_statement": fp.target_statement,
-                    "blocks": [
-                        {"id": b, "conditional": b in fp.conditional, "line": blocks[b].line}
-                        for b in fp.dag.blocks
-                    ],
-                    "edges": [list(e) for e in fp.dag.edges],
-                    "governing_conditionals": [list(g) for g in fp.governing],
-                    "path_count": count_frame_paths(fp.dag),
-                }
-            )
-    doc = {
-        "schema": "path-graph@2",
+        chain = chain_paths.frames
+        for fp, after in zip(chain, chain[1:] + (None,)):
+            entry = follows.setdefault(fp.frame, (fp, set()))
+            if after is not None:
+                entry[1].add(after.frame)
+    ids = {frame: i for i, frame in enumerate(follows)}  # first appearance
+    frames = []
+    for fp, after in follows.values():
+        blocks = program.functions[fp.frame.function].blocks
+        # in the order the call-chain search tries the call edges: by call
+        # site, then callee, and then the callee's own call site
+        followers = sorted(after, key=lambda f: (f.function, f.call_site or ""))
+        frames.append(
+            {
+                "id": ids[fp.frame],
+                "function": fp.frame.function,
+                "target_statement": fp.target_statement,
+                "blocks": [
+                    {"id": b, "conditional": b in fp.conditional, "line": blocks[b].line}
+                    for b in fp.dag.blocks
+                ],
+                "edges": [
+                    [*edge, inc]
+                    for edge, inc in zip(fp.dag.edges, path_increments(fp.dag))
+                ],
+                "governing_conditionals": [list(g) for g in fp.governing],
+                "path_count": count_frame_paths(fp.dag),
+                "next": [ids[f] for f in followers],
+            }
+        )
+    return {
+        "schema": "path-graph@3",
         "vulnerability": {
             "function": ppg.vulnerability.function,
             "statement": ppg.vulnerability.statement,
@@ -251,19 +259,10 @@ def path_graph_document(program, ppg, cap: int) -> dict:
         "path_count": count_paths(ppg),
         "diagnostics": list(ppg.diagnostics),
     }
-    if doc["chain_count"] <= cap:
-        doc["call_chains"] = [
-            [ids[fp.frame] for fp in chain_paths.frames] for chain_paths in ppg.chains
-        ]
-    if doc["path_count"] <= cap:
-        doc["paths"] = [
-            ["/".join(entry) for entry in path] for path in enumerate_paths(ppg, cap=cap)
-        ]
-    return doc
 
 
 def cmd_analyze(args, program, vuln, ppg) -> int:
-    doc = path_graph_document(program, ppg, args.cap)
+    doc = path_graph_document(program, ppg)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_out(args, "path_graph.json", text)
     print(

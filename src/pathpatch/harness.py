@@ -175,9 +175,20 @@ def _verdict(case: TestCase, result: ExecutionResult) -> CaseVerdict:
         return CaseVerdict(
             case.name,
             False,
-            f"output {list(result.output)} != expected {list(case.expect)}",
+            f"output {_listed(result.output)} != expected {_listed(case.expect)}",
         )
     return CaseVerdict(case.name, True, "ok")
+
+
+def _listed(values) -> str:
+    """`values` written as a list, but an integer of more than 10,000 bits
+    as its size: Python refuses decimal text past 4,300 digits."""
+    return "[" + ", ".join(
+        f"<{v.bit_length()}-bit integer>"
+        if isinstance(v, int) and v.bit_length() > 10_000
+        else repr(v)
+        for v in values
+    ) + "]"
 
 
 def _blocked(exploit: Exploit, result: ExecutionResult) -> bool:

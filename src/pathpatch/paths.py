@@ -425,10 +425,8 @@ def _frame_paths(dag: PathDag) -> list[tuple[str, ...]]:
     return results
 
 
-def count_frame_paths(dag: PathDag) -> int:
-    """Number of source -> target paths of one frame DAG."""
-    if dag.empty:
-        return 0
+def _paths_to_target(dag: PathDag) -> dict[str, int]:
+    """Per block of a non-empty frame DAG, its number of paths to the target."""
     counts = {dag.target: 1}
     stack = [dag.source]
     while stack:
@@ -443,7 +441,28 @@ def count_frame_paths(dag: PathDag) -> int:
         else:
             stack.pop()
             counts[block] = sum(counts[nxt] for nxt in successors)
-    return counts[dag.source]
+    return counts
+
+
+def count_frame_paths(dag: PathDag) -> int:
+    """Number of source -> target paths of one frame DAG."""
+    return _paths_to_target(dag)[dag.source] if not dag.empty else 0
+
+
+def path_increments(dag: PathDag) -> tuple[int, ...]:
+    """Ball–Larus path numbering ("Efficient Path Profiling", MICRO 1996):
+    per edge of a non-empty `dag.edges`, its increment, the number of paths
+    that leave the edge's source by an earlier edge. Along each source ->
+    target path the increments add up to the path's index in
+    `enumerate_paths` order, an integer in [0, count_frame_paths(dag))."""
+    counts = _paths_to_target(dag)
+    earlier: dict[str, int] = {}
+    increments = []
+    for src, dst, _ in dag.edges:
+        taken = earlier.get(src, 0)
+        increments.append(taken)
+        earlier[src] = taken + counts[dst]
+    return tuple(increments)
 
 
 def count_paths(ppg: ProgramPathGraph) -> int:

@@ -2,11 +2,14 @@
 brute-force oracles the analyses are checked against.
 
 The oracles deliberately avoid the production algorithms: postdominance is
-derived from exhaustive simple-path enumeration, interprocedural paths
-from a direct depth-first search with a no-repeat cutoff, the path graph
-from a frame-by-frame build along every chain (`reference_path_graph`),
-its document from writing every chain's frames out in full
-(`reference_path_graph_document`, the `path-graph@1` schema),
+derived from exhaustive simple-path enumeration, and the dominator trees
+from per-block set fixpoints (`reference_postdominators`,
+`reference_back_edges`); interprocedural paths from a direct depth-first
+search with a no-repeat cutoff, the path graph from a frame-by-frame build
+along every chain (`reference_path_graph`), its document from writing
+every chain's frames out in full (`reference_path_graph_document`, the
+`path-graph@1` schema, which `expand_path_graph_document` rebuilds from a
+`path-graph@3` document by walking `next` and decoding every path number),
 candidates from a recursive walk of every frame occurrence
 (`reference_candidate_locations`), execution from a plain
 tree-walking interpreter (`reference_run`), and patch evaluation from
@@ -23,6 +26,7 @@ from fractions import Fraction
 
 from pathpatch.analysis import (
     EXIT,
+    PostDominators,
     build_call_graph,
     compute_control_dependencies,
     compute_postdominators,
@@ -243,6 +247,102 @@ def bf_control_deps(fn: IRFunction) -> set[tuple[str, str, int]]:
                 if candidate in pdom[succ] and candidate not in pdom[bid]:
                     deps.add((candidate, bid, k))
     return deps
+
+
+def random_wild_cfg(rng: random.Random, max_blocks: int = 9) -> IRFunction:
+    """Random CFG with any successors: blocks the entry cannot reach, blocks
+    that cannot reach an exit, and irreducible cycles all occur."""
+    n = rng.randint(1, max_blocks)
+    return make_function(
+        {
+            f"n{i}": [f"n{rng.randrange(n)}" for _ in range(rng.choice((0, 1, 1, 2, 2)))]
+            for i in range(n)
+        },
+        entry="n0",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Set-based dominance: the per-block set fixpoints, as the reference for the
+# dominator trees
+# ---------------------------------------------------------------------------
+
+
+def reference_postdominators(fn: IRFunction) -> PostDominators:
+    """Postdominator sets iterated to a fixpoint on the reversed CFG, then
+    each block's immediate postdominator picked from its set; blocks that
+    cannot reach an exit are attached to it with a note."""
+    succs = successor_map(fn)
+    exit_blocks = [bid for bid, blk in fn.blocks.items() if not blk.successors]
+    preds: dict[str, list[str]] = {bid: [] for bid in fn.blocks}
+    for bid, outs in succs.items():
+        for target in outs:
+            preds[target].append(bid)
+    reaching: set[str] = set(exit_blocks)
+    stack = list(exit_blocks)
+    while stack:
+        for p in preds[stack.pop()]:
+            if p not in reaching:
+                reaching.add(p)
+                stack.append(p)
+
+    pdom: dict[str, set[str]] = {bid: reaching | {EXIT} for bid in reaching}
+    pdom[EXIT] = {EXIT}
+    changed = True
+    while changed:
+        changed = False
+        for bid in sorted(reaching, key=block_sort_key, reverse=True):
+            outs = [s for s in succs[bid] if s in reaching] or [EXIT]
+            new = {bid} | set.intersection(*(pdom[s] for s in outs))
+            if new != pdom[bid]:
+                pdom[bid] = new
+                changed = True
+
+    ipdom: dict[str, str] = {}
+    warns: list[str] = []
+    for bid in fn.blocks:
+        if bid not in reaching:
+            ipdom[bid] = EXIT
+            warns.append(f"{fn.id}:{bid} cannot reach any exit; attached to exit")
+            continue
+        # the strict postdominator farthest from the exit: the one with
+        # the largest postdominator set of its own
+        ipdom[bid] = max(
+            pdom[bid] - {bid},
+            key=lambda p: (len(pdom[p]) if p != EXIT else 1, block_sort_key(p)),
+        )
+    return PostDominators(ipdom=ipdom, warnings=tuple(warns))
+
+
+def reference_back_edges(fn: IRFunction) -> frozenset[tuple[str, str]]:
+    """Edges u→v where v is in u's dominator set, the sets iterated to a
+    fixpoint over the blocks the entry reaches."""
+    entry = fn.entry_block
+    succs = successor_map(fn)
+    reachable = {entry}
+    stack = [entry]
+    while stack:
+        for s in succs[stack.pop()]:
+            if s not in reachable:
+                reachable.add(s)
+                stack.append(s)
+    preds: dict[str, list[str]] = {bid: [] for bid in reachable}
+    for bid in reachable:
+        for s in succs[bid]:
+            preds[s].append(bid)
+    dom = {bid: set(reachable) for bid in reachable}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for bid in sorted(reachable - {entry}, key=block_sort_key):
+            new = {bid} | set.intersection(*(dom[p] for p in preds[bid]))
+            if new != dom[bid]:
+                dom[bid] = new
+                changed = True
+    return frozenset(
+        (bid, target) for bid in reachable for target in succs[bid] if target in dom[bid]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +636,90 @@ def reference_path_graph_document(program: IRProgram, ppg: ProgramPathGraph, cap
     return doc
 
 
-def expand_path_graph_document(doc: dict) -> dict:
-    """A `path-graph@2` document written back as `path-graph@1`: each chain's
-    frame ids replaced by the frames, without their `id` and `path_count`.
-    The document must list its `call_chains`."""
+def frame_walks(doc: dict) -> list[list[int]]:
+    """The call chains of a `path-graph@3` document, as lists of frame ids:
+    from each entry frame (one that no `next` names, in id order), every
+    walk along `next`, in its order, that repeats no function and ends at
+    the vulnerable frame (the one with an empty `next`)."""
+    frames = doc["frames"]
+    named = {i for frame in frames for i in frame["next"]}
+    walks = []
+    for entry in (frame["id"] for frame in frames if frame["id"] not in named):
+        if not frames[entry]["next"]:
+            walks.append([entry])
+            continue
+        walk, on_walk = [entry], {frames[entry]["function"]}
+        stack = [iter(frames[entry]["next"])]
+        while stack:
+            for i in stack[-1]:
+                if frames[i]["function"] in on_walk:
+                    continue
+                if not frames[i]["next"]:
+                    walks.append(walk + [i])
+                    continue
+                walk.append(i)
+                on_walk.add(frames[i]["function"])
+                stack.append(iter(frames[i]["next"]))
+                break
+            else:
+                stack.pop()
+                on_walk.discard(frames[walk.pop()]["function"])
+    return walks
+
+
+def decode_path(frame: dict, number: int) -> list[str]:
+    """The blocks of path `number` of one `path-graph@3` frame: from the
+    DAG's source, each step takes the last edge whose Ball–Larus increment
+    does not exceed what is left of the number."""
+    successors: dict[str, list[tuple[int, str]]] = {}
+    for src, dst, _, increment in frame["edges"]:
+        successors.setdefault(src, []).append((increment, dst))
+    targets = {dst for _, dst, _, _ in frame["edges"]}
+    (source,) = [b["id"] for b in frame["blocks"] if b["id"] not in targets]
+    path, left = [source], number
+    while path[-1] in successors:
+        increment, block = [e for e in successors[path[-1]] if e[0] <= left][-1]
+        left -= increment
+        path.append(block)
+    assert left == 0, (frame["function"], number)
+    return path
+
+
+def expand_path_graph_document(doc: dict, cap: int) -> dict:
+    """A `path-graph@3` document written back as `path-graph@1`: each chain
+    walked along `next` with its frames written out in full (without `id`,
+    `path_count`, `next` and the edges' increments), and the maximal paths
+    decoded from the increments while `path_count <= cap`."""
     frames = [
-        {key: value for key, value in frame.items() if key not in ("id", "path_count")}
+        {
+            **{k: v for k, v in frame.items() if k not in ("id", "path_count", "next")},
+            "edges": [edge[:3] for edge in frame["edges"]],
+        }
         for frame in doc["frames"]
     ]
-    expanded = {
-        key: value
-        for key, value in doc.items()
-        if key not in ("frames", "chain_count", "call_chains")
-    }
+    walks = frame_walks(doc)
+    expanded = {k: v for k, v in doc.items() if k not in ("frames", "chain_count")}
     expanded["schema"] = "path-graph@1"
     expanded["chains"] = [
         {
             "functions": [frames[i]["function"] for i in ids],
             "frames": [frames[i] for i in ids],
         }
-        for ids in doc["call_chains"]
+        for ids in walks
     ]
+    if doc["path_count"] <= cap:
+        per_frame = [
+            [
+                [f"{frame['function']}/{b}" for b in decode_path(frame, number)]
+                for number in range(frame["path_count"])
+            ]
+            for frame in doc["frames"]
+        ]
+        expanded["paths"] = [
+            list(itertools.chain.from_iterable(parts))
+            for ids in walks
+            for parts in itertools.product(*(per_frame[i] for i in ids))
+        ]
     return expanded
 
 
@@ -654,6 +817,46 @@ def call_fanout_program(n: int):
     """(program, vulnerability) of `call_fanout_source(n)`."""
     program = lower(parse(call_fanout_source(n)))
     return program, resolve_vulnerability(program, f"f{n}", line=4)
+
+
+# main calls f, g and h; f calls g, g calls h and h calls f, and each of the
+# three then calls v. 9 chains reach v over 10 frames, and the frames of f,
+# g and h at their first call form the cycle f -> g -> h -> f, which no
+# chain closes: a chain repeats no function. The order of `next` matters
+# here: g's frame at its call of h is followed by h's frame at its call of
+# f (a walk that continues only from main -> g) before h's frame at its
+# call of v, though the chains reach the second first.
+RECURSIVE_CHAINS = """fn v(x: int) -> int {
+    if (x > 0) {
+        x = x - 1;
+    }
+    return x;
+}
+fn f(x: int) -> int { let r: int = x; if (r > 5) { r = g(r); } r = v(r); return r; }
+fn g(x: int) -> int { let r: int = x; if (r > 5) { r = h(r); } r = v(r); return r; }
+fn h(x: int) -> int { let r: int = x; if (r > 5) { r = f(r); } r = v(r); return r; }
+fn main() -> int {
+    let x: int = read_input();
+    print(f(x));
+    print(g(x));
+    print(h(x));
+    return 0;
+}
+"""
+
+
+def long_path_source(ifs: int, loops: int) -> str:
+    """MiniLang source of `main`: `ifs` one-armed `if`s, then `loops`
+    three-line `while` loops in a row, then the vulnerable `print(y);` on
+    the third line from the end. It has 2**ifs paths, each through every
+    loop header."""
+    lines = ["fn main() -> int {", "    let x: int = read_input();", "    let y: int = 0;"]
+    for i in range(ifs):
+        lines += [f"    if (x == {i}) {{", f"        y = y + {i + 1};", "    }"]
+    for i in range(loops):
+        lines += [f"    while (y < {i}) {{", "        y = y + 1;", "    }"]
+    lines += ["    print(y);", "    return 0;", "}"]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

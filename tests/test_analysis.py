@@ -9,7 +9,7 @@ import pytest
 from pathpatch.analysis import (
     EXIT,
     AnalysisError,
-    PostDominators,
+    back_edges,
     build_call_graph,
     compute_control_dependencies,
     compute_postdominators,
@@ -36,11 +36,23 @@ from helpers import (
     bf_postdominator_sets,
     make_function,
     random_cfg,
+    random_wild_cfg,
+    reference_back_edges,
+    reference_postdominators,
 )
 
 
 def pdom_sets_from_tree(fn, pdoms):
-    return {bid: pdoms.chain(bid) for bid in fn.blocks}
+    """Each block's postdominators, itself and EXIT included, read off the
+    tree."""
+    sets = {}
+    for bid in fn.blocks:
+        members, cur = {EXIT}, bid
+        while cur != EXIT:
+            members.add(cur)
+            cur = pdoms.ipdom[cur]
+        sets[bid] = frozenset(members)
+    return sets
 
 
 class TestPostdominators:
@@ -80,14 +92,78 @@ class TestPostdominators:
             pdoms = compute_postdominators(fn)
             assert pdom_sets_from_tree(fn, pdoms) == bf_postdominator_sets(fn)
 
-    def test_equality_does_not_depend_on_the_chain_cache(self):
-        """`chain` caches its answers on the object; two trees with the
-        same postdominators stay equal whichever of them was queried."""
-        queried = PostDominators(ipdom={"b0": EXIT})
-        fresh = PostDominators(ipdom={"b0": EXIT})
-        assert queried == fresh
-        assert queried.chain("b0") == {"b0", EXIT}
-        assert queried == fresh and repr(queried) == repr(fresh)
+
+def has_cycle(edges) -> bool:
+    succs: dict = {}
+    for src, dst in edges:
+        succs.setdefault(src, []).append(dst)
+    done: set = set()
+
+    def visit(node, on_walk) -> bool:
+        if node in on_walk:
+            return True
+        if node in done:
+            return False
+        found = any(visit(nxt, on_walk | {node}) for nxt in succs.get(node, ()))
+        done.add(node)
+        return found
+
+    return any(visit(node, frozenset()) for node in list(succs))
+
+
+class TestDominatorTrees:
+    """The dominator trees equal what the per-block set fixpoints give."""
+
+    def test_random_cfgs_match_the_set_fixpoints(self):
+        rng = random.Random(1307)
+        seen = {"irreducible": 0, "no exit": 0, "unreachable": 0}
+        for i in range(900):
+            fn = random_cfg(rng) if i % 3 == 0 else random_wild_cfg(rng)
+            pdoms = compute_postdominators(fn)
+            assert pdoms == reference_postdominators(fn)
+            backs = back_edges(fn)
+            assert backs == reference_back_edges(fn)
+            # what the wild graphs must cover
+            reachable = {fn.entry_block}
+            stack = [fn.entry_block]
+            while stack:
+                for nxt in fn.blocks[stack.pop()].successors:
+                    if nxt not in reachable:
+                        reachable.add(nxt)
+                        stack.append(nxt)
+            forward = {
+                (b, t) for b in reachable for t in fn.blocks[b].successors
+            } - backs
+            seen["irreducible"] += has_cycle(forward)
+            seen["no exit"] += bool(pdoms.warnings)
+            seen["unreachable"] += len(reachable) < len(fn.blocks)
+        assert min(seen.values()) >= 30, seen
+
+    def test_wild_cfgs_match_bruteforce_control_dependence(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            fn = random_wild_cfg(rng, max_blocks=7)
+            cdg = compute_control_dependencies(fn)
+            ours = {(d.governed, d.governor, d.branch_index) for d in cdg.deps}
+            assert ours == bf_control_deps(fn)
+
+    def test_a_long_function_is_near_linear(self):
+        """2,000 loops in a row: the set fixpoints held a set of up to
+        2,000 blocks for each of the 4,002 blocks; a tree holds one parent
+        per block, though its depth here is about 2,000."""
+        succs = {"e": ["h0"]}
+        for i in range(2000):
+            succs[f"h{i}"] = [f"b{i}", f"h{i + 1}"]
+            succs[f"b{i}"] = [f"h{i}"]
+        succs["h2000"] = []
+        fn = make_function(succs, entry="e")
+        pdoms = compute_postdominators(fn)
+        assert pdoms.ipdom["b7"] == "h7" and pdoms.ipdom["h7"] == "h8"
+        assert back_edges(fn) == {(f"b{i}", f"h{i}") for i in range(2000)}
+        deps = compute_control_dependencies(fn, pdoms).deps
+        assert {(d.governed, d.governor) for d in deps} == {
+            (f"b{i}", f"h{i}") for i in range(2000)
+        }
 
 
 class TestControlDependence:

@@ -15,7 +15,7 @@ from pathpatch import cli
 from pathpatch.cli import run
 from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import load_program, lower, run_program
+from pathpatch.minilang import load_program, lower, parse, run_program
 from pathpatch.minilang.parser import MAX_NESTING
 from pathpatch.paths import (
     DEFAULT_ENUMERATION_CAP,
@@ -25,9 +25,12 @@ from pathpatch.paths import (
 
 from conftest import CORPUS, CORPUS_NAMES, ROOT, load_corpus_entry
 from helpers import (
+    RECURSIVE_CHAINS,
     call_fanout_program,
     call_fanout_source,
     expand_path_graph_document,
+    frame_walks,
+    long_path_source,
     pick_vulnerable_statement,
     random_program_tree,
     reference_path_graph,
@@ -91,36 +94,44 @@ class TestAnalyze:
         )
         assert code == 0
         doc = json.loads((tmp_path / "path_graph.json").read_text())
+        assert doc["schema"] == "path-graph@3"
         assert doc["path_count"] == 6
-        assert doc["chain_count"] == len(doc["call_chains"]) == 2
+        assert doc["chain_count"] == len(frame_walks(doc)) == 2
+        assert "call_chains" not in doc and "paths" not in doc
 
 
-def checked_document(program, vuln, cap=DEFAULT_ENUMERATION_CAP) -> dict:
-    """The `path-graph@2` document of `program`, as written, after checking
+def checked_document(program, vuln) -> dict:
+    """The `path-graph@3` document of `program`, as written, after checking
     it against the `path-graph@1` document of the reference path graph."""
     ppg = build_program_path_graph(program, vuln)
-    doc = json.loads(json.dumps(cli.path_graph_document(program, ppg, cap)))
+    doc = json.loads(json.dumps(cli.path_graph_document(program, ppg)))
     reference = reference_path_graph_document(
-        program, reference_path_graph(program, vuln), cap
+        program, reference_path_graph(program, vuln), DEFAULT_ENUMERATION_CAP
     )
-    assert expand_path_graph_document(doc) == reference
+    assert expand_path_graph_document(doc, DEFAULT_ENUMERATION_CAP) == reference
     frames = doc["frames"]
     assert [frame["id"] for frame in frames] == list(range(len(frames)))
+    walks = frame_walks(doc)
     # every frame once, in the order the chains first reach it
-    first_seen = dict.fromkeys(i for ids in doc["call_chains"] for i in ids)
+    first_seen = dict.fromkeys(i for ids in walks for i in ids)
     assert list(first_seen) == list(range(len(frames)))
     assert len({(f["function"], f["target_statement"]) for f in frames}) == len(frames)
-    assert doc["chain_count"] == len(doc["call_chains"])
+    # `next` holds exactly the steps some chain takes
+    assert {(a, b) for ids in walks for a, b in zip(ids, ids[1:])} == {
+        (frame["id"], i) for frame in frames for i in frame["next"]
+    }
+    assert doc["chain_count"] == len(walks)
     assert doc["path_count"] == sum(
-        math.prod(frames[i]["path_count"] for i in ids) for ids in doc["call_chains"]
+        math.prod(frames[i]["path_count"] for i in ids) for ids in walks
     )
     return doc
 
 
 class TestPathGraphDocument:
-    """`path-graph@2` lists each distinct frame once; written back as
-    `path-graph@1`, it equals the document of the frame-by-frame reference
-    path graph."""
+    """`path-graph@3` lists each distinct frame once with the frames that
+    follow it and its DAG's Ball–Larus increments; walked along `next` and
+    decoded, it equals the `path-graph@1` document of the frame-by-frame
+    reference path graph."""
 
     def test_corpus_matches_reference(self):
         for name in CORPUS_NAMES:
@@ -145,37 +156,70 @@ class TestPathGraphDocument:
         assert doc["chain_count"] == doc["path_count"] == 2**n
         assert len(doc["frames"]) == 2 * n + 2
 
-    def test_cap_below_the_chain_count_keeps_every_frame(self, tmp_path):
+    def test_recursion_makes_a_cycle_no_chain_closes(self):
+        """With recursion the frame graph has a cycle; the chains are only
+        the walks that repeat no function, listed in the chain search's
+        order."""
+        program = lower(parse(RECURSIVE_CHAINS))
+        doc = checked_document(program, resolve_vulnerability(program, "v", line=3))
+        assert doc["chain_count"] == 9 and len(doc["frames"]) == 10
+        frames = doc["frames"]
+        # f, g and h, each at its call of the next of the three
+        at = {(f["function"], f["target_statement"]): f["id"] for f in frames}
+        cycle = [at["f", "f:s2"], at["g", "g:s2"], at["h", "h:s2"]]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert b in frames[a]["next"]
+
+    def test_document_lists_every_frame_and_no_chain_or_path(self, tmp_path):
+        """`--cap` is gone: the document never lists chains or paths, so
+        it has nothing left to bound."""
         args = fanout_arguments(tmp_path, 3)
-        docs = {}
-        for cap in ("4", str(DEFAULT_ENUMERATION_CAP)):
-            out = tmp_path / cap
-            assert invoke("analyze", *args, "--cap", cap, "--out", str(out)) == 0
-            docs[cap] = json.loads((out / "path_graph.json").read_text())
-        capped, full = docs["4"], docs[str(DEFAULT_ENUMERATION_CAP)]
-        assert capped["chain_count"] == capped["path_count"] == 8
-        assert "call_chains" not in capped and "paths" not in capped
-        assert capped["frames"] == full["frames"] and len(full["frames"]) == 8
-        assert len(full["call_chains"]) == len(full["paths"]) == 8
+        assert invoke("analyze", *args, "--cap", "4", "--out", str(tmp_path)) == 2
+        assert invoke("analyze", *args, "--out", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "path_graph.json").read_text())
+        assert doc["chain_count"] == doc["path_count"] == 8
+        assert "call_chains" not in doc and "paths" not in doc
+        assert len(doc["frames"]) == 8 and len(frame_walks(doc)) == 8
 
     def test_call_fanout_of_nine_writes_each_frame_once(self, tmp_path):
-        """512 chains over 20 distinct frames in a document under 400 KB;
-        written out per chain, the same graph took 4.6 MB."""
+        """512 chains over 20 distinct frames in a document under 20 KB;
+        written out per chain, the same graph took 4.6 MB, and with every
+        chain and path listed by frame id, 335 KB."""
         args = fanout_arguments(tmp_path, 9)
         assert invoke("analyze", *args, "--out", str(tmp_path)) == 0
         written = tmp_path / "path_graph.json"
         doc = json.loads(written.read_text())
-        assert doc["chain_count"] == len(doc["call_chains"]) == 512
+        walks = frame_walks(doc)
+        assert doc["chain_count"] == len(walks) == 512
         assert doc["path_count"] == 512
         frames = doc["frames"]
         assert len(frames) == 20
         reached = {
             (frames[i]["function"], frames[i]["target_statement"])
-            for ids in doc["call_chains"]
+            for ids in walks
             for i in ids
         }
         assert len(reached) == 20
-        assert written.stat().st_size < 400_000
+        assert written.stat().st_size < 20_000
+
+    def test_long_paths_keep_the_document_linear_in_the_dag(self, tmp_path):
+        """13 `if`s, then 200 loops: 8,192 paths, each through every loop
+        header. The document grows with the blocks and edges of the frame
+        DAG, not with the number of paths times their length."""
+        program = tmp_path / "long.mini"
+        program.write_text(long_path_source(13, 200))
+        vuln = tmp_path / "long.vuln.json"
+        vuln.write_text(json.dumps({"function": "main", "line": 3 + 3 * 13 + 3 * 200 + 1}))
+        out = tmp_path / "out"
+        assert invoke("analyze", "--program", str(program), "--vuln", str(vuln),
+                      "--out", str(out)) == 0
+        doc = json.loads((out / "path_graph.json").read_text())
+        assert doc["path_count"] == 2**13
+        (frame,) = doc["frames"]
+        blocks, edges = len(frame["blocks"]), len(frame["edges"])
+        assert blocks == 2 * 13 + 200 + 2  # no loop body is on a path
+        size = (out / "path_graph.json").stat().st_size
+        assert size < 120 * (blocks + edges), size
 
 
 class TestLocate:
@@ -412,6 +456,8 @@ class TestFlags:
             ("evaluate", "--cap", "3", "--suite", str(CORPUS / "bmp_reader.suite")),
             ("evaluate", "--jobs", "0", "--suite", str(CORPUS / "bmp_reader.suite")),
             ("analyze", "--cap", "0"),
+            ("analyze", "--cap", "10000"),
+            ("all", "--cap", "10000", "--suite", str(CORPUS / "bmp_reader.suite")),
         ],
         ids=lambda argv: " ".join(argv[:3]),
     )
@@ -512,7 +558,7 @@ class TestDeepInputs:
         doc = json.loads((tmp_path / "out" / "path_graph.json").read_text())
         assert doc["chain_count"] == 1
         frames = doc["frames"]
-        assert [[frames[i]["function"] for i in ids] for ids in doc["call_chains"]] == [
+        assert [[frames[i]["function"] for i in ids] for ids in frame_walks(doc)] == [
             ["main"] + [f"f{i}" for i in range(n)]
         ]
         candidates = json.loads((tmp_path / "out" / "candidates.json").read_text())
@@ -610,6 +656,30 @@ class TestDeepInputs:
         assert report["summary"]["patches"] >= 1
         _, args = self._chain(tmp_path, MAX_NESTING - 1)
         assert invoke("all", *args) == 3
+
+
+def test_printed_value_past_4300_digits_runs_through_all(tmp_path, capsys):
+    """A sum is outside the value budget, so 15,000 doublings print a value
+    of 4,516 digits; a case that expects another output fails, and its
+    verdict no longer writes the value out in decimal."""
+    program = tmp_path / "doubling.mini"
+    program.write_text(
+        "fn main() -> int {\n    let x: int = read_input();\n    let i: int = 0;\n"
+        "    while (i < 15000) {\n        x = x + x;\n        i = i + 1;\n    }\n"
+        "    if (x < 0) {\n        x = 0 - x;\n    }\n    print(x);\n    return 0;\n}\n"
+    )
+    vuln = tmp_path / "doubling.vuln.json"
+    vuln.write_text(json.dumps({"function": "main", "line": 9}))
+    suite = tmp_path / "doubling.suite"
+    suite.write_text("one | input: 1 | expect: 5\n")
+    code = invoke(
+        "all", "--program", str(program), "--vuln", str(vuln), "--suite", str(suite),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0, capsys.readouterr().err
+    assert run_program(load_program(program), [1]).output == (2**15000,)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["summary"]["patches"] == 1
 
 
 def graph_document(edges, conditional, vulnerable) -> str:
