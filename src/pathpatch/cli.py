@@ -261,8 +261,23 @@ def path_graph_document(program, ppg) -> dict:
     }
 
 
+def writable_counts(doc) -> None:
+    """Raise AnalysisError when a path count in `doc` has more decimal
+    digits than Python writes (`sys.get_int_max_str_digits()`). The
+    top-level count bounds every frame's, and a frame's count bounds its
+    Ball–Larus increments."""
+    largest = max([doc["path_count"]] + [frame["path_count"] for frame in doc["frames"]])
+    limit = sys.get_int_max_str_digits()
+    if limit and largest >= 10**limit:
+        raise AnalysisError(
+            f"a path count of {largest.bit_length()} bits is too long to write "
+            f"(more than {limit} decimal digits)"
+        )
+
+
 def cmd_analyze(args, program, vuln, ppg) -> int:
     doc = path_graph_document(program, ppg)
+    writable_counts(doc)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_out(args, "path_graph.json", text)
     print(

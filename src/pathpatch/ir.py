@@ -4,10 +4,10 @@ A program is a set of functions; each function is a control flow graph of
 basic blocks holding straight-line statements and ending in a terminator.
 Every node is a `Record`, which makes it immutable after construction:
 analyses and patch application always build new objects and may share
-unchanged substructure. The exceptions are `IRFunction.compiled` and
-`IRProgram.fast`, caches the interpreter fills on first execution; they
-are attributes, not fields, so they are never compared, printed or copied
-by `record.replace`.
+unchanged substructure. The exception is `IRProgram.fast`, the cache of
+compiled forms the interpreter fills on first execution; it is an
+attribute, not a field, so it is never compared, printed or copied by
+`record.replace`.
 
 Conventions:
   - `FunctionId` is the function name (parser enforces uniqueness).
@@ -259,11 +259,6 @@ class IRFunction(Record):
     locals: dict[str, ValueType] = MappingProxyType({})  # a shared default: read-only
     external: bool = False
 
-    # not a field: the interpreter's checked form, set on the first checked
-    # run that reaches the function: one generated Python function per
-    # segment of each block, see minilang.interp
-    compiled = None
-
     def block(self, block_id: BlockId) -> BasicBlock:
         try:
             return self.blocks[block_id]
@@ -283,8 +278,9 @@ class IRProgram(Record):
     address_taken: frozenset[FunctionId] = frozenset()
     executable: bool = True  # graph-imported programs are analyzable only
 
-    # not a field: the interpreter's fast forms, each compiled on first use
-    # with the guards a run asked for, see minilang.interp
+    # not a field: the interpreter's compiled forms, each compiled on first
+    # use with the guards a run asked for and traced or not, see
+    # minilang.interp
     fast = ()
 
     def function(self, fn_id: FunctionId) -> IRFunction:

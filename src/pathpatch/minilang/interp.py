@@ -3,7 +3,7 @@
 A run's outcome is encoded in its result status; the interpreter never
 raises for program behavior:
 
-    ok               normal completion, with main's return value
+    ok               normal completion, with main's return value, or a halt
     fault            out-of-bounds access, division by zero, nil deref,
                      or failed assertion; records the statement and a
                      backtrace of the call sites leading to it
@@ -23,11 +23,12 @@ status `timeout` at that statement: a value budget, so that a squaring
 loop cannot grow its numbers without bound.
 
 Block entries: a run enters a block when control reaches it, before any of
-its steps is charged. `record_trace` records every entry. `watch`, a set
-of `(function, block)` keys, makes the run record in
-`ExecutionResult.entered` which of those blocks it entered, and stop with
-status `covered` as soon as it has entered them all; the evaluation harness
-uses it to find the test cases a patch can change.
+its steps is charged. `record_trace` records every entry, and every call
+with its call site and callee. `watch`, a set of `(function, block)` keys,
+makes the run record in `ExecutionResult.entered` which of those blocks it
+entered, and stop with status `covered` as soon as it has entered them
+all; the evaluation harness uses it to find the test cases a patch can
+change.
 
 Patches as data: `patches` maps `(function, block)` keys to error values
 (IR constants, or None for a bare return). The run behaves exactly as the
@@ -35,11 +36,10 @@ program with each of those blocks replaced by `return value;`
 (`ir.with_returns`, which `synth.apply_patch` uses), but runs the base
 program's code: no patched variant is built or compiled.
 
-Two forms run a program, both generated Python compiled on first use.
-
-The fast form is one generated Python function per IR function,
-`f<i>(st, L, d, <parameters>)`, where `st` is the run's state, `L` its
-step countdown and `d` the call depth:
+Every run executes once, in one form: generated Python, compiled on
+first use, one function per IR function, `f<i>(st, L, d, <parameters>)`,
+where `st` is the run's state, `L` its step countdown and `d` the call
+depth:
 
   - locals are Python locals `v0`, `v1`, ... and parameters are Python
     parameters;
@@ -50,67 +50,71 @@ step countdown and `d` the call depth:
   - calls are native Python calls, `v3=f2(st,L,d+1,...);L=st.L`: a
     return leaves the countdown in `st.L` for its caller;
   - each segment of a block (its statements up to and including a call,
-    or up to and including its terminator) is charged in one subtraction
-    from `L`, and the run gives up (bails) when `L` goes below zero;
+    or up to and including its terminator) is charged in one subtraction,
+    `if (L:=L-n)<0:raise S`;
   - each block in the form's guard set starts with a guard,
     `if j in st.H and _g(st,j):return _ret(st,L,j)`: `st.H` holds the
     guards active in this run, `_g` records a watched entry (stopping the
     run once every watched block is entered) and tells whether the block
     is patched, and `_ret` charges the patch's one step and returns its
     error value. An unpatched entry of a watched block drops its guard
-    from `st.H`, so a loop pays for it once.
+    from `st.H`, so a loop pays for it once;
+  - in a traced form, each block first appends its key to `st.T`, and a
+    call line stores its call site in `st.s`, which the callee's first
+    line appends, with the callee, to `st.C`.
 
-A program keeps every fast form it compiled, each with its guard set: a
-run uses the first whose guards cover its watched and patched blocks, and
-compiles one otherwise. The harness's probes watch every patched block, so
-the form they compile also serves every patched run and the fuzz run that
-patches all candidates at once: evaluation and fuzzing compile nothing.
-Each function is its own compile unit, and code is cached by its source
-text, so another form of the same program or a patched variant compiles
-only the functions whose text differs.
+A program keeps every form it compiled (`IRProgram.fast`), each with its
+guard set and whether it is traced: a run uses the first that is traced
+if and only if the run is and whose guards cover its watched and patched
+blocks, and compiles one otherwise. The harness's probes watch every
+patched block, so the form they compile also serves every patched run and
+the fuzz run that patches all candidates at once. Each function is its
+own compile unit, and code is cached by its source text, so another form
+of the same program or a patched variant compiles only the functions
+whose text differs.
 
-Faults, input exhaustion and the heap and value budgets are exact in the
-fast form. The whole segment's steps were charged before it ran, and each
-generated statement is one source line, so when a run stops, the
-traceback's innermost generated frame holds the countdown and names the
-statement that stopped it (its line is in the form's `sites` table, with
-its position in the segment), and the outer generated frames name the
-call sites: the step count and the backtrace come out as the checked form
-computes them, at no cost to a run that does not stop.
+Stops. Each statement, call and terminator is one source line. When a
+stop unwinds the run, the innermost generated frame holds the countdown
+and names the line that stopped it, and the outer ones name the call
+sites; each line's site gives its statement id and its position in the
+segment whose steps were charged before it ran, so the step count and
+the backtrace come out exactly, at no cost to a run that does not stop.
+When a segment check finds that the segment's `n` steps do not fit, the
+countdown before it, `k = L + n < n`, is what the budget has left: the
+run executes the segment's first `k` statement lines against the stopped
+frame's locals, and times out at step `max_steps + 1` unless one of them
+stops it first (a fault, input exhaustion, or the heap or value budget).
+A patched block whose one step does not fit times out at once.
 
-The fast form bails, and the run starts over in the checked form, when the
-step budget runs out (anywhere inside a segment), when calls nest deeper
-than `_MAX_DEPTH`, and when anything raises what is not a stop: the IR
-errors, missing blocks and functions and mismatched argument counts the
-checked form reports (as `IRError`, `KeyError` or otherwise) or handles.
-Runs with `record_trace` use the checked form directly. Bailing is always
-safe, since the checked form is exact; it costs the abandoned attempt.
+Deep calls. Calls nest natively up to `_MAX_DEPTH`. The function called
+past it runs, with every call below it, in the generator flavour of the
+same lowering, `h<i>(st, L, *a)`, compiled on the first run that needs
+it: a call line is `v3=yield h2(st,L,...);L=st.L`, and one driver loop,
+`_deep`, keeps the suspended generators on an explicit stack, so depth is
+bounded by memory, not by the recursion limit. The driver notes the
+suspended frames on a stop, for its backtrace. A generator binds
+parameters as `zip` pairs them with the arguments, so a call with the
+wrong number of arguments runs there too.
 
-The checked form is the interpreter the fast form replaced, kept as the
-exact reference: one generated function `seg(env, st)` per segment, a
-superinstruction (Ertl & Gregg, "The Structure and Performance of
-Efficient Interpreters", JILP 2003), driven by a loop over an explicit
-frame stack, with variables in an `env` dict. A segment whose steps do not
-all fit in the remaining budget is run one step at a time, by one
-generated function per step made from the same statement source. It is
-compiled per function, on the first checked run that reaches it, and
-stored on the function (`fn.compiled`); a patched run that bails runs it
-on `ir.with_returns`'s variant.
+Malformed IR raises what the tree-walking reference raises, where it
+runs: `KeyError` for a jump to no block, a call of no function and a read
+of a variable nothing bound (such as a parameter a short call left
+unbound), and `IRError` for a missing terminator and an unknown operator,
+statement kind or expression.
 
 Generated text: program data reaches the source only through `repr()` of
-a string, int, bool or None: variable names become generated identifiers
-or string keys, and statement ids and messages are literals. No name is
-ever spliced in as code, so no name can clash with the generated code's
-own identifiers. Any other constant, such as a function reference, is
-bound in the namespace of the generated code. Compiling never raises: an
-unknown operator, statement kind or expression raises `IRError` only when
-it runs. Code objects are cached for the life of the process, keyed by
-their source text; compiled code holds no per-run state, and each cache
-is published by one attribute store, so threads may run, and compile, the
-same program at once.
+a string, int, bool or None, so no name can clash with the generated
+code's own identifiers; any other constant, such as a function reference,
+is bound in the namespace of the generated code. Code objects are cached
+for the life of the process, keyed by their source text; compiled code
+holds no per-run state, and each cache is published by one attribute
+store, so threads may run, and compile, the same program at once.
 """
 
 from __future__ import annotations
+
+import re
+from functools import partial
 
 from ..ir import (
     BOOL,
@@ -129,7 +133,6 @@ from ..ir import (
     Return,
     Unary,
     Var,
-    with_returns,
 )
 from ..record import Record
 
@@ -149,8 +152,9 @@ STATUS_TIMEOUT = "timeout"
 STATUS_INPUT_EXHAUSTED = "input_exhausted"
 STATUS_COVERED = "covered"
 
-# Calls the fast form nests natively before it bails; well inside Python's
-# default recursion limit of 1000, whatever the caller's own depth.
+# Calls nested natively before the callee moves to the generator stack;
+# well inside Python's default recursion limit of 1000, whatever the
+# caller's own depth.
 _MAX_DEPTH = 200
 
 
@@ -211,20 +215,20 @@ class ExecutionResult(Record):
 
 
 class _Stop(Exception):
-    """Ends a run; `at` is the id of the statement that raised it."""
-
-    def __init__(self, at=None):
-        self.at = at
+    """Ends a run."""
 
 
 class _Fault(_Stop):
-    def __init__(self, kind: str, at: str | None = None):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.at = at
 
 
 class _Timeout(_Stop):
-    pass
+    """The heap or the value budget ran out."""
+
+
+class _StepsOut(_Stop):
+    """The step budget ran out, at a segment check or a patched return."""
 
 
 class _InputExhausted(_Stop):
@@ -235,8 +239,8 @@ class _Covered(_Stop):
     pass
 
 
-class _Bail(Exception):
-    """The fast form gives the run up; it starts over in the checked form."""
+class _Halt(_Stop):
+    pass
 
 
 _NO_INPUT = object()
@@ -247,15 +251,17 @@ class _State:
     """Per-run machine state the generated code reads and updates."""
 
     __slots__ = (
-        "functions", "inputs", "heap", "heap_cells", "max_heap_cells", "output",
-        # the fast form's: the step countdown at the last return, the
-        # active guards, the patched guards' error values, the watched
-        # guards, those entered, and how many blocks are watched
+        "inputs", "heap", "heap_cells", "max_heap_cells", "output",
+        # the step countdown at the last return, the active guards, the
+        # patched guards' error values, the watched guards, those entered,
+        # and how many blocks are watched
         "L", "H", "E", "W", "seen", "need",
+        # a traced run's block entries and calls, and the call site of the
+        # call being made
+        "T", "C", "s",
     )
 
-    def __init__(self, functions, inputs, max_heap_cells):
-        self.functions = functions
+    def __init__(self, inputs, max_heap_cells):
         self.inputs = iter(inputs)
         self.heap: list[list[int]] = []
         self.heap_cells = 0
@@ -284,44 +290,14 @@ def run_program(
     blocks in `patches` returning their error values at once."""
     if not program.executable:
         raise IRError("program has no executable statement bodies")
-    inputs = tuple(input_values)
-    if not record_trace:
-        try:
-            return _run_fast(program, inputs, max_steps, max_heap_cells, watch, patches)
-        except _Bail:
-            pass
-    if patches:
-        program = with_returns(program, patches)
-    return _run_checked(program, inputs, max_steps, max_heap_cells, record_trace, watch)
-
-
-def _result(status, st, trace, calls, entered, steps, **kw) -> ExecutionResult:
-    return ExecutionResult(
-        status=status,
-        output=tuple(st.output),
-        trace=tuple(trace) if trace is not None else None,
-        calls=tuple(calls) if calls is not None else None,
-        steps=steps,
-        entered=frozenset(entered) if entered is not None else None,
-        **kw,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The fast form
-# ---------------------------------------------------------------------------
-
-
-def _run_fast(program, inputs, max_steps, max_heap_cells, watch, patches):
-    """The run in the fast form; raises `_Bail` when it gives the run up."""
-    form = _fast_form(program, watch, patches)
-    if form.entry is None:  # no entry function to run: the checked form raises
-        raise _Bail
-    st = _State(None, inputs, max_heap_cells)
+    traced = bool(record_trace)
+    form = _form(program, watch, patches, traced)
+    st = _State(input_values, max_heap_cells)
     try:
         st.E = {form.guards[key]: value for key, value in patches.items()} if patches else {}
-    except KeyError:  # no such block: the checked form raises IRError
-        raise _Bail from None
+    except KeyError as missing:  # as `with_returns` raises
+        fn_id, block_id = missing.args[0]
+        raise IRError(f"no block {block_id!r} in function {fn_id!r}") from None
     st.H = set(st.E)
     st.W = _NO_KEYS
     st.seen = set()
@@ -329,82 +305,92 @@ def _run_fast(program, inputs, max_steps, max_heap_cells, watch, patches):
         st.W = form.every if watch is form.keys else form.indices(watch)
         st.H.update(st.W)
         st.need = len(watch)
+    if traced:
+        st.T, st.C, st.s = [], [], None
     status, value, kind, at, backtrace = STATUS_OK, None, None, None, None
     try:
         value = form.entry(st, max_steps, 0)
         steps = max_steps - st.L
     except _Stop as stop:
-        sites, left = form.stack(stop.__traceback__)
-        steps = max_steps - left
-        if isinstance(stop, _Covered):  # at a block entry, before its steps
-            status = STATUS_COVERED
-        else:
-            steps += sites[-1][2]
-            if isinstance(stop, _Fault):
-                status, kind, at = STATUS_FAULT, stop.kind, sites[-1][1]
-                backtrace = tuple((fn_id, site) for fn_id, site, _ in sites)
-            elif isinstance(stop, _Timeout):
-                status = STATUS_TIMEOUT
-            else:
-                status = STATUS_INPUT_EXHAUSTED
-    except Exception:  # whatever it is, the checked form meets it too, exactly
-        raise _Bail from None
-    entered = None
-    if watch is not None:
-        entered = frozenset(form.order[j] for j in st.seen)
+        status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
+    except NameError as error:  # a read of a variable nothing bound
+        raise _unbound(form.frames(error)[-1][0], error) from None
+    entered = None if watch is None else frozenset(form.order[j] for j in st.seen)
+    trace, calls = (tuple(st.T), tuple(st.C)) if traced else (None, None)
     return ExecutionResult(
-        status, value, kind, at, backtrace, tuple(st.output), None, None, steps, entered
+        status, value, kind, at, backtrace, tuple(st.output), trace, calls, steps, entered
     )
 
 
 def _constant(value):
-    """The Python value of an error value; `_Bail` for what is no constant."""
+    """The Python value of an error value."""
     if value is None or isinstance(value, NilConst):
         return None
     if isinstance(value, (IntConst, BoolConst)):
         return value.value
-    raise _Bail
+    raise IRError(f"patch value {value!r} is not a constant")
 
 
-def _fast_form(program, watch, patches):
-    """The first fast form of `program` whose guards cover the blocks in
-    `watch` and `patches`, compiled and kept on the program if it has none."""
+def _form(program, watch, patches, traced):
+    """The first form of `program` that records a trace if and only if
+    `traced` and whose guards cover the blocks in `watch` and `patches`,
+    compiled and kept on the program if it has none."""
     for form in program.fast:
-        if (watch is None or watch is form.keys or form.keys.issuperset(watch)) and (
-            not patches or form.keys.issuperset(patches)
+        if (
+            form.traced == traced
+            and (watch is None or watch is form.keys or form.keys.issuperset(watch))
+            and (not patches or form.keys.issuperset(patches))
         ):
             return form
     keys = frozenset(watch or ())
     if patches:
         keys = keys.union(patches)
-    form = _Fast(program, keys)
+    form = _Form(program, keys, traced)
     # a plain attribute store: two threads that compile at once both keep
     # working forms, and the program keeps either
     object.__setattr__(program, "fast", program.fast + (form,))
     return form
 
 
-# The file name of fast-form code, which tells its frames in a traceback.
-_FAST_FILE = "<fast>"
+# The file names of generated functions, which tell their frames in a
+# traceback, and of the lines a run's tail executes.
+_FORM_FILE = "<minilang>"
+_TAIL_FILE = "<tail>"
 
 
-class _Fast:
-    """One fast form of a program: `entry(st, L, 0)` runs it with a step
-    countdown of `L` and returns main's value.
+class _Unit:
+    """What a stopped run reads of one generated function: `sites[line]`
+    is `(function, statement id, correction)` for each line whose step has
+    an id, the correction being the steps after it in its segment, negated;
+    `checks[line]` is the steps the segment check on `line` charges;
+    `source` is the function's text and `vars` maps IR variables to
+    Python locals."""
+
+    __slots__ = ("sites", "checks", "source", "vars")
+
+    def __init__(self, sites, checks, source, variables):
+        self.sites = sites
+        self.checks = checks
+        self.source = source
+        self.vars = variables
+
+
+class _Form:
+    """One compiled form of a program: `entry(st, L, 0)` runs it with a
+    step countdown of `L` and returns main's value.
 
     `keys` is the guard set asked for; `guards` maps each of its blocks
     that exists to the guard's index, `order` lists them by index, and
-    `every` holds every index.
-    `sites[f][line]` is `(function, statement id, correction)` for each
-    line of generated function `f` that holds a statement, call or
-    terminator, where the correction is the step count's change when that
-    statement stops the run: the steps after it in its segment, negated.
+    `every` holds every index. `traced` tells whether the form records a
+    trace. `units` maps the name of each generated function, of either
+    flavour, to its `_Unit`.
     """
 
-    __slots__ = ("keys", "guards", "order", "every", "sites", "entry")
+    __slots__ = ("keys", "traced", "guards", "order", "every", "units", "entry")
 
-    def __init__(self, program, keys):
+    def __init__(self, program, keys, traced):
         self.keys = keys
+        self.traced = traced
         self.order = tuple(
             (name, bid)
             for name, fn in program.functions.items()
@@ -413,35 +399,143 @@ class _Fast:
         )
         self.guards = {key: j for j, key in enumerate(self.order)}
         self.every = frozenset(range(len(self.order)))
-        gen = _FastLowering(program, self.guards)
-        namespace = dict(_HELPERS)
-        self.sites = {}
-        for name, fn in program.functions.items():
-            code, self.sites[gen.names[name]], consts = gen.unit(name, fn)
-            namespace.update(consts)
-            exec(code, namespace)
-        namespace["F"] = {name: namespace[f] for name, f in gen.names.items()}
+        self.units = {}
+        lowering = _FastLowering(program.functions, self.guards, traced, self.units)
+        namespace = lowering.namespace(deep=False)
+        deep = namespace["G"] = _Deep(program.functions, self.guards, traced, self.units)
+        for n in lowering.arities:
+            # the callees of native calls through a reference with n
+            # arguments; a callee with another parameter count runs deep
+            namespace[f"F{n}"] = {
+                name: namespace[lowering.code_name(name, False)]
+                if fn.external or len(fn.params) == n
+                else partial(_deep, deep, name)
+                for name, fn in program.functions.items()
+            }
         entry = program.functions.get(program.entry)
-        self.entry = None if entry is None or entry.external else namespace["F"][program.entry]
+        if entry is None or entry.external:  # no function, or one with no blocks
+            self.entry = partial(_missing, program.entry if entry is None else entry.entry_block)
+        elif entry.params:  # called with no arguments: every parameter unbound
+            self.entry = partial(_deep, deep, program.entry)
+        else:
+            self.entry = namespace[lowering.code_name(program.entry, False)]
 
     def indices(self, watch):
         """The guard indices of the blocks in `watch`."""
         return frozenset(self.guards[key] for key in watch if key in self.guards)
 
-    def stack(self, tb):
-        """`(sites, L)` of the generated frames in traceback `tb`: the
-        sites of the call sites, outermost first, then of the statement
-        that raised, and the step countdown of the innermost frame."""
-        sites, left = [], None
+    def frames(self, error):
+        """`(unit, line, frame)` of each generated frame `error` unwound,
+        outermost first, with the suspended generators of a deep stack
+        (whose frame is None) in place of the driver's frame."""
+        frames = []
+        tb = error.__traceback__
         while tb is not None:
             code = tb.tb_frame.f_code
-            if code.co_filename == _FAST_FILE:
-                site = self.sites[code.co_name].get(tb.tb_lineno)
-                if site is not None:
-                    sites.append(site)
-                left = tb.tb_frame.f_locals["L"]
+            if code.co_filename == _FORM_FILE:
+                frames.append((self.units[code.co_name], tb.tb_lineno, tb.tb_frame))
+            elif code is _deep.__code__:
+                notes = getattr(error, "frames", ())  # a stop's; none on a NameError
+                frames += [(self.units[name], line, None) for name, line in notes]
             tb = tb.tb_next
-        return sites, left
+        return frames
+
+    def stopped(self, stop, max_steps):
+        """`(status, value, fault kind, fault statement, backtrace, steps)`
+        of the run `stop` ended."""
+        frames = self.frames(stop)
+        unit, line, frame = frames[-1]
+        left = frame.f_locals["L"]
+        if isinstance(stop, _Covered):  # at a block entry, before its steps
+            return STATUS_COVERED, None, None, None, None, max_steps - left
+        if isinstance(stop, _Halt):  # the last step of its segment
+            return STATUS_OK, None, None, None, None, max_steps - left
+        if isinstance(stop, _StepsOut):
+            n = unit.checks.get(line)  # None at a patched block's return
+            tail = None if n is None else _tail(unit, line, frame, left + n)
+            if tail is None:
+                return STATUS_TIMEOUT, None, None, None, None, max_steps + 1
+            stop, line = tail
+        site = unit.sites[line]
+        steps = max_steps - left + site[2]
+        if isinstance(stop, _Fault):
+            calls = (u.sites.get(at) for u, at, _ in frames[:-1])  # None: a deep entry
+            backtrace = tuple(s[:2] for s in calls if s is not None) + (site[:2],)
+            return STATUS_FAULT, None, stop.kind, site[1], backtrace, steps
+        status = STATUS_TIMEOUT if isinstance(stop, _Timeout) else STATUS_INPUT_EXHAUSTED
+        return status, None, None, None, None, steps
+
+
+def _tail(unit, line, frame, k):
+    """Execute the `k` statement lines after segment check `line` of
+    `frame` against its locals; `(stop, line)` of the line that stopped the
+    run, or None when all `k` ran."""
+    env = dict(frame.f_locals)
+    lines = unit.source.split("\n")
+    for i in range(line, line + k):  # lines[i] is line i + 1
+        try:
+            exec(_code(lines[i].lstrip(), _TAIL_FILE), frame.f_globals, env)
+        except _Stop as stop:
+            return stop, i + 1
+        except NameError as error:
+            raise _unbound(unit, error) from None
+    return None
+
+
+def _unbound(unit, error):
+    """The reference's error for `error`, a read in `unit` of a local that
+    nothing bound: `KeyError` of its IR variable."""
+    local = re.search("'(.*?)'", str(error)).group(1)
+    return KeyError(next(name for name, v in unit.vars.items() if v == local))
+
+
+def _missing(key, *_):
+    raise KeyError(key)
+
+
+class _Deep:
+    """The generator flavour of a form, compiled on the first run that
+    needs it, by a lowering of its own: `functions()` maps each IR
+    function name to its generator function."""
+
+    __slots__ = ("args", "table")
+
+    def __init__(self, *args):
+        self.args = args  # the lowering's
+        self.table = None
+
+    def functions(self):
+        if self.table is None:
+            lowering = _FastLowering(*self.args)
+            namespace = lowering.namespace(deep=True)
+            namespace["H"] = {
+                name: namespace[lowering.code_name(name, True)] for name in lowering.functions
+            }
+            self.table = namespace["H"]
+        return self.table
+
+
+def _deep(deep, name, st, L, d, *args):
+    """The call of function `name` and every call below it, run on an
+    explicit stack of generators; returns the call's value."""
+    stack = [deep.functions()[name](st, L, *args)]
+    value = None
+    try:
+        while 1:
+            try:
+                callee = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+            else:
+                stack.append(callee)
+                value = None
+    except _Stop as stop:
+        # the suspended callers, outermost first, for the stop's backtrace
+        stop.frames = [(g.gi_code.co_name, g.gi_frame.f_lineno) for g in stack[:-1]]
+        raise
 
 
 def _segments(block):
@@ -457,199 +551,6 @@ def _segments(block):
     return runs
 
 
-def _targets():
-    """`(index, target)`: block index by id, and a function giving the
-    index of a block id, numbering ids no block has after the blocks."""
-    index: dict = {}
-
-    def target(bid):
-        if bid not in index:
-            index[bid] = len(index)
-        return index[bid]
-
-    return index, target
-
-
-# ---------------------------------------------------------------------------
-# The checked form
-# ---------------------------------------------------------------------------
-
-
-# What the run does with the value a segment returns. Block targets are
-# indices into the function's block tuple, so the compiled form has no
-# reference cycles and is freed with its function.
-_GOTO, _CALL, _RETURN, _HALT = range(4)
-
-
-def _run_checked(program, inputs, max_steps, max_heap_cells, record_trace, watch):
-    """The run in the checked form: one segment at a time, by a driver
-    loop over an explicit frame stack."""
-    st = _State(program.functions, inputs, max_heap_cells)
-    trace: list[tuple[str, str]] | None = [] if record_trace else None
-    calls: list[tuple[str, str]] | None = [] if record_trace else None
-    # called with the (function, block) key of every block the run enters
-    enter = None if trace is None else trace.append
-    entered: set[tuple[str, str]] | None = None
-    if watch is not None:
-        entered = set()
-        enter = _watcher(watch, entered, enter)
-    # saved callers: (function, blocks, env, resume segment, target, call site)
-    stack: list[tuple] = []
-    steps = 0
-
-    fn = program.functions[program.entry]
-    blocks, entry, bind, params, defaults = fn.compiled or _compile(fn)
-    seg = blocks[entry]
-    env = dict(defaults)
-    try:
-        if enter is not None:
-            enter(seg[5])
-        while True:
-            run, n, ids, kind, call, _, stepwise = seg
-            if steps + n <= max_steps:
-                steps += n
-                try:
-                    value = run(env, st)
-                except _Stop as stop:
-                    steps += ids.index(stop.at) + 1 - n
-                    raise
-            else:
-                for step in stepwise.steps():
-                    steps += 1
-                    if steps > max_steps:
-                        raise _Timeout
-                    value = step(env, st)
-
-            if kind == _GOTO:
-                seg = blocks[value]
-            elif kind == _CALL:
-                callee, args = value
-                site, target, after = call
-                if calls is not None:
-                    calls.append((site, callee.id))
-                if callee.external:
-                    # externals have no body; they yield their return type's default
-                    if target is not None:
-                        env[target] = _default_for(callee.return_type)
-                    seg = after
-                    continue
-                stack.append((fn, blocks, env, after, target, site))
-                fn = callee
-                blocks, entry, bind, params, defaults = fn.compiled or _compile(fn)
-                seg = blocks[entry]
-                try:
-                    env = bind(*args)
-                except TypeError:  # more or fewer arguments than parameters
-                    env = dict(zip(params, args))
-                    env.update(defaults)
-            elif kind == _RETURN:
-                if not stack:
-                    return _result(
-                        STATUS_OK, st, trace, calls, entered, steps, exit_value=value
-                    )
-                fn, blocks, env, seg, target, _ = stack.pop()
-                if target is not None:
-                    env[target] = value
-                continue
-            else:
-                return _result(STATUS_OK, st, trace, calls, entered, steps, exit_value=None)
-            if enter is not None:
-                enter(seg[5])
-    except _Fault as fault:
-        backtrace = [(caller[0].id, caller[5]) for caller in stack]
-        backtrace.append((fn.id, fault.at))
-        return _result(
-            STATUS_FAULT,
-            st,
-            trace,
-            calls,
-            entered,
-            steps,
-            fault_kind=fault.kind,
-            fault_at=fault.at,
-            fault_stack=tuple(backtrace),
-        )
-    except _Timeout:
-        return _result(STATUS_TIMEOUT, st, trace, calls, entered, steps)
-    except _InputExhausted:
-        return _result(STATUS_INPUT_EXHAUSTED, st, trace, calls, entered, steps)
-    except _Covered:
-        return _result(STATUS_COVERED, st, trace, calls, entered, steps)
-
-
-def _watcher(watch, entered, enter):
-    """The block-entry hook of a watched run: add each watched block to
-    `entered`, and stop the run once it holds them all."""
-    count = len(watch)
-
-    def watched(key):
-        if enter is not None:
-            enter(key)
-        if key in watch:
-            entered.add(key)
-            if len(entered) == count:
-                raise _Covered
-
-    return watched
-
-
-def _compile(fn):
-    """Compile `fn` in the checked form and publish it on `fn.compiled`.
-
-    The result is `(blocks, entry, bind, params, defaults)`.
-
-    `blocks[i]` is the first segment of the i-th block, a tuple `(run,
-    steps, ids, kind, call, trace key, stepwise)`. `run(env, st)` is the
-    generated function of the whole segment, and `stepwise` makes, on first
-    use, one function per step. `ids` holds the id of each step, so the
-    segment's call site or terminator id comes last. A segment of kind
-    `_CALL` has `call = (site, target, after)` and continues with the
-    segment `after`.
-
-    `bind(*args)`, also generated, returns the environment of a call: the
-    parameters bound to `args`, then the locals at their defaults. It
-    builds in one step what `dict(zip(params, args))` updated with
-    `defaults` builds, which a call with the wrong number of arguments
-    still uses.
-
-    A block id no block has is given a segment that raises `KeyError`
-    when entered, before any step. Compilation never raises: what the IR
-    cannot do raises when it runs.
-    """
-    index, target = _targets()
-    for bid in fn.blocks:
-        target(bid)
-    blocks = [_block(fn, block, target) for block in fn.blocks.values()]
-    entry = target(fn.entry_block)
-    for bid in list(index)[len(blocks):]:
-        lowering = _Lowering()
-        raiser = f"raise KeyError({lowering.const(bid)})"
-        blocks.append(_segment(lowering, [raiser], (), _GOTO, None, None))
-    params = tuple(name for name, _ in fn.params)
-    defaults = {name: _default_for(vtype) for name, vtype in fn.locals.items()}
-    compiled = (tuple(blocks), entry, _bind(params, defaults), params, defaults)
-    object.__setattr__(fn, "compiled", compiled)
-    return compiled
-
-
-def _block(fn, block, target):
-    """The first segment of `block`, each segment linked to the next."""
-    key = (fn.id, block.id)
-    seg = None
-    for stmts, call in reversed(_segments(block)):
-        lowering = _Lowering()
-        texts = [lowering.statement(s) for s in stmts]
-        ids = [s.id for s in stmts]
-        if call is None:
-            text, at, kind = lowering.terminator(block, target)
-            link = None
-        else:
-            text, at, kind = lowering.call(call), call.id, _CALL
-            link = (call.id, call.target, seg)
-        seg = _segment(lowering, texts + [text], ids + [at], kind, link, key)
-    return seg
-
-
 # Generated code objects by source text, for the life of the process.
 _CODE: dict[str, object] = {}
 
@@ -661,57 +562,6 @@ def _code(source, filename):
     return code
 
 
-def _define(source, lowering):
-    """Run `source` in a fresh namespace holding the helpers and the
-    constants of `lowering`; returns the namespace."""
-    code = _code(source, "<segment>")
-    namespace = dict(_HELPERS)
-    namespace.update(lowering.consts)
-    exec(code, namespace)
-    return namespace
-
-
-def _bind(params, defaults):
-    """The generated `bind` of a function with these parameters and locals."""
-    lowering = _Lowering()
-    args = [f"p{i}" for i in range(len(params))]
-    items = [f"{lowering.const(name)}: {arg}" for name, arg in zip(params, args)]
-    items += [f"{lowering.const(k)}: {lowering.const(v)}" for k, v in defaults.items()]
-    source = f"def bind({', '.join(args)}):\n    return {{{', '.join(items)}}}\n"
-    return _define(source, lowering)["bind"]
-
-
-def _function(name, texts):
-    body = "".join(f"\n    {line}" for text in texts for line in text.split("\n"))
-    return f"def {name}(env, st):{body}\n"
-
-
-def _segment(lowering, texts, ids, kind, link, key):
-    run = _define(_function("seg", texts), lowering)["seg"]
-    return (run, len(ids), tuple(ids), kind, link, key, _Stepwise(lowering, texts))
-
-
-class _Stepwise:
-    """A segment as one generated function per step, for a run whose step
-    budget ends inside it. Made from the segment's own statement source
-    the first time a run needs it."""
-
-    __slots__ = ("lowering", "texts", "functions")
-
-    def __init__(self, lowering, texts):
-        self.lowering = lowering
-        self.texts = texts
-        self.functions = None
-
-    def steps(self):
-        if self.functions is None:
-            names = [f"step{i}" for i in range(len(self.texts))]
-            source = "".join(_function(name, [text]) for name, text in zip(names, self.texts))
-            namespace = _define(source, self.lowering)
-            self.functions = tuple(namespace[name] for name in names)
-        return self.functions
-
-
 # ---------------------------------------------------------------------------
 # Lowering to Python source
 # ---------------------------------------------------------------------------
@@ -721,20 +571,55 @@ class _Stepwise:
 _INFIX = frozenset(("+", "-", "<", "<=", ">", ">=", "==", "!="))
 
 
-class _Lowering:
-    """Python source for the statements and the end of one checked
-    segment, with variables as keys of `env`.
+class _FastLowering:
+    """Python source for a program's functions, in two flavours.
 
-    Each statement becomes one line of text. Constants that are not a
-    string, int, bool or None are collected in `consts` under generated
-    names.
+    IR function `name` becomes `def f<i>(st, L, d, <parameters>)` in the
+    native flavour, whose calls are Python calls, and `def h<i>(st, L,
+    *a)` in the generator flavour, whose calls are yields to `_deep`;
+    `i` is its position in the program, `L` the step countdown and `d`
+    the call depth. A return stores the countdown in `st.L`, and a caller
+    reads it back after the call. Each statement, call and terminator is
+    one line. Variables are `v<k>` in the order the function first names
+    them, parameters first. Constants that are not a string, int, bool or
+    None are collected in `consts` under generated names. `units` collects
+    the `_Unit` of each function generated, and `arities` the argument
+    counts of native calls through a function reference.
     """
 
-    prefix = "_c"  # of the names of collected constants
+    def __init__(self, functions, guards, traced, units):
+        self.functions = functions
+        self.guards = guards
+        self.traced = traced
+        self.units = units
+        self.index = {name: i for i, name in enumerate(functions)}
+        self.arities: set[int] = set()
 
-    def __init__(self):
-        self.consts: dict[str, object] = {}
-        self.temps = 0
+    def code_name(self, name, deep) -> str:
+        return f"{'h' if deep else 'f'}{self.index[name]}"
+
+    def namespace(self, deep) -> dict:
+        """Every function compiled in one flavour, in a fresh namespace
+        that also holds the helpers and the collected constants. Code comes
+        from `_CODE` when another form, or a patched variant, generated the
+        same text before."""
+        namespace = dict(_HELPERS)
+        for name, fn in self.functions.items():
+            f = self.code_name(name, deep)
+            self.deep = deep
+            self.consts: dict[str, object] = {}
+            self.prefix = f"_{f}c"
+            self.lines: list[str] = []
+            self.sites: dict[int, tuple[str, str, int]] = {}
+            self.checks: dict[int, int] = {}
+            self.vars: dict[str, str] = {}
+            self.temps = 0
+            self.function(f, name, fn)
+            source = "\n".join(self.lines) + "\n"
+            self.units[f] = _Unit(self.sites, self.checks, source, self.vars)
+            namespace.update(self.consts)
+            exec(_code(source, _FORM_FILE), namespace)
+        return namespace
 
     def const(self, value) -> str:
         """A Python expression for `value`."""
@@ -748,24 +633,106 @@ class _Lowering:
 
     def var(self, name: str) -> str:
         """A Python target or expression for variable `name`."""
-        return f"env[{self.const(name)}]"
-
-    def at(self, stmt_id) -> str:
-        """The last argument of a helper that may stop the run: the id of
-        the statement it reports."""
-        return f",{self.const(stmt_id)}"
+        local = self.vars.get(name)
+        if local is None:
+            local = self.vars[name] = f"v{len(self.vars)}"
+        return local
 
     def temp(self) -> str:
         self.temps += 1
         return f"_t{self.temps}"
 
+    def emit(self, depth: int, text: str, site=None) -> None:
+        self.lines.append(" " * depth + text)
+        if site is not None:
+            self.sites[len(self.lines)] = site
+
+    def function(self, f, name, fn) -> None:
+        # the call that entered the function, made by a call line; the
+        # run's entry is made by none
+        record = f"st.C.append((st.s,{self.const(fn.id)}))" if self.traced else None
+        if fn.external:
+            # externals have no body; they yield their return type's default
+            head = f"def {f}(st,L,*a):" if self.deep else f"def {f}(st,L,d,*a):"
+            body = [record, "st.L=L", f"return {self.const(_default_for(fn.return_type))}"]
+            self.emit(0, head + ";".join(filter(None, body)) + (";yield" if self.deep else ""))
+            return
+        params = [p for p, _ in fn.params]
+        if self.deep:
+            self.emit(0, f"def {f}(st,L,*a):")
+            # parameters bound as `zip` pairs them with the arguments
+            for k, p in enumerate(params):
+                self.emit(1, f"if len(a)>{k}:{self.var(p)}=a[{k}]")
+        else:
+            # a parameter named again later is bound by the later one
+            args = [
+                f"x{k}" if p in params[k + 1:] else self.var(p) for k, p in enumerate(params)
+            ]
+            self.emit(0, f"def {f}({','.join(['st', 'L', 'd'] + args)}):")
+            deep = ",".join(["G", self.const(name), "st", "L", "d"] + args)
+            self.emit(1, f"if d>{_MAX_DEPTH}:return _deep({deep})")
+        if record:
+            self.emit(1, f"if st.s is not None:{record}")
+        defaults = [f"{self.var(v)}={self.const(_default_for(t))}" for v, t in fn.locals.items()]
+        if defaults:
+            self.emit(1, ";".join(defaults))
+
+        index = {bid: i for i, bid in enumerate(fn.blocks)}
+
+        def target(bid):  # ids no block has are numbered after the blocks
+            return index.setdefault(bid, len(index))
+
+        blocks = list(fn.blocks.items())
+        heads = list(range(len(blocks)))
+        entry = target(fn.entry_block)
+        if entry < len(blocks) and all(
+            fn.entry_block not in block.successors for _, block in blocks
+        ):
+            # nothing jumps to the entry block: it runs once, before the loop,
+            # with no dispatch test and less indentation, a shorter text
+            self.block(name, fn, blocks[entry], target, None, 1)
+            heads.remove(entry)
+        else:
+            self.emit(1, f"b={entry}")
+        if heads or len(index) > len(blocks):
+            self.emit(1, "while 1:")
+            for i in heads:
+                self.emit(2, f"if b=={i}:")
+                self.block(name, fn, blocks[i], target, i, 3)
+            for bid, i in list(index.items())[len(blocks):]:
+                self.emit(2, f"if b=={i}:raise KeyError({self.const(bid)})")
+        if self.deep:  # never reached: makes a function with no call a generator
+            self.emit(1, "yield")
+
+    def block(self, name, fn, item, target, head, depth) -> None:
+        """Block `head` of the dispatch loop (None: before the loop) at
+        indentation `depth`: its trace entry and its guard, if it has them,
+        then each segment, charged in one subtraction."""
+        bid, block = item
+        if self.traced:
+            self.emit(depth, f"st.T.append({self.const((fn.id, bid))})")
+        guard = self.guards.get((name, bid))
+        if guard is not None:
+            self.emit(depth, f"if {guard} in st.H and _g(st,{guard}):return _ret(st,L,{guard})")
+        for stmts, call in _segments(block):
+            n = len(stmts) + 1
+            self.emit(depth, f"if (L:=L-{n})<0:raise S")
+            self.checks[len(self.lines)] = n
+            for j, stmt in enumerate(stmts):
+                self.emit(depth, self.statement(stmt), (fn.id, stmt.id, j + 1 - n))
+            if call:
+                self.emit(depth, self.call(call), (fn.id, call.id, 0))
+            else:  # a jump's, a halt's or a missing terminator's step has no id
+                term = block.terminator
+                site = (fn.id, term.id, 0) if isinstance(term, (Branch, Return)) else None
+                self.emit(depth, self.terminator(block, target, head), site)
+
     def error(self, message: str, *operands: str) -> str:
         """Code that evaluates `operands`, then raises `IRError(message)`."""
         return f"_ir_error({','.join((self.const(message),) + operands)})"
 
-    def expr(self, expr, at) -> str:
-        """A pure expression; `at` is the id of the statement it belongs to,
-        where its faults are reported."""
+    def expr(self, expr) -> str:
+        """A pure expression."""
         if isinstance(expr, (IntConst, BoolConst)):
             return self.const(expr.value)
         if isinstance(expr, NilConst):
@@ -775,22 +742,22 @@ class _Lowering:
         if isinstance(expr, Var):
             return self.var(expr.name)
         if isinstance(expr, Unary):
-            operand = self.expr(expr.operand, at)
+            operand = self.expr(expr.operand)
             return f"(not {operand})" if expr.op == "!" else f"(-{operand})"
         if isinstance(expr, Binary):
-            return self.binary(expr, at)
+            return self.binary(expr)
         return self.error(f"cannot evaluate {expr!r}")
 
-    def binary(self, expr, at) -> str:
+    def binary(self, expr) -> str:
         op = expr.op
-        left = self.expr(expr.left, at)
-        right = self.expr(expr.right, at)
+        left = self.expr(expr.left)
+        right = self.expr(expr.right)
         if op in _INFIX:
             return f"({left}{op}{right})"
         if op == "*":
             if isinstance(expr.left, Const) or isinstance(expr.right, Const):
                 return f"({left}*{right})"
-            return f"_mul({left},{right}{self.at(at)})"
+            return f"_mul({left},{right})"
         if op in ("&&", "||"):
             # both operands are always evaluated, left first; no short circuit
             a, b = self.temp(), self.temp()
@@ -803,182 +770,57 @@ class _Lowering:
                 v = self.temp()
                 py = "//" if op == "/" else "%"
                 return f"({v}{py}{right} if ({v}:={left})>=0 else -(-{v}{py}{right}))"
-            return f"_div({left},{right},{op == '%'}{self.at(at)})"
+            return f"_div({left},{right},{op == '%'})"
         return self.error(f"unknown operator {op!r}", left, right)
 
     def statement(self, stmt) -> str:
         """One non-call statement, as one line."""
         kind = stmt.kind
-        at = self.at(stmt.id)
         if kind == "assign":
-            return f"{self.var(stmt.target)}={self.expr(stmt.value, stmt.id)}"
+            return f"{self.var(stmt.target)}={self.expr(stmt.value)}"
         if kind == "array_read":
-            array = self.expr(stmt.array, stmt.id)
-            index = self.expr(stmt.index, stmt.id)
-            return f"{self.var(stmt.target)}=_aread(st,{array},{index}{at})"
+            array, index = self.expr(stmt.array), self.expr(stmt.index)
+            return f"{self.var(stmt.target)}=_aread(st,{array},{index})"
         if kind == "array_write":
-            array = self.expr(stmt.array, stmt.id)
-            index = self.expr(stmt.index, stmt.id)
-            value = self.expr(stmt.value, stmt.id)
-            return f"_awrite(st,{array},{index},{value}{at})"
+            array, index = self.expr(stmt.array), self.expr(stmt.index)
+            return f"_awrite(st,{array},{index},{self.expr(stmt.value)})"
         if kind == "array_alloc":
-            size = self.expr(stmt.size, stmt.id)
-            return f"{self.var(stmt.target)}=_alloc(st,{size}{at})"
+            return f"{self.var(stmt.target)}=_alloc(st,{self.expr(stmt.size)})"
         if kind == "print":
-            return f"_print(st,{self.expr(stmt.value, stmt.id)})"
+            return f"_print(st,{self.expr(stmt.value)})"
         if kind == "read_input":
-            return f"{self.var(stmt.target)}=_read(st{at})"
+            return f"{self.var(stmt.target)}=_read(st)"
         if kind == "assertion":
-            cond = self.expr(stmt.cond, stmt.id)
-            return f"if not {cond}:raise _Fault({FAULT_ASSERT!r}{at})"
+            return f"if not {self.expr(stmt.cond)}:raise _Fault({FAULT_ASSERT!r})"
         if kind == "nop":
             return "pass"
         return self.error(f"cannot execute statement kind {kind!r}")
 
     def call(self, stmt) -> str:
-        """Resolve the callee, then evaluate the arguments, left first."""
-        args = "".join(f"{self.expr(a, stmt.id)}," for a in stmt.args)
+        """Resolve the callee, evaluate the arguments, left first, and
+        call; then read back the countdown the callee left in `st.L`."""
+        n = len(stmt.args)
+        args = "".join(f",{self.expr(a)}" for a in stmt.args)
         if stmt.callee_name is not None:
-            callee = f"st.functions[{self.const(stmt.callee_name)}]"
-        else:
-            callee = f"_fn(st.functions,{self.var(stmt.callee_ref)}{self.at(stmt.id)})"
-        return f"return {callee},({args})"
-
-    def terminator(self, block, target) -> tuple[str, object, int]:
-        """(text, step id, kind) of the block's terminator."""
-        term = block.terminator
-        if isinstance(term, Jump):
-            return f"return {target(term.target)}", None, _GOTO
-        if isinstance(term, Branch):
-            then, else_ = target(term.then_target), target(term.else_target)
-            cond = self.expr(term.cond, term.id)
-            return f"return {then} if {cond} else {else_}", term.id, _GOTO
-        if isinstance(term, Return):
-            value = "None" if term.value is None else self.expr(term.value, term.id)
-            return f"return {value}", term.id, _RETURN
-        if isinstance(term, Halt):
-            return "return None", None, _HALT
-        return self.error(f"block {block.id} has no terminator"), None, _HALT
-
-
-class _FastLowering(_Lowering):
-    """The fast form's source, one IR function at a time: `function`
-    returns its text and the site of every line that can stop a run.
-
-    IR function `name` becomes `def f<i>(st, L, d, <parameters>)`, where
-    `i` is its position in the program, `L` the step countdown and `d`
-    the call depth; a return stores the countdown in `st.L`, and a caller
-    reads it back after the call. Variables are `v<k>` in the order the
-    function first names them, parameters first. Helpers get no statement
-    id: the line they are called from names it. The entry block, when no
-    block jumps to it, runs before the dispatch loop.
-    """
-
-    def __init__(self, program, guards):
-        super().__init__()
-        self.guards = guards
-        self.names = {name: f"f{i}" for i, name in enumerate(program.functions)}
-
-    def var(self, name: str) -> str:
-        local = self.vars.get(name)
-        if local is None:
-            local = self.vars[name] = f"v{len(self.vars)}"
-        return local
-
-    def at(self, stmt_id) -> str:
-        return ""
-
-    def emit(self, depth: int, text: str, site=None) -> None:
-        self.lines.append(" " * depth + text)
-        if site is not None:
-            self.sites[len(self.lines)] = site
-
-    def unit(self, name, fn):
-        """`(code, sites, consts)` of IR function `name`. Its code comes
-        from `_CODE` when another form, or a patched variant, generated the
-        same text before."""
-        self.consts = {}
-        self.prefix = f"_{self.names[name]}c"
-        source, sites = self.function(name, fn)
-        return _code(source, _FAST_FILE), sites, self.consts
-
-    def function(self, name, fn) -> tuple[str, dict]:
-        self.lines: list[str] = []
-        self.sites: dict[int, tuple[str, str, int]] = {}
-        self.vars: dict[str, str] = {}
-        f = self.names[name]
-        if fn.external:
-            # externals have no body; they yield their return type's default
-            default = self.const(_default_for(fn.return_type))
-            self.emit(0, f"def {f}(st,L,d,*a):st.L=L;return {default}")
-            return self.lines[0] + "\n", self.sites
-        params = [p for p, _ in fn.params]
-        # a parameter named again later is bound by the later one
-        args = ["st", "L", "d"] + [
-            f"x{k}" if p in params[k + 1:] else self.var(p) for k, p in enumerate(params)
-        ]
-        self.emit(0, f"def {f}({','.join(args)}):")
-        self.emit(1, f"if d>{_MAX_DEPTH}:raise B")
-        defaults = [f"{self.var(v)}={self.const(_default_for(t))}" for v, t in fn.locals.items()]
-        if defaults:
-            self.emit(1, ";".join(defaults))
-
-        index, target = _targets()
-        for bid in fn.blocks:
-            target(bid)
-        blocks = list(fn.blocks.values())
-        heads = list(range(len(blocks)))
-        entry = target(fn.entry_block)
-        if entry < len(blocks) and all(fn.entry_block not in b.successors for b in blocks):
-            # nothing jumps to the entry block: it runs once, before the loop,
-            # with no dispatch test and less indentation, a shorter text
-            self.block(name, blocks[entry], target, None, 1)
-            heads.remove(entry)
-        else:
-            self.emit(1, f"b={entry}")
-        if heads or len(index) > len(blocks):
-            self.emit(1, "while 1:")
-            for i in heads:
-                self.emit(2, f"if b=={i}:")
-                self.block(name, blocks[i], target, i, 3)
-            for i in range(len(blocks), len(index)):
-                # no such block: the checked form raises KeyError
-                self.emit(2, f"if b=={i}:raise B")
-        return "\n".join(self.lines) + "\n", self.sites
-
-    def block(self, name, block, target, head, depth) -> None:
-        """Block `head` of the dispatch loop (None: before the loop) at
-        indentation `depth`: its guard, if it has one, then each segment,
-        charged in one subtraction."""
-        guard = self.guards.get((name, block.id))
-        if guard is not None:
-            self.emit(depth, f"if {guard} in st.H and _g(st,{guard}):return _ret(st,L,{guard})")
-        for stmts, call in _segments(block):
-            ids = [s.id for s in stmts] + [call.id if call else _term_id(block)]
-            n = len(ids)
-            first: dict = {}
-            for k, sid in enumerate(ids):
-                first.setdefault(sid, k)
-            sites = [None if sid is None else (name, sid, first[sid] + 1 - n) for sid in ids]
-            self.emit(depth, f"if (L:=L-{n})<0:raise B")
-            for stmt, site in zip(stmts, sites):
-                self.emit(depth, self.statement(stmt), site)
-            if call:
-                self.emit(depth, self.call(call), sites[-1])
-            else:
-                self.emit(depth, self.terminator(block, target, head), sites[-1])
-
-    def call(self, stmt) -> str:
-        """The call, then the countdown the callee left in `st.L`."""
-        args = ",".join(["st", "L", "d+1"] + [self.expr(a, stmt.id) for a in stmt.args])
-        if stmt.callee_name is not None:
-            callee = self.names.get(stmt.callee_name)
+            callee = self.functions.get(stmt.callee_name)
             if callee is None:
-                return "raise B"  # no such function: the checked form raises KeyError
+                return f"raise KeyError({self.const(stmt.callee_name)})"
+            if self.deep:
+                head = f"{self.code_name(stmt.callee_name, True)}(st,L"
+            elif callee.external or len(callee.params) == n:
+                head = f"{self.code_name(stmt.callee_name, False)}(st,L,d+1"
+            else:
+                head = f"_deep(G,{self.const(stmt.callee_name)},st,L,d+1"
+        elif self.deep:
+            head = f"_fn(H,{self.var(stmt.callee_ref)})(st,L"
         else:
-            callee = f"_fn(F,{self.var(stmt.callee_ref)})"
-        call = f"{callee}({args})"
-        call = call if stmt.target is None else f"{self.var(stmt.target)}={call}"
+            self.arities.add(n)
+            head = f"_fn(F{n},{self.var(stmt.callee_ref)})(st,L,d+1"
+        call = f"{'yield ' if self.deep else ''}{head}{args})"
+        if stmt.target is not None:
+            call = f"{self.var(stmt.target)}={call}"
+        if self.traced:
+            call = f"st.s={self.const(stmt.id)};{call}"
         return call + ";L=st.L"
 
     def terminator(self, block, target, head) -> str:
@@ -991,22 +833,15 @@ class _FastLowering(_Lowering):
             return f"b={t};continue" if head is not None and t <= head else f"b={t}"
         if isinstance(term, Branch):
             then, else_ = target(term.then_target), target(term.else_target)
-            text = f"b={then} if {self.expr(term.cond, term.id)} else {else_}"
+            text = f"b={then} if {self.expr(term.cond)} else {else_}"
             back = head is not None and then <= head and else_ <= head
             return text + ";continue" if back else text
         if isinstance(term, Return):
-            value = "None" if term.value is None else self.expr(term.value, term.id)
+            value = "None" if term.value is None else self.expr(term.value)
             return f"st.L=L;return {value}"
-        # a halt ends the whole run, and a missing terminator raises IRError:
-        # both are the checked form's
-        return "raise B"
-
-
-def _term_id(block):
-    """The statement id of a block's terminator step: a branch's or
-    return's, or None for a jump, a halt and a missing terminator."""
-    term = block.terminator
-    return term.id if isinstance(term, (Branch, Return)) else None
+        if isinstance(term, Halt):
+            return "raise _Halt"
+        return self.error(f"block {block.id} has no terminator")
 
 
 # ---------------------------------------------------------------------------
@@ -1014,11 +849,11 @@ def _term_id(block):
 # ---------------------------------------------------------------------------
 
 
-def _div(left, right, remainder, at=None):
+def _div(left, right, remainder):
     """`left / right`, or `left % right` with `remainder`, as C computes
-    them; a zero divisor is a fault at statement `at`."""
+    them; a zero divisor is a fault."""
     if right == 0:
-        raise _Fault(FAULT_DIV_ZERO, at)
+        raise _Fault(FAULT_DIV_ZERO)
     # C-style: quotient truncates toward zero, remainder matches
     q = abs(left) // abs(right)
     if (left < 0) != (right < 0):
@@ -1026,47 +861,47 @@ def _div(left, right, remainder, at=None):
     return left - q * right if remainder else q
 
 
-def _mul(left, right, at=None):
+def _mul(left, right):
     """`left * right`; a product of magnitude `PRODUCT_LIMIT` or more ends
-    the run at statement `at` with status timeout."""
+    the run with status timeout."""
     product = left * right
     if -PRODUCT_LIMIT < product < PRODUCT_LIMIT:
         return product
-    raise _Timeout(at)
+    raise _Timeout
 
 
-def _aread(st, ref, i, at=None):
+def _aread(st, ref, i):
     if ref is None:
-        raise _Fault(FAULT_NIL_DEREF, at)
+        raise _Fault(FAULT_NIL_DEREF)
     cells = st.heap[ref]
     if i < 0 or i >= len(cells):
-        raise _Fault(FAULT_OOB, at)
+        raise _Fault(FAULT_OOB)
     return cells[i]
 
 
-def _awrite(st, ref, i, value, at=None):
+def _awrite(st, ref, i, value):
     if ref is None:
-        raise _Fault(FAULT_NIL_DEREF, at)
+        raise _Fault(FAULT_NIL_DEREF)
     cells = st.heap[ref]
     if i < 0 or i >= len(cells):
-        raise _Fault(FAULT_OOB, at)
+        raise _Fault(FAULT_OOB)
     cells[i] = value
 
 
-def _alloc(st, size, at=None):
+def _alloc(st, size):
     if size < 0:
-        raise _Fault(FAULT_OOB, at)
+        raise _Fault(FAULT_OOB)
     if st.heap_cells + size > st.max_heap_cells:
-        raise _Timeout(at)
+        raise _Timeout
     st.heap.append([0] * size)
     st.heap_cells += size
     return len(st.heap) - 1
 
 
-def _read(st, at=None):
+def _read(st):
     value = next(st.inputs, _NO_INPUT)
     if value is _NO_INPUT:
-        raise _InputExhausted(at)
+        raise _InputExhausted
     return value
 
 
@@ -1086,17 +921,17 @@ def _g(st, j):
 
 def _ret(st, left, j):
     """The patched block's return: charge its one step, and return its
-    error value (`_Bail` for one that is no constant)."""
+    error value."""
     if left < 1:
-        raise _Bail
+        raise _StepsOut
     st.L = left - 1
     return _constant(st.E[j])
 
 
-def _fn(functions, ref, at=None):
+def _fn(functions, ref):
     """The callee of a call through `ref`, from `functions`."""
     if ref is None:
-        raise _Fault(FAULT_NIL_DEREF, at)
+        raise _Fault(FAULT_NIL_DEREF)
     return functions[ref.name]
 
 
@@ -1108,18 +943,11 @@ def _ir_error(message, *_operands):
     raise IRError(message)
 
 
-_HELPERS = {
-    "_Fault": _Fault,
-    "_div": _div,
-    "_mul": _mul,
-    "_aread": _aread,
-    "_awrite": _awrite,
-    "_alloc": _alloc,
-    "_read": _read,
-    "_fn": _fn,
-    "_g": _g,
-    "_ret": _ret,
-    "_print": _print,
-    "_ir_error": _ir_error,
-    "B": _Bail,
+# The names generated code calls, bound in the namespace of each form.
+_HELPERS = {"S": _StepsOut} | {
+    helper.__name__: helper
+    for helper in (
+        _Fault, _Halt, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _ret, _print,
+        _ir_error, _deep,
+    )
 }

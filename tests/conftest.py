@@ -28,6 +28,16 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home.name)
 
 
+@pytest.fixture(autouse=True)
+def python_limits_unchanged():
+    """Fail a test that leaves the recursion limit or the integer string
+    digit limit changed: the code under test must work within both as
+    they are, and a test that sets one must restore it."""
+    before = sys.getrecursionlimit(), sys.get_int_max_str_digits()
+    yield
+    assert (sys.getrecursionlimit(), sys.get_int_max_str_digits()) == before
+
+
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS

@@ -658,6 +658,39 @@ class TestDeepInputs:
         assert invoke("all", *args) == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "all"])
+def test_path_count_too_long_to_write_is_a_diagnostic(tmp_path, capsys, command):
+    """2**2200 paths have 663 digits, past a limit of 640: one error line
+    that gives the count's size in bits, exit 4, and nothing written."""
+    k = 2200
+    ladder = "".join(f"    if (x == {i}) {{ y = y + 1; }}\n" for i in range(k))
+    program = tmp_path / "ladder.mini"
+    program.write_text(
+        "fn main() -> int {\n    let x: int = read_input();\n    let y: int = 0;\n"
+        + ladder + "    print(y);\n    return 0;\n}\n"
+    )
+    vuln = tmp_path / "ladder.vuln.json"
+    vuln.write_text(json.dumps({"function": "main", "line": k + 4}))
+    suite = tmp_path / "ladder.suite"
+    suite.write_text("one | input: 1 | expect: 1\n")
+    extra = ["--suite", str(suite)] if command == "all" else []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = invoke(
+            command, "--program", str(program), "--vuln", str(vuln),
+            "--out", str(tmp_path / "out"), *extra,
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err.splitlines() == [
+        f"error: a path count of {k + 1} bits is too long to write (more than 640 decimal digits)"
+    ]
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_printed_value_past_4300_digits_runs_through_all(tmp_path, capsys):
     """A sum is outside the value budget, so 15,000 doublings print a value
     of 4,516 digits; a case that expects another output fails, and its

@@ -39,7 +39,7 @@ from pathpatch.ir import (
     with_returns,
 )
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import interp, lower, parse, run_program
+from pathpatch.minilang import lower, parse, run_program
 from pathpatch.minilang.interp import (
     STATUS_COVERED,
     STATUS_FAULT,
@@ -103,7 +103,8 @@ def test_corpus_and_every_patch_variant_match_the_reference(name):
 def test_a_timeout_at_every_step_of_the_exploit_matches_the_reference(name):
     """The exploit run of every variant, cut by every step budget from one
     step to its whole length, so a timeout lands on each statement, call
-    and terminator of each segment the run passes."""
+    and terminator of each segment the run passes: each run executes once,
+    its budget ending inside a segment, and matches the reference."""
     program, vuln, suite = load_corpus_entry(name)
     values = suite.exploit.input
     for variant in variants(program, vuln):
@@ -228,15 +229,16 @@ def test_steps_count_every_statement_and_terminator():
 
 
 def test_variants_compile_only_the_patched_function(monkeypatch):
-    """In the checked form, a variant shares every unchanged function with
-    its base program and rebuilds the patched one, which reuses the cached
-    code of every segment but the patched block's: at most one `compile()`
-    call per variant. (Evaluation passes patches as data and compiles no
-    variant at all: see test_fast_form.py.)"""
+    """A variant shares every unchanged function with its base program,
+    and code is cached by its text, so a variant's form differs from the
+    base program's only in the patched function, whose text alone is
+    compiled: at most one `compile()` call per variant. (Evaluation passes
+    patches as data and compiles no variant at all: see
+    test_fast_form.py.)"""
     program, vuln, suite = load_corpus_entry("bmp_reader")
     for values in [case.input for case in suite.cases] + [suite.exploit.input]:
-        run_program(program, values, record_trace=True)
-    compiled = {fn_id: fn.compiled for fn_id, fn in program.functions.items()}
+        run_program(program, values)
+    (base,) = program.fast
     patched = variants(program, vuln)[1:]
     sources = []
     compile_ = builtins.compile
@@ -248,24 +250,22 @@ def test_variants_compile_only_the_patched_function(monkeypatch):
     monkeypatch.setattr(builtins, "compile", counting_compile)
     for variant in patched:
         before = len(sources)
-        run_program(variant, suite.exploit.input, record_trace=True)
-        fresh = [
-            fn_id
-            for fn_id, fn in variant.functions.items()
-            if fn.compiled is not None and fn.compiled is not compiled[fn_id]
-        ]
+        run_program(variant, suite.exploit.input)
+        (form,) = variant.fast
+        fresh = [f for f, unit in form.units.items() if unit.source != base.units[f].source]
         assert len(fresh) <= 1
         assert len(sources) - before <= 1, sources[before:]
 
 
 # Names generated code must keep as data: quotes, backslashes, a newline
-# and `#`, and the identifiers of both forms' generated code.
+# and `#`, and identifiers that generated code uses.
 HOSTILE = (
     "env", "st", "seg", "bind", "p0", "f", "_t1", "_c0", "step0", "_div", "_aread",
     "_awrite", "_alloc", "_read", "_ir_error", "_Fault", "it's", 'say "hi"', "back\\slash",
     "two\nlines", "# not a comment", "\'\'\'\"\"\"", "x) or (1",
     "run", "L", "H", "E", "see", "g", "B", "F", "f0", "d", "b", "v0", "x0", "_mul", "_fn",
-    "_print",
+    "_print", "S", "G", "F0", "F4", "h0", "h1", "a", "len", "_deep", "_Halt", "_g", "_ret",
+    "KeyError", "T", "C", "s", "_f0c0", "_h1c0", "yield", "continue",
 )
 
 
@@ -333,11 +333,12 @@ def hostile_program() -> IRProgram:
     )
 
 
-def test_hostile_names_stay_data(monkeypatch):
+def test_hostile_names_stay_data():
     """No name or id can change the generated code: every run, fault ids
-    and backtraces included, matches the reference, in the checked form
-    (traced runs) and in the fast form, whose runs here, patches as data
-    on the hostile blocks and watched runs included, never bail."""
+    and backtraces included, matches the reference, traced or not, and so
+    do runs with patches as data on the hostile blocks, watched runs, and
+    runs whose call passes one argument too many, which run the callee in
+    the generator flavour."""
     program = hostile_program()
     cases = [(x, y) for x in range(-1, 7) for y in range(-1, 4)] + [(1,), ()]
     results = []
@@ -351,10 +352,6 @@ def test_hostile_names_stay_data(monkeypatch):
     assert any(len(stack) == 2 and "\n# " in stack[0][1] for _, stack in faults)
     assert {r.status for r in results} == {STATUS_OK, STATUS_FAULT, STATUS_INPUT_EXHAUSTED}
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the fast form bailed")
-
-    monkeypatch.setattr(interp, "_run_checked", refuse)
     main, callee = program.entry, next(f for f in program.functions if f != program.entry)
     patched = [{}, {(main, 'b"1'): IntConst(-1)}, {(callee, "#b0"): IntConst(7)}]
     watch = frozenset({(main, "b\n2"), (callee, "#b0")})
@@ -368,6 +365,22 @@ def test_hostile_names_stay_data(monkeypatch):
         for returns in patched:
             expected = reference_run(with_returns(program, returns), values)
             assert run_program(program, values, patches=returns) == expected
+            assert run_program(program, values, patches=returns, record_trace=True) == (
+                reference_run(with_returns(program, returns), values, record_trace=True)
+            )
+
+    (block,) = (blk for blk in program.functions[main].blocks.values() if blk.id == "b0'")
+    statements = tuple(
+        replace(s, args=s.args + (IntConst(9),)) if s.kind == "call" else s
+        for s in block.statements
+    )
+    longer = replace(program, functions=dict(program.functions, **{main: replace(
+        program.functions[main],
+        blocks=dict(program.functions[main].blocks, **{"b0'": replace(block, statements=statements)}),
+    )}))
+    for values in cases:
+        assert_same(longer, values, record_trace=True)
+        assert_same(longer, values, max_steps=30)
 
 
 def test_malformed_ir_fails_only_where_it_runs():

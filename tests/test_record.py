@@ -18,7 +18,7 @@ import pytest
 
 import pathpatch
 from pathpatch.analysis import CallEdge, ControlDep
-from pathpatch.ir import IRFunction
+from pathpatch.ir import IRFunction, IRProgram
 from pathpatch.paths import PathDag
 from pathpatch.record import Record, replace
 
@@ -183,8 +183,9 @@ def test_replace_runs_post_init_again():
 
 def test_attributes_that_are_not_fields_are_not_compared_printed_or_copied():
     fn = IRFunction("f", "f", (), "int", {}, None)
-    object.__setattr__(fn, "compiled", "cache")
-    fresh = IRFunction("f", "f", (), "int", {}, None)
-    assert fn == fresh and repr(fn) == repr(fresh)
-    assert "compiled" not in repr(fn)
-    assert replace(fn).compiled is None
+    program = IRProgram({"f": fn}, "f", {})
+    object.__setattr__(program, "fast", ("cache",))
+    fresh = IRProgram({"f": fn}, "f", {})
+    assert program == fresh and repr(program) == repr(fresh)
+    assert "cache" not in repr(program)
+    assert replace(program).fast == ()
