@@ -50,7 +50,6 @@ from .paths import (
     build_program_path_graph,
     count_paths,
     enumerate_paths,
-    find_call_chains,
     intraprocedural_paths,
     resolve_vulnerability,
 )

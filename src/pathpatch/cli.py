@@ -32,7 +32,11 @@ start at an entry frame (one that no `next` names, in id order), follow
 cycle, which no chain closes.
 `chain_count` counts the chains, and the top-level `path_count` the
 maximal paths. No chain or path is listed, so the document grows with the
-frames and their DAGs, not with the chains or paths.
+frames and their DAGs, not with the chains or paths. Neither is any chain
+listed in memory: the counts come from the frame graph, and only
+recursion, a dropped chain or a candidate note repeated on every chain
+makes the analysis walk the chains one by one, under a fixed budget
+(`paths.WALK_BUDGET`).
 
 Diagnostics are data: the path graph's notes go to `path_graph.json` and,
 once per run of every subcommand, to `note:` lines on stderr; the
@@ -40,7 +44,8 @@ candidate walk's notes go to `candidates.json` and to locate's `warning:`
 lines. No Python warning is raised, so `-W error` changes nothing.
 
 Exit codes: 0 success, 2 usage, 3 input/parse error, 4 analysis diagnostic
-(for example a vulnerability no call chain can reach).
+(for example a vulnerability no call chain can reach, or a chain walk that
+runs past its budget).
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .minilang.interp import DEFAULT_MAX_STEPS
 from .paths import (
     Exploit,
     build_program_path_graph,
+    chain_facts,
     count_frame_paths,
     count_paths,
     path_increments,
@@ -182,7 +188,7 @@ def _vuln_from_json(program, raw):
     spec = _spec_field(raw, "exploit", dict, "an object")
     if spec is not None:
         inputs = _spec_field(spec, "input", list, "a list of integers") or ()
-        if not all(isinstance(v, int) for v in inputs):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in inputs):
             raise SuiteError(
                 "vulnerability spec field 'input' must be a list of integers"
             )
@@ -198,9 +204,10 @@ def _vuln_from_json(program, raw):
 
 
 def _spec_field(record: dict, key: str, kind: type, what: str):
-    """`record[key]`, None when absent or null, else checked to be a `kind`."""
+    """`record[key]`, None when absent or null, else checked to be a `kind`;
+    JSON's `true` and `false` are no integers."""
     value = record.get(key)
-    if value is not None and not isinstance(value, kind):
+    if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SuiteError(f"vulnerability spec field {key!r} must be {what}")
     return value
 
@@ -216,23 +223,12 @@ def path_graph_document(program, ppg) -> dict:
     """The `path-graph@3` document: each distinct frame once, with the
     frames that follow it on some chain and its DAG's Ball–Larus
     increments; no chain or path is listed."""
-    follows: dict = {}  # Frame -> its FramePaths and the frames after it
-    for chain_paths in ppg.chains:
-        chain = chain_paths.frames
-        for fp, after in zip(chain, chain[1:] + (None,)):
-            entry = follows.setdefault(fp.frame, (fp, set()))
-            if after is not None:
-                entry[1].add(after.frame)
-    ids = {frame: i for i, frame in enumerate(follows)}  # first appearance
     frames = []
-    for fp, after in follows.values():
+    for i, (fp, after) in enumerate(zip(ppg.frames, ppg.following)):
         blocks = program.functions[fp.frame.function].blocks
-        # in the order the call-chain search tries the call edges: by call
-        # site, then callee, and then the callee's own call site
-        followers = sorted(after, key=lambda f: (f.function, f.call_site or ""))
         frames.append(
             {
-                "id": ids[fp.frame],
+                "id": i,
                 "function": fp.frame.function,
                 "target_statement": fp.target_statement,
                 "blocks": [
@@ -245,7 +241,7 @@ def path_graph_document(program, ppg) -> dict:
                 ],
                 "governing_conditionals": [list(g) for g in fp.governing],
                 "path_count": count_frame_paths(fp.dag),
-                "next": [ids[f] for f in followers],
+                "next": list(after),
             }
         )
     return {
@@ -255,7 +251,7 @@ def path_graph_document(program, ppg) -> dict:
             "statement": ppg.vulnerability.statement,
         },
         "frames": frames,
-        "chain_count": len(ppg.chains),
+        "chain_count": chain_facts(ppg).chains,
         "path_count": count_paths(ppg),
         "diagnostics": list(ppg.diagnostics),
     }
@@ -348,7 +344,7 @@ def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
             "statement": vuln.statement,
         },
         "suite": {"cases": len(suite.cases), "exploit": suite.exploit is not None},
-        "levels": max((len(c.chain.frames) for c in ppg.chains), default=0),
+        "levels": chain_facts(ppg).longest,
     }
     if args.fuzz:
         runs, hits = fuzz_vulnerability(

@@ -5,22 +5,28 @@ path through any chain of consecutive conditional blocks and take the first
 non-conditional block reached: patching there stops the path as soon as the
 governing branch has committed to it, while blocks off the vulnerable paths
 keep running. Candidates are deduplicated by (function, block) across paths
-and chains, and the first one found keeps its governing conditional, so
-each distinct frame is walked once and each conditional once per frame.
+and chains, and the first one found keeps its governing conditional. The
+walk depends on the frame only, so each distinct frame is walked once, in
+the order the chains first reach the frames, and each conditional once per
+frame.
 
 A location's level counts call-chain frames from the vulnerable function:
 level 0 is the vulnerable function itself, level 1 its direct caller, and
-so on; a function on several chains gets the smallest distance.
+so on; a function on several chains gets the smallest distance
+(`paths.chain_facts`).
 
 Degenerate paths, where a walk runs out of path on conditionals or no path
 has a conditional at all, give notes, not exceptions or Python warnings:
-`candidate_locations` appends them to the list its caller passes in.
+`candidate_locations` appends them to the list its caller passes in. A
+frame's notes repeat on every chain through it, in chain order, so only
+when some frame has notes are the chains walked, one at a time
+(`ProgramPathGraph.chain_ids`).
 """
 
 from __future__ import annotations
 
 from .ir import block_sort_key
-from .paths import Frame, FramePaths, ProgramPathGraph
+from .paths import FramePaths, ProgramPathGraph, chain_facts
 from .record import Record
 
 
@@ -30,16 +36,6 @@ class CandidatePatchLocation(Record):
     governing_conditional: str
     branch_index: int
     level: int
-
-
-def function_levels(ppg: ProgramPathGraph) -> dict[str, int]:
-    """Each chain function's smallest frame distance from the vulnerable
-    function, over all chains, in one pass."""
-    levels: dict[str, int] = {}
-    for chain_paths in ppg.chains:
-        for level, frame in enumerate(reversed(chain_paths.chain.frames)):
-            levels[frame.function] = min(level, levels.get(frame.function, level))
-    return levels
 
 
 def _walk_frame(
@@ -117,29 +113,21 @@ def candidate_locations(
     """
     if diagnostics is None:
         diagnostics = []
-    levels = function_levels(ppg)
+    levels = chain_facts(ppg).levels
     found: dict[tuple[str, str], CandidatePatchLocation] = {}
-    # a frame's walk depends on the frame only, so each distinct frame is
-    # walked once and its notes repeat wherever it recurs
-    frame_notes: dict[Frame, list[str]] = {}
-    any_conditional = False
-
-    for chain_paths in ppg.chains:
-        for frame_paths in chain_paths.frames:
-            frame = frame_paths.frame
-            if frame_paths.conditional:
-                any_conditional = True
-            if frame not in frame_notes:
-                frame_notes[frame] = _walk_frame(
-                    frame_paths, ppg, levels[frame.function], found
-                )
-            diagnostics.extend(frame_notes[frame])
+    frame_notes = [
+        _walk_frame(fp, ppg, levels[fp.frame.function], found) for fp in ppg.frames
+    ]
+    if any(frame_notes):
+        for ids in ppg.chain_ids():
+            for i in ids:
+                diagnostics.extend(frame_notes[i])
 
     results = sorted(
         found.values(),
         key=lambda loc: (-loc.level, block_sort_key(loc.block), loc.function),
     )
-    if not results and not any_conditional and not ppg.empty:
+    if not results and not any(fp.conditional for fp in ppg.frames) and not ppg.empty:
         diagnostics.append(
             "no conditional block lies on any vulnerable path; nothing to patch"
         )

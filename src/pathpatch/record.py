@@ -36,8 +36,8 @@ built from the fields, is set with `object.__setattr__` (usually in
 
 Hot classes: the shared `__init__` is a loop and costs about twice what a
 constructor written for the class does. A class built once per interpreter
-run, per test verdict or per call-chain frame (thousands of times in one
-invocation) therefore writes its own `__init__`, with the same parameters
+run or per test verdict (thousands of times in one invocation) therefore
+writes its own `__init__`, with the same parameters
 and defaults as its fields, which stores each field and then `_values` in
 field order. Classes built a number of times proportional to the program's
 size use the shared one.

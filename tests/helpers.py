@@ -5,8 +5,9 @@ The oracles deliberately avoid the production algorithms: postdominance is
 derived from exhaustive simple-path enumeration, and the dominator trees
 from per-block set fixpoints (`reference_postdominators`,
 `reference_back_edges`); interprocedural paths from a direct depth-first
-search with a no-repeat cutoff, the path graph from a frame-by-frame build
-along every chain (`reference_path_graph`), its document from writing
+search with a no-repeat cutoff, the call chains from listing every one
+(`find_call_chains`), the path graph from a frame-by-frame build along
+every chain (`reference_path_graph`), its document from writing
 every chain's frames out in full (`reference_path_graph_document`, the
 `path-graph@1` schema, which `expand_path_graph_document` rebuilds from a
 `path-graph@3` document by walking `next` and decoding every path number),
@@ -20,12 +21,14 @@ running every case on every patched program
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from pathpatch.analysis import (
     EXIT,
+    CallGraph,
     PostDominators,
     build_call_graph,
     compute_control_dependencies,
@@ -98,11 +101,11 @@ from pathpatch.minilang.nodes import (
 from pathpatch.paths import (
     CallChain,
     ChainPaths,
+    Frame,
     FramePaths,
     ProgramPathGraph,
     count_paths,
     enumerate_paths,
-    find_call_chains,
     intraprocedural_paths,
     resolve_vulnerability,
 )
@@ -538,6 +541,52 @@ def export_graph(program: IRProgram, vulnerable: tuple[str, str] | None = None) 
 # ---------------------------------------------------------------------------
 
 
+def find_call_chains(cg: CallGraph, vuln_fn: str, entry: str) -> list[CallChain]:
+    """All acyclic chains entry -> ... -> vuln_fn over the call graph.
+
+    A chain stops on first reaching the vulnerable function, and no function
+    repeats within a chain, so recursion contributes one frame. Order is
+    lexicographic by (call site, callee) at every step, the order in which
+    `build_call_graph` sorts each caller's edges. The depth-first walk keeps
+    an explicit stack, so chain depth is not bounded by Python's recursion
+    limit.
+    """
+    if vuln_fn == entry:
+        return [CallChain(frames=(Frame(entry, None),))]
+
+    # Restrict the walk to functions that can still reach vuln_fn.
+    can_reach = {vuln_fn}
+    frontier = [vuln_fn]
+    while frontier:
+        for edge in cg.callers_of(frontier.pop()):
+            if edge.caller not in can_reach:
+                can_reach.add(edge.caller)
+                frontier.append(edge.caller)
+    if entry not in can_reach:
+        return []
+
+    chains: list[CallChain] = []
+    on_stack = {entry}
+    # items are (function, its callee edges still to try, frames above it)
+    stack = [(entry, iter(cg.callees_of(entry)), ())]
+    while stack:
+        function, pending, frames = stack[-1]
+        for edge in pending:
+            if edge.callee in on_stack or edge.callee not in can_reach:
+                continue
+            step = frames + (Frame(function, edge.call_site),)
+            if edge.callee == vuln_fn:
+                chains.append(CallChain(frames=step + (Frame(vuln_fn, None),)))
+            else:
+                on_stack.add(edge.callee)
+                stack.append((edge.callee, iter(cg.callees_of(edge.callee)), step))
+                break
+        else:
+            on_stack.discard(function)
+            stack.pop()
+    return chains
+
+
 def reference_path_graph(program: IRProgram, vuln) -> ProgramPathGraph:
     """The path graph built frame by frame along every chain, recomputing
     each frame's DAG, conditionals and governors wherever it recurs."""
@@ -583,10 +632,32 @@ def reference_path_graph(program: IRProgram, vuln) -> ProgramPathGraph:
             chain_paths.append(ChainPaths(chain=chain, frames=tuple(frames)))
     if chains and not chain_paths:
         diagnostics.append("unreachable vulnerability: all chains dropped")
+    ppg = frame_graph(vuln, vuln_block, chain_paths, diagnostics)
+    assert ppg.chains == tuple(chain_paths)  # walking the frame graph gives them back
+    return ppg
+
+
+def frame_graph(vuln, vuln_block, chain_paths, diagnostics) -> ProgramPathGraph:
+    """The path graph of a list of chains: each frame once, in the order the
+    chains first reach it, with the frames that follow it on some chain,
+    sorted by function and call site."""
+    ids: dict = {}  # Frame -> frame id
+    frames: list[FramePaths] = []
+    following: list[set[int]] = []
+    for cp in chain_paths:
+        for fp in cp.frames:
+            if fp.frame not in ids:
+                ids[fp.frame] = len(frames)
+                frames.append(fp)
+                following.append(set())
+        for a, b in zip(cp.frames, cp.frames[1:]):
+            following[ids[a.frame]].add(ids[b.frame])
+    order = lambda i: (frames[i].frame.function, frames[i].frame.call_site or "")
     return ProgramPathGraph(
         vulnerability=vuln,
         vulnerable_block=vuln_block,
-        chains=tuple(chain_paths),
+        frames=tuple(frames),
+        following=tuple(tuple(sorted(after, key=order)) for after in following),
         diagnostics=tuple(diagnostics),
     )
 
@@ -817,6 +888,73 @@ def call_fanout_program(n: int):
     """(program, vulnerability) of `call_fanout_source(n)`."""
     program = lower(parse(call_fanout_source(n)))
     return program, resolve_vulnerability(program, f"f{n}", line=4)
+
+
+def recursive_fanout_source(n: int) -> str:
+    """`call_fanout_source(n)` where f_{n-1} can also call f0 back: the
+    call graph has a cycle that no chain closes, so the chains must be
+    walked one by one, and there are 2**n of them."""
+    head = f"fn f{n - 1}(x: int) -> int {{ let r: int = 0;"
+    return call_fanout_source(n).replace(head, head + " if (x > 1000) { r = f0(x); }")
+
+
+def fanout_document(n: int, dead: int | None = None, stuck: bool = False) -> GraphDocument:
+    """A graph document of the call fan-out: main calls f0 and each f_i
+    calls f_{i+1} from two sites, one on each arm of a conditional, so
+    2**n chains reach f_n. With `dead`, the second site of f_dead lies in a
+    block its entry cannot reach, and the chains through it are dropped.
+    With `stuck`, f_n's vulnerable block is a conditional that both arms
+    leave for the exit, so the candidate walk notes it on every chain."""
+    functions = [
+        {
+            "name": "main",
+            "entry": "m0",
+            "blocks": [{"id": "m0", "statements": ["main_call"]}],
+            "edges": [],
+        }
+    ]
+    calls = [["main", "main_call", "f0"]]
+    for i in range(n):
+        second = [[f"f{i}a", f"f{i}d", 1], [f"f{i}c", f"f{i}d", None]]
+        if i != dead:
+            second = [[f"f{i}a", f"f{i}c", 1], [f"f{i}c", f"f{i}d", None]]
+        functions.append(
+            {
+                "name": f"f{i}",
+                "entry": f"f{i}a",
+                "blocks": [
+                    {"id": f"f{i}a", "conditional": True, "statements": [f"f{i}_test"]},
+                    {"id": f"f{i}b", "statements": [f"f{i}_p"]},
+                    {"id": f"f{i}c", "statements": [f"f{i}_q"]},
+                    {"id": f"f{i}d", "statements": [f"f{i}_ret"]},
+                ],
+                "edges": [[f"f{i}a", f"f{i}b", 0], [f"f{i}b", f"f{i}d", None], *second],
+            }
+        )
+        calls += [[f"f{i}", f"f{i}_p", f"f{i + 1}"], [f"f{i}", f"f{i}_q", f"f{i + 1}"]]
+    functions.append(
+        {
+            "name": f"f{n}",
+            "entry": "v0",
+            "blocks": [
+                {"id": "v0", "conditional": True, "statements": ["v_test"]},
+                {"id": "v1", "conditional": stuck, "statements": ["vuln"]},
+                {"id": "v2", "statements": ["v_ret"]},
+            ],
+            "edges": [["v0", "v1", 0], ["v0", "v2", 1]]
+            + ([["v1", "v2", 0], ["v1", "v2", 1]] if stuck else [["v1", "v2", None]]),
+        }
+    )
+    return GraphDocument.from_json(
+        json.dumps(
+            {
+                "schema": "program-graph@1",
+                "functions": functions,
+                "calls": calls,
+                "vulnerable": {"function": f"f{n}", "statement": "vuln"},
+            }
+        )
+    )
 
 
 # main calls f, g and h; f calls g, g calls h and h calls f, and each of the

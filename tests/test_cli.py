@@ -29,10 +29,12 @@ from helpers import (
     call_fanout_program,
     call_fanout_source,
     expand_path_graph_document,
+    fanout_document,
     frame_walks,
     long_path_source,
     pick_vulnerable_statement,
     random_program_tree,
+    recursive_fanout_source,
     reference_path_graph,
     reference_path_graph_document,
 )
@@ -155,6 +157,43 @@ class TestPathGraphDocument:
         doc = checked_document(*call_fanout_program(n))
         assert doc["chain_count"] == doc["path_count"] == 2**n
         assert len(doc["frames"]) == 2 * n + 2
+
+    @pytest.mark.parametrize("dead", (0, 2))
+    def test_dead_call_site_matches_reference(self, dead):
+        program = import_graph(fanout_document(3, dead=dead))
+        doc = checked_document(program, resolve_vulnerability(program, "f3", statement="vuln"))
+        assert doc["chain_count"] == 4 and len(doc["frames"]) == 7
+        assert len(doc["diagnostics"]) == 4
+
+    def test_call_fanout_of_thirty_is_counted_not_listed(self, tmp_path):
+        """2**30 chains over 62 frames: counted over the frames, never
+        listed one by one."""
+        args = fanout_arguments(tmp_path, 30)
+        assert invoke("analyze", *args, "--out", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "path_graph.json").read_text())
+        assert doc["chain_count"] == doc["path_count"] == 2**30
+        assert len(doc["frames"]) == 62
+
+    @pytest.mark.parametrize("command", ["analyze", "locate", "all"])
+    def test_recursion_past_the_walk_budget_is_a_diagnostic(self, tmp_path, capsys, command):
+        """With recursion the chains are walked one by one; 2**18 chains
+        take more than the walk's budget, which ends the run with one
+        line."""
+        program = tmp_path / "recursive.mini"
+        program.write_text(recursive_fanout_source(18))
+        vuln = tmp_path / "recursive.vuln.json"
+        vuln.write_text(json.dumps({"function": "f18", "line": 4}))
+        suite = tmp_path / "recursive.suite"
+        suite.write_text("c0 | input: 1 | expect: 1\n")
+        flags = ["--suite", str(suite)] if command == "all" else []
+        code = invoke(command, "--program", str(program), "--vuln", str(vuln), *flags,
+                      "--out", str(tmp_path / "out"))
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: walking the call chains one by one")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_recursion_makes_a_cycle_no_chain_closes(self):
         """With recursion the frame graph has a cycle; the chains are only
@@ -496,6 +535,29 @@ class TestFlags:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout == "[]\n"
+
+
+class TestVulnerabilitySpec:
+    """JSON's `true` and `false` are Python integers, but no line number and
+    no input value."""
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"function": "lookup", "line": True}, "line"),
+            ({"function": "lookup", "line": 6, "exploit": {"input": [True, False]}}, "input"),
+        ],
+        ids=["line", "exploit input"],
+    )
+    def test_a_boolean_for_an_integer_is_an_input_error(self, tmp_path, capsys, spec, field):
+        vuln = tmp_path / "twopath.vuln.json"
+        vuln.write_text(json.dumps(spec))
+        code = invoke("analyze", "--program", str(CORPUS / "twopath.mini"), "--vuln", str(vuln))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: vulnerability spec field {field!r} must be")
+        assert captured.err.count("\n") == 1
 
 
 class TestDeepInputs:

@@ -7,11 +7,12 @@ import pytest
 
 from pathpatch.checks import cut_disconnects
 from pathpatch.graphio import GraphDocument, import_graph, load_graph_file
-from pathpatch.locate import candidate_locations, function_levels
+from pathpatch.locate import candidate_locations
 from pathpatch.minilang import lower, parse
 from pathpatch.paths import (
     PathDag,
     build_program_path_graph,
+    chain_facts,
     enumerate_paths,
     resolve_vulnerability,
 )
@@ -19,10 +20,12 @@ from pathpatch.paths import (
 from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
 from helpers import (
     call_fanout_program,
+    fanout_document,
     level_of,
     pick_vulnerable_statement,
     random_program_tree,
     reference_candidate_locations,
+    reference_path_graph,
 )
 
 
@@ -137,7 +140,7 @@ class TestLevels:
         ppg, locations = locations_for(program, vuln)
         main_loc = next(loc for loc in locations if loc.function == "main")
         assert main_loc.level == 2
-        assert function_levels(ppg)["main"] == 2
+        assert chain_facts(ppg).levels["main"] == 2
 
     def test_levels_do_not_exceed_chain_length(self, corpus_entry):
         name, program, vuln, _ = corpus_entry
@@ -383,6 +386,22 @@ class TestLocateOracle:
             ("main", "p"), ("main", "q"), ("f", "d"), ("g", "g1"),
         }
 
+    @pytest.mark.parametrize("dead", (None, 1), ids=("all chains", "dead site"))
+    def test_notes_repeat_on_every_chain_through_a_frame(self, dead):
+        """f4's frame has a note and lies on every chain, so the note
+        repeats once per chain, in chain order, as in the reference built
+        from listing every chain."""
+        program = import_graph(fanout_document(4, dead=dead, stuck=True))
+        vuln = resolve_vulnerability(program, "f4", statement="vuln")
+        ppg = build_program_path_graph(program, vuln)
+        located = located_with_notes(ppg)
+        assert located == reference_candidate_locations(reference_path_graph(program, vuln))
+        only = (
+            "path to vuln consists of conditional blocks only; "
+            "using the vulnerable block v1 itself"
+        )
+        assert located[1] == [only] * (16 if dead is None else 8)
+
     def test_shared_conditional_successors_are_walked_once(self, monkeypatch):
         # c0 -> c1 -> ... -> ck on both branch edges, then the vulnerable
         # block: a walk that re-enters shared conditionals takes 2**k steps
@@ -418,7 +437,7 @@ class TestLocateOracle:
     def test_level_table_is_the_minimum_over_chains(self, corpus_entry):
         name, program, vuln, _ = corpus_entry
         ppg = build_program_path_graph(program, vuln)
-        levels = function_levels(ppg)
+        levels = chain_facts(ppg).levels
         for function in {f for cp in ppg.chains for f in cp.chain.functions}:
             expected = min(
                 level

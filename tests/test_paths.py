@@ -12,21 +12,26 @@ from pathpatch.minilang import lower, parse, run_program
 from pathpatch.paths import (
     PathEnumerationError,
     build_program_path_graph,
+    chain_facts,
     count_paths,
     enumerate_paths,
-    find_call_chains,
     intraprocedural_paths,
     resolve_vulnerability,
 )
 
 from conftest import CORPUS, CORPUS_NAMES, load_corpus_entry
 from helpers import (
+    RECURSIVE_CHAINS,
     bf_interprocedural_paths,
     bf_simple_paths,
     call_fanout_program,
+    fanout_document,
+    find_call_chains,
+    level_of,
     make_function,
     pick_vulnerable_statement,
     random_program_tree,
+    recursive_fanout_source,
     reference_path_graph,
 )
 
@@ -379,6 +384,58 @@ class TestSharedFramePaths:
             "main: target m_dead unreachable from entry; chain main->h->g dropped",
             "h: target h_dead unreachable from entry; chain main->h->g dropped",
         )
+
+    def test_a_dead_call_site_drops_each_chain_through_it(self):
+        """The depth-first pass meets f2's dead site after frames of f0 and
+        f1; the chains are then walked one by one, and each chain through
+        the site is dropped and noted by name, in chain order."""
+        program = import_graph(fanout_document(4, dead=2))
+        vuln = resolve_vulnerability(program, "f4", statement="vuln")
+        ppg = build_program_path_graph(program, vuln)
+        assert ppg == reference_path_graph(program, vuln)
+        assert ppg.diagnostics == (
+            "f2: target f2_q unreachable from entry; chain main->f0->f1->f2->f3->f4 dropped",
+        ) * 8
+        assert chain_facts(ppg).chains == count_paths(ppg) == 8
+        assert len(ppg.frames) == 9
+
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_recursive_fanout_matches_reference(self, n):
+        """f_{n-1} can call f0 back, a cycle no chain closes: the chains
+        are walked one by one, and give the frames the reference gives."""
+        program = lower(parse(recursive_fanout_source(n)))
+        vuln = resolve_vulnerability(program, f"f{n}", line=4)
+        ppg = build_program_path_graph(program, vuln)
+        assert ppg == reference_path_graph(program, vuln)
+        assert chain_facts(ppg).chains == 2**n
+        expected = bf_interprocedural_paths(program, vuln.statement)
+        assert count_paths(ppg) == len(expected) == 2 ** (n + 1)
+
+    def test_chain_facts_match_the_listed_chains(self):
+        """The chain count, each function's smallest level and the longest
+        chain, over the frames or by the walk, equal what the reference's
+        list of chains gives."""
+        cases = [load_corpus_entry(name)[:2] for name in CORPUS_NAMES]
+        program = lower(parse(RECURSIVE_CHAINS))
+        cases.append((program, resolve_vulnerability(program, "v", line=3)))
+        program = lower(parse(recursive_fanout_source(3)))
+        cases.append((program, resolve_vulnerability(program, "f3", line=4)))
+        rng = random.Random(4041)
+        for _ in range(120):
+            program = lower(random_program_tree(rng))
+            _, stmt = pick_vulnerable_statement(rng, program)
+            cases.append((program, resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)))
+        for program, vuln in cases:
+            chains = [cp.chain for cp in reference_path_graph(program, vuln).chains]
+            levels = {}
+            for chain in chains:
+                for function in chain.functions:
+                    level = level_of(chain, function)
+                    levels[function] = min(level, levels.get(function, level))
+            facts = chain_facts(build_program_path_graph(program, vuln))
+            assert facts.chains == len(chains)
+            assert facts.levels == levels
+            assert facts.longest == max((len(chain.frames) for chain in chains), default=0)
 
     def test_all_chains_dropped(self):
         program = import_graph(dead_call_document(reachable_call=False))

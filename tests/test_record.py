@@ -26,7 +26,7 @@ for _module in pkgutil.walk_packages(pathpatch.__path__, "pathpatch."):
     importlib.import_module(_module.name)
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda c: (c.__module__, c.__qualname__))
-HOT = {"ExecutionResult", "CaseVerdict", "Frame", "CallChain", "ChainPaths"}
+HOT = {"ExecutionResult", "CaseVerdict"}
 
 # Fields that a `__post_init__` reads need values of the right shape.
 SHAPED = {
