@@ -150,6 +150,18 @@ def compute_postdominators(fn: IRFunction) -> PostDominators:
 # ---------------------------------------------------------------------------
 
 
+def immediate_dominators(root: str, successors: dict) -> dict[str, str]:
+    """The immediate dominator of each node that `root` reaches over
+    `successors`, in reverse postorder; the root is its own."""
+    order = _reverse_postorder(root, successors)
+    preds: dict = {node: [] for node in order}
+    for node in order:
+        for target in successors[node]:
+            preds[target].append(node)
+    idom = _immediate_dominators(order, preds)
+    return {node: order[i] for node, i in zip(order, idom)}
+
+
 def back_edges(fn: IRFunction) -> frozenset[tuple[str, str]]:
     """Edges u→v where v dominates u; these close loops in structured CFGs.
 

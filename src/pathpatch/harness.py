@@ -104,16 +104,11 @@ def parse_suite(text: str) -> TestSuite:
             raise SuiteError(f"line {number}: second field must be 'input: ...'")
         if not parts[2].startswith("expect:"):
             raise SuiteError(f"line {number}: third field must be 'expect: ...'")
-        input_text = parts[1][len("input:"):].strip()
+        input_values = _integers(parts[1][len("input:"):], number, "inputs")
         expect_text = parts[2][len("expect:"):].strip()
-        try:
-            input_values = tuple(
-                int(v) for v in input_text.split(",") if v.strip() != ""
-            )
-        except ValueError:
-            raise SuiteError(f"line {number}: inputs must be integers") from None
-        if expect_text.startswith(FAULT):
-            kind = expect_text[len(FAULT):].strip() or None
+        words = expect_text.split(None, 1)
+        if words and words[0] == FAULT:  # the whole word, alone or with a kind
+            kind = words[1] if len(words) > 1 else None
             if exploit is None:
                 exploit = Exploit(input=input_values, kind=kind)
             else:
@@ -121,12 +116,22 @@ def parse_suite(text: str) -> TestSuite:
                     f"line {number}: suite already has an exploit specification"
                 )
             continue
-        try:
-            expect = tuple(int(v) for v in expect_text.split(",") if v.strip() != "")
-        except ValueError:
-            raise SuiteError(f"line {number}: expected outputs must be integers") from None
+        expect = _integers(expect_text, number, "expected outputs")
         cases.append(TestCase(name=name, input=input_values, expect=expect))
     return TestSuite(cases=tuple(cases), exploit=exploit)
+
+
+def _integers(text: str, number: int, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of `text`; empty text is none, and an
+    empty item is an error."""
+    if not text.strip():
+        return ()
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise SuiteError(
+            f"line {number}: {what} must be integers, one between each two commas"
+        ) from None
 
 
 def load_suite(path) -> TestSuite:

@@ -43,22 +43,47 @@ depth:
 
   - locals are Python locals `v0`, `v1`, ... and parameters are Python
     parameters;
-  - blocks run in a local dispatch loop, `while 1:` over one `if b==i:`
-    test per block in block order, so a forward jump falls through to its
-    target and a backward one continues the loop; an entry block that no
-    block jumps to runs before the loop;
+  - blocks are nested `if`/`else` and `while 1:` statements, with no
+    dispatch variable. A branch is `if COND:` with its arms up to their
+    join, the block the branch immediately dominates that more than one
+    forward edge enters, which follows the `if`. A loop's header (the
+    target of a back edge, whose source it dominates) opens a `while 1:`;
+    a jump back to it is `continue`, and a jump to the loop's exit block,
+    written after the loop, is `break`. An exit to a tail, a block entered
+    by one edge that reaches only blocks reached through it (a return
+    inside the loop), is written where it is taken. A function that has
+    no such form (a loop with two exits that go on, or an irreducible
+    CFG), or whose form nests deeper than Python compiles (`_MAX_LOOPS`,
+    `_MAX_INDENT`), runs its blocks in a dispatch loop, `while 1:` over
+    one `if b==i:` test per block; lowered MiniLang needs it only past
+    `_MAX_LOOPS` nested loops;
   - calls are native Python calls, `v3=f2(st,L,d+1,...);L=st.L`: a
     return leaves the countdown in `st.L` for its caller;
   - each segment of a block (its statements up to and including a call,
-    or up to and including its terminator) is charged in one subtraction,
-    `if (L:=L-n)<0:raise S`;
-  - each block in the form's guard set starts with a guard,
-    `if j in st.H and _g(st,j):return _ret(st,L,j)`: `st.H` holds the
-    guards active in this run, `_g` records a watched entry (stopping the
-    run once every watched block is entered) and tells whether the block
-    is patched, and `_ret` charges the patch's one step and returns its
-    error value. An unpatched entry of a watched block drops its guard
-    from `st.H`, so a loop pays for it once;
+    or up to and including its terminator) is charged in one subtraction.
+    A segment no step of which a result can show is charged with a bare
+    `L-=n`: it holds only `nop`s and assignments whose expressions cannot
+    raise (no `_div`, no `_mul` of two variables, no other helper and no
+    read of a variable that may be unbound, as every parameter of a
+    generator may be), and ends in a jump to a block or in a branch or
+    return on such an expression. Every other segment is charged with
+    `if (L:=L-n)<0:raise S`. So the countdown drops below zero only
+    across steps no result shows, and it is tested, `L<0`, where the next
+    step could be seen without a segment check: at each loop head, at
+    each guard, at each traced block entry, and after the run's entry
+    function returns, where a countdown below zero is a timeout;
+  - each block in the form's guard set starts with a guard, `if j in
+    st.H and (L<0 and _so() or j in st.V and st.W is _NK or _g(st,j)):
+    st.L=L-1 if L>0 else _so();return st.V[j]`: `st.H` holds the guards
+    active in this run, `st.E` the patched blocks' error values and
+    `st.W` the watched guards (`_NK`, none, in a run that watches
+    nothing). `_g` records a watched entry (stopping the run once every
+    watched block is entered) and tells whether the block is patched; for
+    a patched block it converts the error value, once per run, into
+    `st.V`, so a run that watches nothing returns it again in line. A
+    patched block's return charges its one step, and `_so` stops a run
+    whose budget has run out. An unpatched entry of a watched block drops
+    its guard from `st.H`, so a loop pays for it once;
   - in a traced form, each block first appends its key to `st.T`, and a
     call line stores its call site in `st.s`, which the callee's first
     line appends, with the callee, to `st.C`.
@@ -73,18 +98,21 @@ own compile unit, and code is cached by its source text, so another form
 of the same program or a patched variant compiles only the functions
 whose text differs.
 
-Stops. Each statement, call and terminator is one source line. When a
-stop unwinds the run, the innermost generated frame holds the countdown
-and names the line that stopped it, and the outer ones name the call
-sites; each line's site gives its statement id and its position in the
-segment whose steps were charged before it ran, so the step count and
+Stops. Each statement, call and terminator other than a jump is one
+source line, and a segment's lines follow its charge with no line between
+them. When a stop unwinds the run, the innermost generated frame holds the
+countdown and names the line that stopped it, and the outer ones name the
+call sites; each line's site gives its statement id and its position in
+the segment whose steps were charged before it ran, so the step count and
 the backtrace come out exactly, at no cost to a run that does not stop.
 When a segment check finds that the segment's `n` steps do not fit, the
 countdown before it, `k = L + n < n`, is what the budget has left: the
 run executes the segment's first `k` statement lines against the stopped
 frame's locals, and times out at step `max_steps + 1` unless one of them
 stops it first (a fault, input exhaustion, or the heap or value budget).
-A patched block whose one step does not fit times out at once.
+`k` is 0 or less when an earlier segment with no check ran past the
+budget: nothing runs, and the run times out. A stop at an `L<0` test, and
+a patched block whose one step does not fit, time out at once.
 
 Deep calls. Calls nest natively up to `_MAX_DEPTH`. The function called
 past it runs, with every call below it, in the generator flavour of the
@@ -116,6 +144,7 @@ from __future__ import annotations
 import re
 from functools import partial
 
+from ..analysis import immediate_dominators
 from ..ir import (
     BOOL,
     INT,
@@ -156,6 +185,11 @@ STATUS_COVERED = "covered"
 # well inside Python's default recursion limit of 1000, whatever the
 # caller's own depth.
 _MAX_DEPTH = 200
+
+# Past these, a function runs in the dispatch loop: CPython compiles at
+# most 99 levels of indentation and 20 statically nested loops.
+_MAX_INDENT = 90
+_MAX_LOOPS = 16
 
 
 class FnVal(Record):
@@ -253,9 +287,10 @@ class _State:
     __slots__ = (
         "inputs", "heap", "heap_cells", "max_heap_cells", "output",
         # the step countdown at the last return, the active guards, the
-        # patched guards' error values, the watched guards, those entered,
-        # and how many blocks are watched
-        "L", "H", "E", "W", "seen", "need",
+        # patched guards' error values, as IR constants and, once their
+        # block has returned them, as Python values, the watched guards,
+        # those entered, and how many blocks are watched
+        "L", "H", "E", "V", "W", "seen", "need",
         # a traced run's block entries and calls, and the call site of the
         # call being made
         "T", "C", "s",
@@ -299,6 +334,7 @@ def run_program(
         fn_id, block_id = missing.args[0]
         raise IRError(f"no block {block_id!r} in function {fn_id!r}") from None
     st.H = set(st.E)
+    st.V = {}
     st.W = _NO_KEYS
     st.seen = set()
     if watch is not None:
@@ -311,6 +347,8 @@ def run_program(
     try:
         value = form.entry(st, max_steps, 0)
         steps = max_steps - st.L
+        if steps > max_steps:  # the budget ran out on steps no result shows
+            status, value, steps = STATUS_TIMEOUT, None, max_steps + 1
     except _Stop as stop:
         status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
     except NameError as error:  # a read of a variable nothing bound
@@ -538,6 +576,81 @@ def _deep(deep, name, st, L, d, *args):
         raise
 
 
+class _Unstructured(Exception):
+    """A CFG that nested `if` and `while` cannot write, or that Python
+    cannot compile so."""
+
+
+def _shape(fn):
+    """`(joins, loops)` of `fn`, whose entry block exists.
+
+    `joins` maps each branch block to its join, the block that its arms
+    meet at: the one block it immediately dominates that more than one
+    forward edge enters. `loops` maps each loop header to its exit block,
+    which its `break` goes to (None for none). An exit to a tail, a block
+    entered by one edge whose successors are reached only through it
+    (such as a return inside the loop), is written where it is taken; the
+    loop's exit block is the one exit that is not a tail, or else the
+    header's own exit. An edge to no block is left out, since it raises
+    where it is taken. None when a block has two joins or a loop two exits
+    that are no tail."""
+    blocks = fn.blocks
+    succ = {bid: b.successors for bid, b in blocks.items()}
+    if any(t not in blocks for targets in succ.values() for t in targets):
+        succ = {bid: tuple(t for t in ts if t in blocks) for bid, ts in succ.items()}
+    idom = immediate_dominators(fn.entry_block, succ)  # in reverse postorder
+    index = {bid: i for i, bid in enumerate(idom)}
+    preds: dict[str, list] = {bid: [] for bid in blocks}
+    forward = dict.fromkeys(blocks, 0)
+    loops: dict[str, list] = {}
+    for bid in idom:
+        for t in succ[bid]:
+            preds[t].append(bid)
+            d = bid  # a back edge goes to a block that dominates its source
+            while index[d] > index[t]:
+                d = idom[d]
+            if d == t:
+                loops.setdefault(t, []).append(bid)
+            else:
+                forward[t] += 1
+    joins = {}
+    for bid, n in forward.items():
+        if n > 1:
+            if idom[bid] in joins:
+                return None
+            joins[idom[bid]] = bid
+    for header, sources in loops.items():
+        body = {header}  # the natural loop: what reaches a back edge, not via the header
+        while sources:
+            bid = sources.pop()
+            if bid not in body:
+                body.add(bid)
+                sources.extend(preds[bid])
+        exits = {t for bid in body for t in succ[bid] if t not in body}
+        own = [t for t in succ[header] if t in exits]
+        shared = [t for t in exits - set(own) if not _is_tail(t, fn.entry_block, succ, preds)]
+        if len(shared) > 1 or shared and own and not _is_tail(own[0], fn.entry_block, succ, preds):
+            return None
+        loops[header] = (shared or own or [None])[0]
+    return joins, loops
+
+
+def _is_tail(bid, entry, succ, preds):
+    """Whether block `bid` is entered by one edge, and every block it
+    reaches only from blocks it reaches."""
+    if len(preds[bid]) != 1:
+        return False
+    region, stack = {bid}, [bid]
+    while stack:
+        for t in succ[stack.pop()]:
+            if t not in region:
+                region.add(t)
+                stack.append(t)
+    return entry not in region and all(
+        p in region for t in region if t != bid for p in preds[t]
+    )
+
+
 def _segments(block):
     """`(statements, call)` runs of `block`, split after each call; the
     last run has no call and ends in the terminator."""
@@ -579,8 +692,12 @@ class _FastLowering:
     *a)` in the generator flavour, whose calls are yields to `_deep`;
     `i` is its position in the program, `L` the step countdown and `d`
     the call depth. A return stores the countdown in `st.L`, and a caller
-    reads it back after the call. Each statement, call and terminator is
-    one line. Variables are `v<k>` in the order the function first names
+    reads it back after the call. The blocks are written as nested `if`
+    and `while` from the entry block (`write`), or in a dispatch loop
+    (`body`); a segment's charge has a check unless no step of it can be
+    seen (`safe`, which the expressions of the segment clear). Each
+    statement, call and terminator other than a jump is one line.
+    Variables are `v<k>` in the order the function first names
     them, parameters first. Constants that are not a string, int, bool or
     None are collected in `consts` under generated names. `units` collects
     the `_Unit` of each function generated, and `arities` the argument
@@ -643,6 +760,8 @@ class _FastLowering:
         return f"_t{self.temps}"
 
     def emit(self, depth: int, text: str, site=None) -> None:
+        if depth > _MAX_INDENT:
+            raise _Unstructured
         self.lines.append(" " * depth + text)
         if site is not None:
             self.sites[len(self.lines)] = site
@@ -676,59 +795,148 @@ class _FastLowering:
         defaults = [f"{self.var(v)}={self.const(_default_for(t))}" for v, t in fn.locals.items()]
         if defaults:
             self.emit(1, ";".join(defaults))
-
-        index = {bid: i for i, bid in enumerate(fn.blocks)}
-
-        def target(bid):  # ids no block has are numbered after the blocks
-            return index.setdefault(bid, len(index))
-
-        blocks = list(fn.blocks.items())
-        heads = list(range(len(blocks)))
-        entry = target(fn.entry_block)
-        if entry < len(blocks) and all(
-            fn.entry_block not in block.successors for _, block in blocks
-        ):
-            # nothing jumps to the entry block: it runs once, before the loop,
-            # with no dispatch test and less indentation, a shorter text
-            self.block(name, fn, blocks[entry], target, None, 1)
-            heads.remove(entry)
-        else:
-            self.emit(1, f"b={entry}")
-        if heads or len(index) > len(blocks):
-            self.emit(1, "while 1:")
-            for i in heads:
-                self.emit(2, f"if b=={i}:")
-                self.block(name, fn, blocks[i], target, i, 3)
-            for bid, i in list(index.items())[len(blocks):]:
-                self.emit(2, f"if b=={i}:raise KeyError({self.const(bid)})")
+        # the variables every read finds bound: in the generator flavour a
+        # short call leaves parameters unbound
+        self.bound = set(fn.locals) if self.deep else set(fn.locals).union(params)
+        self.body(name, fn)
         if self.deep:  # never reached: makes a function with no call a generator
             self.emit(1, "yield")
 
-    def block(self, name, fn, item, target, head, depth) -> None:
-        """Block `head` of the dispatch loop (None: before the loop) at
-        indentation `depth`: its trace entry and its guard, if it has them,
-        then each segment, charged in one subtraction."""
-        bid, block = item
+    def body(self, name, fn) -> None:
+        """The function's blocks as nested `if` and `while`, from its entry
+        block; a function with no such form, or one that nests deeper than
+        Python allows, runs its blocks in a dispatch loop instead."""
+        if fn.entry_block not in fn.blocks:
+            self.emit(1, f"raise KeyError({self.const(fn.entry_block)})")
+            return
+        self.name, self.fn = name, fn
+        self.loop, self.open = (None, None), 0  # the innermost loop's header and exit
+        self.written: set[str] = set()
+        self.numbers = None
+        shape = _shape(fn)
+        if shape is not None:
+            self.joins, self.loops = shape
+            mark = len(self.lines)
+            try:
+                self.write(fn.entry_block, None, 1)
+                return
+            except _Unstructured:
+                del self.lines[mark:]
+                self.sites = {i: s for i, s in self.sites.items() if i <= mark}
+                self.checks = {i: n for i, n in self.checks.items() if i <= mark}
+        # the dispatch loop: `b` numbers the block to run next
+        self.joins = {}
+        self.numbers = {bid: i for i, bid in enumerate(fn.blocks)}
+        self.emit(1, f"b={self.numbers[fn.entry_block]}")
+        self.emit(1, "while 1:")
+        self.emit(2, "if L<0:raise S")
+        for bid, i in self.numbers.items():
+            self.emit(2, f"if b=={i}:")
+            self.block(bid, None, 3, True)
+
+    def write(self, bid, follow, depth) -> None:
+        """Block `bid`, and the blocks control runs on to, at indentation
+        `depth`; control that runs off the end of what is written goes on
+        to block `follow`."""
+        while bid is not None:
+            if bid in self.written:  # a second copy: not a structured CFG
+                raise _Unstructured
+            self.written.add(bid)
+            if bid in self.loops:
+                bid = self.write_loop(bid, follow, depth)
+            else:
+                bid = self.block(bid, follow, depth, False)
+
+    def write_loop(self, header, follow, depth):
+        """The loop of `header` as `while 1:`, whose first line is the
+        loop-head check and whose `break` goes on to the loop's exit
+        block; returns the block to write after it."""
+        exit_ = self.loops[header]
+        self.open += 1
+        if self.open > _MAX_LOOPS:
+            raise _Unstructured
+        self.emit(depth, "while 1:")
+        self.emit(depth + 1, "if L<0:raise S")
+        outer, self.loop = self.loop, (header, exit_)
+        self.write(self.block(header, header, depth + 1, True), header, depth + 1)
+        self.loop = outer
+        self.open -= 1
+        return None if exit_ is None else self.goto(exit_, follow, depth)
+
+    def goto(self, bid, follow, depth):
+        """Control going on to block `bid`: a raise to no block; in the
+        dispatch loop, the block's number; otherwise `continue` to the
+        innermost loop's header, nothing to `follow` and `break` to the
+        loop's exit. Returns `bid` when the block is to be written next."""
+        if bid not in self.fn.blocks:  # as the reference's block lookup raises
+            self.emit(depth, f"raise KeyError({self.const(bid)})")
+        elif self.numbers is not None:
+            self.emit(depth, f"b={self.numbers[bid]};continue")
+        elif bid == self.loop[0]:
+            self.emit(depth, "continue")
+        elif bid == self.loop[1]:
+            self.emit(depth, "break")
+        elif bid != follow:
+            return bid
+        return None
+
+    def block(self, bid, follow, depth, head):
+        """Block `bid` at indentation `depth`: its trace entry and its
+        guard, if it has them, then each segment, charged in one
+        subtraction, then where its terminator goes; returns the block to
+        write next. `head`: a loop-head check has just tested the
+        countdown."""
+        fid = self.fn.id
+        block = self.fn.blocks[bid]
         if self.traced:
-            self.emit(depth, f"st.T.append({self.const((fn.id, bid))})")
-        guard = self.guards.get((name, bid))
-        if guard is not None:
-            self.emit(depth, f"if {guard} in st.H and _g(st,{guard}):return _ret(st,L,{guard})")
+            if not head:
+                self.emit(depth, "if L<0:raise S")
+            self.emit(depth, f"st.T.append({self.const((fid, bid))})")
+        j = self.guards.get((self.name, bid))
+        if j is not None:
+            self.emit(depth, (
+                f"if {j} in st.H and (L<0 and _so() or {j} in st.V and st.W is _NK"
+                f" or _g(st,{j})):st.L=L-1 if L>0 else _so();return st.V[{j}]"
+            ))
         for stmts, call in _segments(block):
             n = len(stmts) + 1
-            self.emit(depth, f"if (L:=L-{n})<0:raise S")
-            self.checks[len(self.lines)] = n
-            for j, stmt in enumerate(stmts):
-                self.emit(depth, self.statement(stmt), (fn.id, stmt.id, j + 1 - n))
+            self.safe = True
+            lines = [(self.statement(s), (fid, s.id, j + 1 - n)) for j, s in enumerate(stmts)]
             if call:
-                self.emit(depth, self.call(call), (fn.id, call.id, 0))
-            else:  # a jump's, a halt's or a missing terminator's step has no id
-                term = block.terminator
-                site = (fn.id, term.id, 0) if isinstance(term, (Branch, Return)) else None
-                self.emit(depth, self.terminator(block, target, head), site)
+                self.safe = False
+                lines.append((self.call(call), (fid, call.id, 0)))
+            else:
+                lines.append(self.terminator(block))
+            if self.safe:  # no step of the segment can be seen
+                self.emit(depth, f"L-={n}")
+            else:
+                self.emit(depth, f"if (L:=L-{n})<0:raise S")
+                self.checks[len(self.lines)] = n
+            for text, site in lines:
+                if text is not None:
+                    self.emit(depth, text, site)
+        term = block.terminator
+        if isinstance(term, Jump):
+            return self.goto(term.target, follow, depth)
+        if isinstance(term, Branch):
+            join = self.joins.get(bid)
+            inner = follow if join is None else join
+            mark = len(self.lines)
+            self.write(self.goto(term.then_target, inner, depth + 1), inner, depth + 1)
+            if len(self.lines) == mark:
+                self.lines[-1] += "pass"
+            self.emit(depth, "else:")
+            mark = len(self.lines)
+            self.write(self.goto(term.else_target, inner, depth + 1), inner, depth + 1)
+            if len(self.lines) == mark:
+                self.lines.pop()
+            if inner != follow:
+                return self.goto(inner, follow, depth)
+        return None
 
     def error(self, message: str, *operands: str) -> str:
         """Code that evaluates `operands`, then raises `IRError(message)`."""
+        self.safe = False
         return f"_ir_error({','.join((self.const(message),) + operands)})"
 
     def expr(self, expr) -> str:
@@ -740,6 +948,8 @@ class _FastLowering:
         if isinstance(expr, FuncRef):
             return self.const(FnVal(expr.name))
         if isinstance(expr, Var):
+            if expr.name not in self.bound:
+                self.safe = False  # the read may find it unbound
             return self.var(expr.name)
         if isinstance(expr, Unary):
             operand = self.expr(expr.operand)
@@ -757,6 +967,7 @@ class _FastLowering:
         if op == "*":
             if isinstance(expr.left, Const) or isinstance(expr.right, Const):
                 return f"({left}*{right})"
+            self.safe = False
             return f"_mul({left},{right})"
         if op in ("&&", "||"):
             # both operands are always evaluated, left first; no short circuit
@@ -770,12 +981,16 @@ class _FastLowering:
                 v = self.temp()
                 py = "//" if op == "/" else "%"
                 return f"({v}{py}{right} if ({v}:={left})>=0 else -(-{v}{py}{right}))"
+            self.safe = False
             return f"_div({left},{right},{op == '%'})"
         return self.error(f"unknown operator {op!r}", left, right)
 
     def statement(self, stmt) -> str:
-        """One non-call statement, as one line."""
+        """One non-call statement, as one line; only an assignment can
+        leave the segment's steps unseen."""
         kind = stmt.kind
+        if kind not in ("assign", "nop"):
+            self.safe = False
         if kind == "assign":
             return f"{self.var(stmt.target)}={self.expr(stmt.value)}"
         if kind == "array_read":
@@ -823,25 +1038,25 @@ class _FastLowering:
             call = f"st.s={self.const(stmt.id)};{call}"
         return call + ";L=st.L"
 
-    def terminator(self, block, target, head) -> str:
-        """The terminator of block `head` (None: before the loop); a jump
-        back to it or before it continues the dispatch loop, a forward one
-        falls through."""
+    def terminator(self, block) -> tuple:
+        """`(line, site)` of the terminator's step: the line evaluates a
+        branch's condition or returns, halts or raises; a jump has none."""
         term = block.terminator
         if isinstance(term, Jump):
-            t = target(term.target)
-            return f"b={t};continue" if head is not None and t <= head else f"b={t}"
+            if term.target not in self.fn.blocks:
+                self.safe = False  # the jump goes to no block
+            return None, None
         if isinstance(term, Branch):
-            then, else_ = target(term.then_target), target(term.else_target)
-            text = f"b={then} if {self.expr(term.cond)} else {else_}"
-            back = head is not None and then <= head and else_ <= head
-            return text + ";continue" if back else text
+            if not {term.then_target, term.else_target} <= self.fn.blocks.keys():
+                self.safe = False  # the branch can go to no block
+            return f"if {self.expr(term.cond)}:", (self.fn.id, term.id, 0)
         if isinstance(term, Return):
             value = "None" if term.value is None else self.expr(term.value)
-            return f"st.L=L;return {value}"
+            return f"st.L=L;return {value}", (self.fn.id, term.id, 0)
+        self.safe = False
         if isinstance(term, Halt):
-            return "raise _Halt"
-        return self.error(f"block {block.id} has no terminator")
+            return "raise _Halt", None
+        return self.error(f"block {block.id} has no terminator"), None
 
 
 # ---------------------------------------------------------------------------
@@ -908,24 +1123,21 @@ def _read(st):
 def _g(st, j):
     """The guard of block `j`: record a watched entry, and stop the run
     once every watched block is entered; True when the block is patched
-    in this run."""
+    in this run, with its error value, as a Python value, in `st.V`."""
     if j in st.W:
         st.seen.add(j)
         if len(st.seen) == st.need:
             raise _Covered
     if j in st.E:
+        st.V[j] = _constant(st.E[j])
         return True
     st.H.discard(j)  # watched only, and now entered
     return False
 
 
-def _ret(st, left, j):
-    """The patched block's return: charge its one step, and return its
-    error value."""
-    if left < 1:
-        raise _StepsOut
-    st.L = left - 1
-    return _constant(st.E[j])
+def _so():
+    """Stop the run: the step budget ran out."""
+    raise _StepsOut
 
 
 def _fn(functions, ref):
@@ -944,10 +1156,10 @@ def _ir_error(message, *_operands):
 
 
 # The names generated code calls, bound in the namespace of each form.
-_HELPERS = {"S": _StepsOut} | {
+_HELPERS = {"S": _StepsOut, "_NK": _NO_KEYS} | {
     helper.__name__: helper
     for helper in (
-        _Fault, _Halt, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _ret, _print,
+        _Fault, _Halt, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _so, _print,
         _ir_error, _deep,
     )
 }

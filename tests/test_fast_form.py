@@ -13,6 +13,8 @@ does.
 
 import builtins
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -50,7 +52,13 @@ from pathpatch.record import replace
 from pathpatch.synth import patch_returns, synthesize_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry
-from helpers import SQUARING, random_program_tree, reference_run
+from helpers import (
+    SQUARING,
+    call_fanout_program,
+    long_path_source,
+    random_program_tree,
+    reference_run,
+)
 
 RANDOM_INPUT_BUDGET = 5_000
 SMALL_HEAP = 5
@@ -396,3 +404,225 @@ def test_evaluation_and_fuzz_compile_only_the_probes_form(monkeypatch):
     assert len(sources) == compiled
     assert all(ev.error is None for ev in evaluations)
     assert len(program.fast) == 1
+
+
+# --- the structured form at every budget -----------------------------------
+
+# `main` reads x and n, and calls `shape(x)` at the bottom of n nested calls
+# of `down`: with n = 0 the shape runs natively, with n = 205 in the
+# generator flavour.
+SHAPE_DRIVER = """fn down(n: int, x: int) -> int {
+    if (n > 0) {
+        return down(n - 1, x);
+    }
+    return shape(x);
+}
+fn main() -> int {
+    let x: int = read_input();
+    let n: int = read_input();
+    let r: int = down(n, x);
+    print(r);
+    return r;
+}
+"""
+
+# Past its first block a shape reads only locals, which every read finds
+# bound: in the generator flavour a parameter may be unbound, so a segment
+# that reads `x` is charged with a check there.
+SHAPES = {
+    # no step of the loop can be seen: only the loop-head check stops it
+    "pure loop": "let s: int = x; let i: int = 0; while (true) { i = i + s; } return i;",
+    # an arm charged with no check, then a print
+    "pure prefix": "let s: int = x; if (s > 0) { let a: int = s + 1; let b: int = a * 2;"
+                   " s = (b - s) / 2; } print(s); return s;",
+    # the branch condition divides by z, which is 0 in the third iteration
+    "division in a branch": "let z: int = x; let a: int = 5;"
+                            " while (z > -3) { if (a / z > 1) { a = a + 3; } z = z - 1; }"
+                            " return a;",
+    # an inner arm entered after a segment charged with no check
+    "guarded arm": "let s: int = x; if (s > -9) { s = s + 1; if (s > 0) { s = s + 2; } }"
+                   " let b: int = s - 1; return b;",
+}
+SHAPE_DEPTHS = (0, interp._MAX_DEPTH + 5)
+# the budgets after a shape's first step that are all covered
+SHAPE_SPAN = 30
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the run under way after `seconds`: only the loop-head check
+    stops a loop whose steps no result shows."""
+
+    def stop(signum, frame):
+        raise AssertionError(f"a run did not stop within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def shape_program(name):
+    return lower(parse(SHAPE_DRIVER + f"fn shape(x: int) -> int {{ {SHAPES[name]} }}\n"))
+
+
+def shape_budgets(program, values):
+    """`(budgets, cap, start)` for the run of `program` on `values`: `start`
+    is the least budget whose run enters the shape, and `cap` lets the run
+    go on 260 steps past it, enough for every shape that ends to unwind
+    `down`. The budgets are every one from 1 to one past the capped run's
+    steps, except that outside the `SHAPE_SPAN` budgets from `start` only
+    every 61st and the last four are kept."""
+    entry = ("shape", program.functions["shape"].entry_block)
+    low, high = 1, 2_000
+    while low < high:  # the least budget whose run enters the shape
+        mid = (low + high) // 2
+        if entry in reference_run(program, values, max_steps=mid, record_trace=True).trace:
+            high = mid
+        else:
+            low = mid + 1
+    cap = low + 260
+    last = reference_run(program, values, max_steps=cap).steps + 1
+    every = set(range(1, last + 1, 61)) | set(range(last - 3, last + 1))
+    near = set(range(max(1, low - 3), min(last, low + SHAPE_SPAN) + 1))
+    return sorted(every | near), cap, low
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_each_shape_matches_the_reference_at_every_budget(name):
+    """Segments with no visible step are charged with no check, so the
+    countdown may run below zero across them: every stop, the tail replay
+    of a checked segment whose countdown had already run out, and the
+    timeout after the entry function returns all match the reference,
+    traced or not, natively and on the generator stack."""
+    program = shape_program(name)
+    statuses = set()
+    for n in SHAPE_DEPTHS:
+        values = (2, n)
+        budgets, cap, _ = shape_budgets(program, values)
+        with time_limit(30):
+            statuses.add(assert_same(program, values, max_steps=cap).status)
+            for budget in budgets:
+                statuses.add(assert_same(program, values, max_steps=budget).status)
+    assert STATUS_TIMEOUT in statuses
+    assert {"pure loop": STATUS_TIMEOUT, "division in a branch": STATUS_FAULT}.get(
+        name, STATUS_OK
+    ) in statuses
+
+
+def test_a_watched_or_patched_arm_at_every_budget():
+    """The guard of an arm entered after a segment charged with no check:
+    a watched entry (recorded, or covering the run) and a patched return
+    whose step is the last the budget holds, natively and deep."""
+    program = shape_program("guarded arm")
+    shape = program.functions["shape"]
+    branch = [b for b in shape.blocks.values() if isinstance(b.terminator, Branch)][-1]
+    arm = ("shape", branch.terminator.then_target)
+    join = ("shape", shape.blocks[arm[1]].terminator.target)
+    patch = {arm: IntConst(-7)}
+    variant = with_returns(program, patch)
+    watches = (frozenset({arm, join}), frozenset({arm, ("main", "no such block")}))
+    statuses = set()
+    for n in SHAPE_DEPTHS:
+        values = (2, n)
+        budgets, cap, start = shape_budgets(program, values)
+        for budget in budgets:
+            for traced in (False, True):
+                expected = reference_run(variant, values, max_steps=budget, record_trace=traced)
+                assert run_program(
+                    program, values, max_steps=budget, record_trace=traced, patches=patch
+                ) == expected, (n, budget, traced)
+                statuses.add(expected.status)
+            if start - 3 <= budget <= start + 9:  # the arm is entered at start + 6
+                for watch in watches:
+                    statuses.add(assert_fast(program, [], values, watch=watch,
+                                             max_steps=budget).status)
+    assert {STATUS_OK, STATUS_TIMEOUT, STATUS_COVERED} <= statuses
+
+
+# --- the structured form's coverage and size -------------------------------
+
+
+def structured_programs():
+    """The corpus, the call fan-out of nine, a long-path program and the
+    random programs of the interpreter oracles."""
+    programs = [load_corpus_entry(name)[0] for name in CORPUS_NAMES]
+    programs += [call_fanout_program(9)[0], lower(parse(long_path_source(13, 20)))]
+    for seed in (2405, 2411):
+        rng = random.Random(seed)
+        programs += [lower(random_program_tree(rng, max_functions=4)) for _ in range(120)]
+    return programs
+
+
+def test_every_function_is_written_as_nested_if_and_while():
+    """No function needs a dispatch variable: guards and traces add lines
+    at block entries, not control flow, so the guard-free form shows it."""
+    for program in structured_programs():
+        for unit in interp._Form(program, frozenset(), False).units.values():
+            assert "b==" not in unit.source
+
+
+def test_the_corpus_text_is_no_longer_than_the_dispatch_loops():
+    """`compile()` time grows with the text: the guard-free untraced form of
+    the corpus stays within the 7,604 characters of the dispatch-loop
+    form."""
+    total = 0
+    for name in CORPUS_NAMES:
+        form = interp._Form(load_corpus_entry(name)[0], frozenset(), False)
+        total += sum(len(unit.source) for unit in form.units.values())
+    assert total <= 7_604
+
+
+def nested_loops_source(depth):
+    """`main` with `depth` nested loops, each run once, around `x = x + 1;`."""
+    body = "x = x + 1;"
+    for i in range(depth):
+        body = f"let i{i}: int = 0; while (i{i} < 1) {{ i{i} = i{i} + 1; {body} }}"
+    return f"fn main() -> int {{ let x: int = 0; {body} print(x); return x; }}\n"
+
+
+def two_exit_program():
+    """A loop that exits to `out1` from its header and to `out2` from its
+    body, both of which go on to `end`: no `break` reaches both, so the
+    function has no nested `if` and `while` form."""
+    x = Var("x")
+    blocks = {
+        "b0": BasicBlock("b0", (Assign("s0", "x", IntConst(0)),), Jump("head")),
+        "head": BasicBlock("head", (), Branch(
+            "s1", Binary("<", x, IntConst(4)), "body", "out1"
+        )),
+        "body": BasicBlock("body", (Assign("s2", "x", Binary("+", x, IntConst(1))),), Branch(
+            "s3", Binary("==", x, Var("stop")), "out2", "head"
+        )),
+        "out1": BasicBlock("out1", (Print("s4", IntConst(1)),), Jump("end")),
+        "out2": BasicBlock("out2", (Print("s5", IntConst(2)),), Jump("end")),
+        "end": BasicBlock("end", (Print("s6", x),), Return("s7", x)),
+    }
+    main = IRFunction("main", "main", (), INT, blocks, "b0", locals={"x": INT, "stop": INT})
+    return IRProgram(functions={"main": main}, entry="main", source_map={})
+
+
+def test_what_python_cannot_nest_runs_in_the_dispatch_loop():
+    """A loop with two exits that go on to one block, and loops nested
+    deeper than Python compiles, fall back to the dispatch loop, and match
+    the reference at every budget, traced or not."""
+    stopping = two_exit_program()
+    main = stopping.functions["main"]
+    stopping = replace(stopping, functions={"main": replace(main, blocks=dict(
+        main.blocks, b0=replace(main.blocks["b0"], statements=main.blocks["b0"].statements
+                                + (Assign("s8", "stop", IntConst(2)),))
+    ))})
+    programs = [two_exit_program(), stopping, lower(parse(nested_loops_source(17)))]
+    for program in programs:
+        full = assert_same(program, ())
+        for budget in range(1, min(full.steps, 200) + 2):
+            assert_same(program, (), max_steps=budget)
+        (unit,) = program.fast[0].units.values()
+        assert "if b==" in unit.source
+    assert [reference_run(p, ()).output for p in programs[:2]] == [(1, 4), (2, 2)]
+    shallower = lower(parse(nested_loops_source(16)))
+    assert assert_same(shallower, ()).output == (1,)
+    assert "b==" not in shallower.fast[0].units["f0"].source

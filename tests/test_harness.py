@@ -66,6 +66,23 @@ class TestSuiteParsing:
         with pytest.raises(SuiteError, match="expected"):
             parse_suite("just some text\n")
 
+    @pytest.mark.parametrize("expect", ["FAULTY", "FAULToob", "FAULT_oob"])
+    def test_fault_counts_only_as_a_whole_word(self, expect):
+        with pytest.raises(SuiteError, match="line 2: expected outputs"):
+            parse_suite(f"a | input: 1 | expect: 1\nb | input: 9 | expect: {expect}\n")
+
+    @pytest.mark.parametrize("line", [
+        "a | input: 1,,2 | expect: 3",
+        "a | input: 1, | expect: 3",
+        "a | input: ,1 | expect: 3",
+        "a | input: , | expect: 3",
+        "a | input: 1 | expect: 3,,4",
+        "a | input: 1 | expect: 3,",
+    ])
+    def test_an_empty_item_is_an_error_that_names_its_line(self, line):
+        with pytest.raises(SuiteError, match="^line 2: "):
+            parse_suite("# first\n" + line + "\n")
+
 
 class TestRunSuite:
     def test_unpatched_corpus_baseline_passes_everything(self, corpus_entry):
