@@ -69,7 +69,7 @@ from .harness import Limits, SuiteError, evaluate_patches, load_suite, rank
 from .ir import IRError
 from .locate import candidate_locations
 from .minilang import FrontendError, load_program
-from .minilang.interp import DEFAULT_MAX_STEPS
+from .minilang.interp import DEFAULT_MAX_HEAP_CELLS, DEFAULT_MAX_STEPS
 from .paths import (
     Exploit,
     build_program_path_graph,
@@ -117,7 +117,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             )
             cmd.add_argument("--seed", type=int, default=0, help="seed for --fuzz inputs")
             cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-            cmd.add_argument("--max-heap-cells", type=int, default=1_000_000)
+            cmd.add_argument("--max-heap-cells", type=int, default=DEFAULT_MAX_HEAP_CELLS)
             cmd.add_argument(
                 "--jobs", type=int, default=1, help="has no effect; evaluation is serial"
             )

@@ -20,7 +20,8 @@ the cases whose probe entered its block; every other case keeps the
 probe's verdict, and the exploit the probe's outcome (safe regression test
 selection, after Rothermel & Harrold, TOSEM 1997). A probe stops as soon
 as it has entered every patched block; it then gives no verdict, and every
-patch runs that case. The preserved functionality ratio is exact (a
+patch runs that case. Malformed IR, which `lower` never produces, raises
+`IRError` at the first probe, before any patch runs. The preserved functionality ratio is exact (a
 Fraction), and ranking sorts by PFR descending with deterministic
 tie-breaks: exploit blocked first, then lower level, then block id,
 function, patch id.
@@ -221,13 +222,8 @@ def _probe(base: IRProgram, values, limits: Limits, watch: frozenset):
     """The coverage probe of one input: `(entered, result)`, where `entered`
     holds the watched blocks the unpatched run entered and `result` is its
     outcome. A probe that stopped early, having entered every watched block,
-    has no result, and neither has one that met malformed IR: every patch
-    then runs the input itself, and a patch that rewrites the malformed
-    block, or returns before it, does not fail."""
-    try:
-        result = _run(base, values, limits, watch)
-    except (IRError, KeyError):
-        return watch, None
+    has no result: every patch then runs the input itself."""
+    result = _run(base, values, limits, watch)
     if result.status == STATUS_COVERED:
         return watch, None
     return result.entered, result

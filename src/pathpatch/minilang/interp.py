@@ -63,15 +63,14 @@ depth:
     or up to and including its terminator) is charged in one subtraction.
     A segment no step of which a result can show is charged with a bare
     `L-=n`: it holds only `nop`s and assignments whose expressions cannot
-    raise (no `_div`, no `_mul` of two variables, no other helper and no
-    read of a variable that may be unbound, as every parameter of a
-    generator may be), and ends in a jump to a block or in a branch or
-    return on such an expression. Every other segment is charged with
-    `if (L:=L-n)<0:raise S`. So the countdown drops below zero only
-    across steps no result shows, and it is tested, `L<0`, where the next
-    step could be seen without a segment check: at each loop head, at
-    each guard, at each traced block entry, and after the run's entry
-    function returns, where a countdown below zero is a timeout;
+    raise (no `_div`, no `_mul` of two variables and no other helper), and
+    ends in a jump or in a branch or return on such an expression. Every
+    other segment is charged with `if (L:=L-n)<0:raise S`. So the
+    countdown drops below zero only across steps no result shows, and it
+    is tested, `L<0`, where the next step could be seen without a segment
+    check: at each loop head, at each guard, at each traced block entry,
+    and after the run's entry function returns, where a countdown below
+    zero is a timeout;
   - each block in the form's guard set starts with a guard, `if j in
     st.H and (L<0 and _so() or j in st.V and st.W is _NK or _g(st,j)):
     st.L=L-1 if L>0 else _so();return st.V[j]`: `st.H` holds the guards
@@ -116,19 +115,20 @@ a patched block whose one step does not fit, time out at once.
 
 Deep calls. Calls nest natively up to `_MAX_DEPTH`. The function called
 past it runs, with every call below it, in the generator flavour of the
-same lowering, `h<i>(st, L, *a)`, compiled on the first run that needs
-it: a call line is `v3=yield h2(st,L,...);L=st.L`, and one driver loop,
-`_deep`, keeps the suspended generators on an explicit stack, so depth is
-bounded by memory, not by the recursion limit. The driver notes the
-suspended frames on a stop, for its backtrace. A generator binds
-parameters as `zip` pairs them with the arguments, so a call with the
-wrong number of arguments runs there too.
+same lowering, `h<i>(st, L, <parameters>)`, compiled on the first run
+that needs it: a call line is `v3=yield h2(st,L,...);L=st.L`, and one
+driver loop, `_deep`, keeps the suspended generators on an explicit
+stack, so depth is bounded by memory, not by the recursion limit. The
+driver notes the suspended frames on a stop, for its backtrace.
 
-Malformed IR raises what the tree-walking reference raises, where it
-runs: `KeyError` for a jump to no block, a call of no function and a read
-of a variable nothing bound (such as a parameter a short call left
-unbound), and `IRError` for a missing terminator and an unknown operator,
-statement kind or expression.
+Malformed IR. A form runs only IR that `lower` can produce: building one
+raises `IRError`, before any step, for what `ir.validate_program` rejects
+(a missing entry function or entry block, a jump to no block, a call of
+an undeclared function), for an entry function that is external or takes
+parameters, a direct call whose argument count differs from the callee's,
+a `halt`, a missing terminator, and an unknown operator, statement kind
+or expression (an opaque condition included). The arity of a call through
+a reference is the frontend's type checker's to ensure.
 
 Generated text: program data reaches the source only through `repr()` of
 a string, int, bool or None, so no name can clash with the generated
@@ -141,9 +141,6 @@ store, so threads may run, and compile, the same program at once.
 
 from __future__ import annotations
 
-import re
-from functools import partial
-
 from ..analysis import immediate_dominators
 from ..ir import (
     BOOL,
@@ -153,7 +150,6 @@ from ..ir import (
     Branch,
     Const,
     FuncRef,
-    Halt,
     IntConst,
     IRError,
     IRProgram,
@@ -162,6 +158,7 @@ from ..ir import (
     Return,
     Unary,
     Var,
+    validate_program,
 )
 from ..record import Record
 
@@ -273,10 +270,6 @@ class _Covered(_Stop):
     pass
 
 
-class _Halt(_Stop):
-    pass
-
-
 _NO_INPUT = object()
 _NO_KEYS: frozenset = frozenset()
 
@@ -351,8 +344,6 @@ def run_program(
             status, value, steps = STATUS_TIMEOUT, None, max_steps + 1
     except _Stop as stop:
         status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
-    except NameError as error:  # a read of a variable nothing bound
-        raise _unbound(form.frames(error)[-1][0], error) from None
     entered = None if watch is None else frozenset(form.order[j] for j in st.seen)
     trace, calls = (tuple(st.T), tuple(st.C)) if traced else (None, None)
     return ExecutionResult(
@@ -400,22 +391,21 @@ class _Unit:
     """What a stopped run reads of one generated function: `sites[line]`
     is `(function, statement id, correction)` for each line whose step has
     an id, the correction being the steps after it in its segment, negated;
-    `checks[line]` is the steps the segment check on `line` charges;
-    `source` is the function's text and `vars` maps IR variables to
-    Python locals."""
+    `checks[line]` is the steps the segment check on `line` charges, and
+    `source` is the function's text."""
 
-    __slots__ = ("sites", "checks", "source", "vars")
+    __slots__ = ("sites", "checks", "source")
 
-    def __init__(self, sites, checks, source, variables):
+    def __init__(self, sites, checks, source):
         self.sites = sites
         self.checks = checks
         self.source = source
-        self.vars = variables
 
 
 class _Form:
     """One compiled form of a program: `entry(st, L, 0)` runs it with a
-    step countdown of `L` and returns main's value.
+    step countdown of `L` and returns main's value. Building it raises
+    `IRError` for malformed IR.
 
     `keys` is the guard set asked for; `guards` maps each of its blocks
     that exists to the guard's index, `order` lists them by index, and
@@ -427,54 +417,46 @@ class _Form:
     __slots__ = ("keys", "traced", "guards", "order", "every", "units", "entry")
 
     def __init__(self, program, keys, traced):
+        validate_program(program)
+        entry = program.functions[program.entry]
+        if entry.external or entry.params:
+            raise IRError(f"entry function {program.entry!r} must have a body and no parameters")
         self.keys = keys
         self.traced = traced
         self.order = tuple(
             (name, bid)
             for name, fn in program.functions.items()
             for bid in fn.blocks
-            if (name, bid) in keys and not fn.external
+            if (name, bid) in keys
         )
         self.guards = {key: j for j, key in enumerate(self.order)}
         self.every = frozenset(range(len(self.order)))
         self.units = {}
         lowering = _FastLowering(program.functions, self.guards, traced, self.units)
         namespace = lowering.namespace(deep=False)
-        deep = namespace["G"] = _Deep(program.functions, self.guards, traced, self.units)
-        for n in lowering.arities:
-            # the callees of native calls through a reference with n
-            # arguments; a callee with another parameter count runs deep
-            namespace[f"F{n}"] = {
-                name: namespace[lowering.code_name(name, False)]
-                if fn.external or len(fn.params) == n
-                else partial(_deep, deep, name)
-                for name, fn in program.functions.items()
-            }
-        entry = program.functions.get(program.entry)
-        if entry is None or entry.external:  # no function, or one with no blocks
-            self.entry = partial(_missing, program.entry if entry is None else entry.entry_block)
-        elif entry.params:  # called with no arguments: every parameter unbound
-            self.entry = partial(_deep, deep, program.entry)
-        else:
-            self.entry = namespace[lowering.code_name(program.entry, False)]
+        namespace["G"] = _Deep(program.functions, self.guards, traced, self.units)
+        # the callees of native calls through a reference
+        namespace["F"] = {
+            name: namespace[lowering.code_name(name, False)] for name in program.functions
+        }
+        self.entry = namespace[lowering.code_name(program.entry, False)]
 
     def indices(self, watch):
         """The guard indices of the blocks in `watch`."""
         return frozenset(self.guards[key] for key in watch if key in self.guards)
 
-    def frames(self, error):
-        """`(unit, line, frame)` of each generated frame `error` unwound,
+    def frames(self, stop):
+        """`(unit, line, frame)` of each generated frame `stop` unwound,
         outermost first, with the suspended generators of a deep stack
         (whose frame is None) in place of the driver's frame."""
         frames = []
-        tb = error.__traceback__
+        tb = stop.__traceback__
         while tb is not None:
             code = tb.tb_frame.f_code
             if code.co_filename == _FORM_FILE:
                 frames.append((self.units[code.co_name], tb.tb_lineno, tb.tb_frame))
             elif code is _deep.__code__:
-                notes = getattr(error, "frames", ())  # a stop's; none on a NameError
-                frames += [(self.units[name], line, None) for name, line in notes]
+                frames += [(self.units[name], line, None) for name, line in stop.frames]
             tb = tb.tb_next
         return frames
 
@@ -486,8 +468,6 @@ class _Form:
         left = frame.f_locals["L"]
         if isinstance(stop, _Covered):  # at a block entry, before its steps
             return STATUS_COVERED, None, None, None, None, max_steps - left
-        if isinstance(stop, _Halt):  # the last step of its segment
-            return STATUS_OK, None, None, None, None, max_steps - left
         if isinstance(stop, _StepsOut):
             n = unit.checks.get(line)  # None at a patched block's return
             tail = None if n is None else _tail(unit, line, frame, left + n)
@@ -515,20 +495,7 @@ def _tail(unit, line, frame, k):
             exec(_code(lines[i].lstrip(), _TAIL_FILE), frame.f_globals, env)
         except _Stop as stop:
             return stop, i + 1
-        except NameError as error:
-            raise _unbound(unit, error) from None
     return None
-
-
-def _unbound(unit, error):
-    """The reference's error for `error`, a read in `unit` of a local that
-    nothing bound: `KeyError` of its IR variable."""
-    local = re.search("'(.*?)'", str(error)).group(1)
-    return KeyError(next(name for name, v in unit.vars.items() if v == local))
-
-
-def _missing(key, *_):
-    raise KeyError(key)
 
 
 class _Deep:
@@ -591,13 +558,10 @@ def _shape(fn):
     entered by one edge whose successors are reached only through it
     (such as a return inside the loop), is written where it is taken; the
     loop's exit block is the one exit that is not a tail, or else the
-    header's own exit. An edge to no block is left out, since it raises
-    where it is taken. None when a block has two joins or a loop two exits
+    header's own exit. None when a block has two joins or a loop two exits
     that are no tail."""
     blocks = fn.blocks
     succ = {bid: b.successors for bid, b in blocks.items()}
-    if any(t not in blocks for targets in succ.values() for t in targets):
-        succ = {bid: tuple(t for t in ts if t in blocks) for bid, ts in succ.items()}
     idom = immediate_dominators(fn.entry_block, succ)  # in reverse postorder
     index = {bid: i for i, bid in enumerate(idom)}
     preds: dict[str, list] = {bid: [] for bid in blocks}
@@ -689,19 +653,19 @@ class _FastLowering:
 
     IR function `name` becomes `def f<i>(st, L, d, <parameters>)` in the
     native flavour, whose calls are Python calls, and `def h<i>(st, L,
-    *a)` in the generator flavour, whose calls are yields to `_deep`;
-    `i` is its position in the program, `L` the step countdown and `d`
-    the call depth. A return stores the countdown in `st.L`, and a caller
-    reads it back after the call. The blocks are written as nested `if`
+    <parameters>)` in the generator flavour, whose calls are yields to
+    `_deep`; `i` is its position in the program, `L` the step countdown
+    and `d` the call depth. A return stores the countdown in `st.L`, and a
+    caller reads it back after the call. The blocks are written as nested `if`
     and `while` from the entry block (`write`), or in a dispatch loop
     (`body`); a segment's charge has a check unless no step of it can be
     seen (`safe`, which the expressions of the segment clear). Each
     statement, call and terminator other than a jump is one line.
     Variables are `v<k>` in the order the function first names
     them, parameters first. Constants that are not a string, int, bool or
-    None are collected in `consts` under generated names. `units` collects
-    the `_Unit` of each function generated, and `arities` the argument
-    counts of native calls through a function reference.
+    None are collected in `consts` under generated names, and `units`
+    collects the `_Unit` of each function generated. IR that `lower`
+    cannot produce raises `IRError` where the lowering meets it.
     """
 
     def __init__(self, functions, guards, traced, units):
@@ -710,7 +674,6 @@ class _FastLowering:
         self.traced = traced
         self.units = units
         self.index = {name: i for i, name in enumerate(functions)}
-        self.arities: set[int] = set()
 
     def code_name(self, name, deep) -> str:
         return f"{'h' if deep else 'f'}{self.index[name]}"
@@ -733,7 +696,7 @@ class _FastLowering:
             self.temps = 0
             self.function(f, name, fn)
             source = "\n".join(self.lines) + "\n"
-            self.units[f] = _Unit(self.sites, self.checks, source, self.vars)
+            self.units[f] = _Unit(self.sites, self.checks, source)
             namespace.update(self.consts)
             exec(_code(source, _FORM_FILE), namespace)
         return namespace
@@ -777,16 +740,11 @@ class _FastLowering:
             self.emit(0, head + ";".join(filter(None, body)) + (";yield" if self.deep else ""))
             return
         params = [p for p, _ in fn.params]
+        # a parameter named again later is bound by the later one
+        args = [f"x{k}" if p in params[k + 1:] else self.var(p) for k, p in enumerate(params)]
         if self.deep:
-            self.emit(0, f"def {f}(st,L,*a):")
-            # parameters bound as `zip` pairs them with the arguments
-            for k, p in enumerate(params):
-                self.emit(1, f"if len(a)>{k}:{self.var(p)}=a[{k}]")
+            self.emit(0, f"def {f}({','.join(['st', 'L'] + args)}):")
         else:
-            # a parameter named again later is bound by the later one
-            args = [
-                f"x{k}" if p in params[k + 1:] else self.var(p) for k, p in enumerate(params)
-            ]
             self.emit(0, f"def {f}({','.join(['st', 'L', 'd'] + args)}):")
             deep = ",".join(["G", self.const(name), "st", "L", "d"] + args)
             self.emit(1, f"if d>{_MAX_DEPTH}:return _deep({deep})")
@@ -795,9 +753,6 @@ class _FastLowering:
         defaults = [f"{self.var(v)}={self.const(_default_for(t))}" for v, t in fn.locals.items()]
         if defaults:
             self.emit(1, ";".join(defaults))
-        # the variables every read finds bound: in the generator flavour a
-        # short call leaves parameters unbound
-        self.bound = set(fn.locals) if self.deep else set(fn.locals).union(params)
         self.body(name, fn)
         if self.deep:  # never reached: makes a function with no call a generator
             self.emit(1, "yield")
@@ -806,9 +761,6 @@ class _FastLowering:
         """The function's blocks as nested `if` and `while`, from its entry
         block; a function with no such form, or one that nests deeper than
         Python allows, runs its blocks in a dispatch loop instead."""
-        if fn.entry_block not in fn.blocks:
-            self.emit(1, f"raise KeyError({self.const(fn.entry_block)})")
-            return
         self.name, self.fn = name, fn
         self.loop, self.open = (None, None), 0  # the innermost loop's header and exit
         self.written: set[str] = set()
@@ -864,13 +816,11 @@ class _FastLowering:
         return None if exit_ is None else self.goto(exit_, follow, depth)
 
     def goto(self, bid, follow, depth):
-        """Control going on to block `bid`: a raise to no block; in the
-        dispatch loop, the block's number; otherwise `continue` to the
-        innermost loop's header, nothing to `follow` and `break` to the
-        loop's exit. Returns `bid` when the block is to be written next."""
-        if bid not in self.fn.blocks:  # as the reference's block lookup raises
-            self.emit(depth, f"raise KeyError({self.const(bid)})")
-        elif self.numbers is not None:
+        """Control going on to block `bid`: in the dispatch loop, the
+        block's number; otherwise `continue` to the innermost loop's header,
+        nothing to `follow` and `break` to the loop's exit. Returns `bid`
+        when the block is to be written next."""
+        if self.numbers is not None:
             self.emit(depth, f"b={self.numbers[bid]};continue")
         elif bid == self.loop[0]:
             self.emit(depth, "continue")
@@ -934,11 +884,6 @@ class _FastLowering:
                 return self.goto(inner, follow, depth)
         return None
 
-    def error(self, message: str, *operands: str) -> str:
-        """Code that evaluates `operands`, then raises `IRError(message)`."""
-        self.safe = False
-        return f"_ir_error({','.join((self.const(message),) + operands)})"
-
     def expr(self, expr) -> str:
         """A pure expression."""
         if isinstance(expr, (IntConst, BoolConst)):
@@ -948,15 +893,13 @@ class _FastLowering:
         if isinstance(expr, FuncRef):
             return self.const(FnVal(expr.name))
         if isinstance(expr, Var):
-            if expr.name not in self.bound:
-                self.safe = False  # the read may find it unbound
             return self.var(expr.name)
         if isinstance(expr, Unary):
             operand = self.expr(expr.operand)
             return f"(not {operand})" if expr.op == "!" else f"(-{operand})"
         if isinstance(expr, Binary):
             return self.binary(expr)
-        return self.error(f"cannot evaluate {expr!r}")
+        raise IRError(f"cannot evaluate {expr!r}")
 
     def binary(self, expr) -> str:
         op = expr.op
@@ -983,7 +926,7 @@ class _FastLowering:
                 return f"({v}{py}{right} if ({v}:={left})>=0 else -(-{v}{py}{right}))"
             self.safe = False
             return f"_div({left},{right},{op == '%'})"
-        return self.error(f"unknown operator {op!r}", left, right)
+        raise IRError(f"unknown operator {op!r}")
 
     def statement(self, stmt) -> str:
         """One non-call statement, as one line; only an assignment can
@@ -1009,28 +952,24 @@ class _FastLowering:
             return f"if not {self.expr(stmt.cond)}:raise _Fault({FAULT_ASSERT!r})"
         if kind == "nop":
             return "pass"
-        return self.error(f"cannot execute statement kind {kind!r}")
+        raise IRError(f"cannot execute statement kind {kind!r}")
 
     def call(self, stmt) -> str:
         """Resolve the callee, evaluate the arguments, left first, and
         call; then read back the countdown the callee left in `st.L`."""
-        n = len(stmt.args)
         args = "".join(f",{self.expr(a)}" for a in stmt.args)
         if stmt.callee_name is not None:
-            callee = self.functions.get(stmt.callee_name)
-            if callee is None:
-                return f"raise KeyError({self.const(stmt.callee_name)})"
-            if self.deep:
-                head = f"{self.code_name(stmt.callee_name, True)}(st,L"
-            elif callee.external or len(callee.params) == n:
-                head = f"{self.code_name(stmt.callee_name, False)}(st,L,d+1"
-            else:
-                head = f"_deep(G,{self.const(stmt.callee_name)},st,L,d+1"
-        elif self.deep:
-            head = f"_fn(H,{self.var(stmt.callee_ref)})(st,L"
+            wanted = len(self.functions[stmt.callee_name].params)
+            if len(stmt.args) != wanted:
+                raise IRError(
+                    f"call {stmt.id!r} passes {len(stmt.args)} arguments to "
+                    f"{stmt.callee_name!r}, which takes {wanted}"
+                )
+            head = f"{self.code_name(stmt.callee_name, self.deep)}(st,L"
         else:
-            self.arities.add(n)
-            head = f"_fn(F{n},{self.var(stmt.callee_ref)})(st,L,d+1"
+            head = f"_fn({'H' if self.deep else 'F'},{self.var(stmt.callee_ref)})(st,L"
+        if not self.deep:
+            head += ",d+1"
         call = f"{'yield ' if self.deep else ''}{head}{args})"
         if stmt.target is not None:
             call = f"{self.var(stmt.target)}={call}"
@@ -1040,23 +979,17 @@ class _FastLowering:
 
     def terminator(self, block) -> tuple:
         """`(line, site)` of the terminator's step: the line evaluates a
-        branch's condition or returns, halts or raises; a jump has none."""
+        branch's condition or returns; a jump has none."""
         term = block.terminator
         if isinstance(term, Jump):
-            if term.target not in self.fn.blocks:
-                self.safe = False  # the jump goes to no block
             return None, None
         if isinstance(term, Branch):
-            if not {term.then_target, term.else_target} <= self.fn.blocks.keys():
-                self.safe = False  # the branch can go to no block
             return f"if {self.expr(term.cond)}:", (self.fn.id, term.id, 0)
         if isinstance(term, Return):
             value = "None" if term.value is None else self.expr(term.value)
             return f"st.L=L;return {value}", (self.fn.id, term.id, 0)
-        self.safe = False
-        if isinstance(term, Halt):
-            return "raise _Halt", None
-        return self.error(f"block {block.id} has no terminator"), None
+        # a halt, which only imported graphs have, or no terminator at all
+        raise IRError(f"{self.fn.id}:{block.id}: ends in {term!r}, not a jump, branch or return")
 
 
 # ---------------------------------------------------------------------------
@@ -1151,15 +1084,10 @@ def _print(st, value):
     st.output.append(int(value))
 
 
-def _ir_error(message, *_operands):
-    raise IRError(message)
-
-
 # The names generated code calls, bound in the namespace of each form.
 _HELPERS = {"S": _StepsOut, "_NK": _NO_KEYS} | {
     helper.__name__: helper
     for helper in (
-        _Fault, _Halt, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _so, _print,
-        _ir_error, _deep,
+        _Fault, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _so, _print, _deep,
     )
 }

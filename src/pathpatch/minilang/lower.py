@@ -535,8 +535,11 @@ def build_cfg(
 
 def lower(tree: nodes.ProgramTree) -> IRProgram:
     """Lower a parsed program: per-function CFGs, source map, entry=main."""
-    if not any(decl.name == "main" for decl in tree.functions):
+    main = next((decl for decl in tree.functions if decl.name == "main"), None)
+    if main is None:
         raise LoweringError("program has no main function")
+    if main.params:  # a run calls main with no arguments
+        raise LoweringError("main takes no parameters", main.line)
     signatures = function_signatures(tree)
     functions: dict[str, IRFunction] = {}
     source_map: dict[str, tuple[str, int]] = {}

@@ -1,4 +1,5 @@
 import json
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +37,34 @@ def python_limits_unchanged():
     before = sys.getrecursionlimit(), sys.get_int_max_str_digits()
     yield
     assert (sys.getrecursionlimit(), sys.get_int_max_str_digits()) == before
+
+
+# The wall-clock limit of one test; the slowest takes under 3 s.
+TEST_SECONDS = 60
+
+
+class WallClockExceeded(BaseException):
+    """A test ran past `TEST_SECONDS`. Not an `Exception`, so neither the
+    code under test nor Hypothesis, which would shrink the failing
+    example, catches it."""
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_limit():
+    """Fail a test that runs past `TEST_SECONDS`: a run that never stops,
+    in a random-program oracle say, fails its test instead of hanging the
+    suite."""
+
+    def stop(signum, frame):
+        raise WallClockExceeded(f"the test ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

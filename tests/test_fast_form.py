@@ -5,22 +5,24 @@ Every run here passes its patch as data (`run_program(patches=...)`) on
 the base program, and its result must equal, field for field (steps, fault
 backtrace and `entered` included), what `helpers.reference_run` returns on
 that patch's `apply_patch` variant. There is one form and no fallback: a
-run that times out on the step budget inside a segment, nests calls past
-the native depth bound, or calls with the wrong number of arguments gets
-its result, or raises its error, in that form, exactly as the reference
-does.
+run that times out on the step budget inside a segment, or nests calls
+past the native depth bound, gets its result in that form, exactly as
+the reference does. IR that `lower` cannot produce is an `IRError` when
+the form is built, before any step.
 """
 
 import builtins
 import random
 import signal
+import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 from pathpatch import harness, synth
 from pathpatch.checks import fuzz_vulnerability
-from pathpatch.harness import evaluate_patches
+from pathpatch.harness import evaluate_patches, parse_suite
 from pathpatch.ir import (
     INT,
     Assign,
@@ -33,6 +35,7 @@ from pathpatch.ir import (
     IRFunction,
     IRProgram,
     Jump,
+    Opaque,
     Print,
     Return,
     Var,
@@ -215,7 +218,7 @@ def test_a_squaring_loop_times_out_at_the_product():
     assert run_program(program, (0, 9)).status == STATUS_FAULT
 
 
-# --- deep calls, wrong argument counts and malformed IR --------------------
+# --- deep calls -------------------------------------------------------------
 
 DEEP = """fn down(n: int) -> int {
     if (n > 0) {
@@ -276,51 +279,6 @@ def test_a_fault_at_the_bottom_of_20000_nested_calls_has_its_full_backtrace():
     assert len({site for _, site in result.fault_stack[1:-1]}) == 1
 
 
-def shorten_calls(program, args):
-    """`program` with every call in `main` given the arguments `args`."""
-    main = program.functions["main"]
-    blocks = {
-        bid: replace(block, statements=tuple(
-            replace(s, args=args) if s.kind == "call" else s for s in block.statements
-        ))
-        for bid, block in main.blocks.items()
-    }
-    return replace(program, functions=dict(program.functions, main=replace(main, blocks=blocks)))
-
-
-def test_a_call_with_the_wrong_argument_count_matches():
-    """Arguments bind as `zip` pairs them, on a direct call, a call
-    through a reference and the run's entry: a parameter with no argument
-    is left unbound, and reading it raises the reference's `KeyError`,
-    which names the variable."""
-    g = "fn g(a: int, b: int) -> int { let c: int = 4; print(c); return 7; }\n"
-    direct = lower(parse(g + "fn main() -> int { let x: int = g(1, 2); print(x); return x; }\n"))
-    through = lower(parse(
-        g + "fn main() -> int { let h: fn(int, int) -> int = &g; let x: int = h(1, 2);"
-        " print(x); return x; }\n"
-    ))
-    for program in (direct, through):
-        for args in ((IntConst(1),), (IntConst(1), IntConst(2), IntConst(3))):
-            short = shorten_calls(program, args)
-            assert run_program(short, ()) == reference_run(short, ())
-    short = shorten_calls(direct, (IntConst(1),))
-    gfn = short.functions["g"]
-    (gid, gblock), = gfn.blocks.items()
-    reads_b = Print("g:read", Var("b"))
-    reading = replace(short, functions=dict(short.functions, g=replace(
-        gfn, blocks={gid: replace(gblock, statements=gblock.statements + (reads_b,))}
-    )))
-    main = direct.functions["main"]
-    with_parameter = replace(direct, functions=dict(
-        direct.functions, main=replace(main, params=(("p", INT),))
-    ))
-    assert run_program(with_parameter, ()) == reference_run(with_parameter, ())
-    for run in (reference_run, run_program):
-        with pytest.raises(KeyError) as error:
-            run(reading, ())
-        assert error.value.args == ("b",)
-
-
 def assert_same(program, values, **kw):
     """A run of `program`, traced and not, equals the reference's."""
     expected = reference_run(program, values, **kw)
@@ -331,35 +289,189 @@ def assert_same(program, values, **kw):
     return expected
 
 
-def test_malformed_ir_raises_what_the_reference_raises():
-    """A missing entry block, a halt at depth and a call of no function,
-    each reached by a run, raise or return what the reference does."""
-    program = lower(parse("fn main() -> int { let x: int = 1; return x; }"))
-    main = program.functions["main"]
-    broken = replace(program, functions={"main": replace(main, entry_block="gone")})
-    for run in (reference_run, run_program):
-        with pytest.raises(KeyError) as error:
-            run(broken, ())
-        assert error.value.args == ("gone",)
+def entry_budget(program, values, function):
+    """The least step budget whose run of `program` on `values` enters
+    `function`."""
+    entry = (function, program.functions[function].entry_block)
+    low, high = 1, 20_000
+    while low < high:
+        mid = (low + high) // 2
+        if entry in reference_run(program, values, max_steps=mid, record_trace=True).trace:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
-    deep = lower(parse(DEEP))
-    down = deep.functions["down"]
-    base = deep_base(deep)
-    halting = replace(deep, functions=dict(deep.functions, down=replace(down, blocks=dict(
-        down.blocks, **{base: replace(down.blocks[base], terminator=Halt())}
-    ))))
-    for n in (3, 900):
-        result = assert_same(halting, (n,))
-        assert result.status == STATUS_OK and result.exit_value is None and result.output == ()
 
-    calls_nothing = lower(parse(
-        "fn g() -> int { return 1; }\nfn main() -> int { print(5); let x: int = g(); return x; }"
-    ))
-    calls_nothing = replace(calls_nothing, functions={"main": calls_nothing.functions["main"]})
-    for run in (reference_run, run_program):
-        with pytest.raises(KeyError) as error:
-            run(calls_nothing, ())
-        assert error.value.args == ("g",)
+# `down` calls through references, to functions, to an external and, when
+# x is 3, to nil, at the bottom of n nested calls of itself.
+REFERENCE_CALLS = """extern fn probe(x: int) -> int;
+fn twice(x: int) -> int { return x + x; }
+fn halve(x: int) -> int { return x / 2; }
+fn apply(op: fn(int) -> int, x: int) -> int {
+    let r: int = op(x);
+    return r;
+}
+fn down(n: int, x: int) -> int {
+    if (n > 0) {
+        return down(n - 1, x);
+    }
+    let h: fn(int) -> int = &twice;
+    let e: fn(int) -> int = &probe;
+    let none: fn(int) -> int = nil;
+    let s: int = apply(h, x) + apply(&halve, x) + apply(e, x) + h(x) + e(x);
+    if (x == 3) {
+        s = none(x);
+    }
+    return s;
+}
+fn main() -> int {
+    let x: int = read_input();
+    let n: int = read_input();
+    let r: int = down(n, x);
+    print(r);
+    return r;
+}
+"""
+
+
+@pytest.mark.parametrize("n", (interp._MAX_DEPTH + 5, 450))
+def test_calls_through_a_reference_on_the_generator_stack_match(n):
+    """Past the native depth bound, calls through a reference run in the
+    generator flavour: to a function, to an external and to nil, they
+    match the reference, traced or not, at budgets across the run and at
+    every budget around the calls."""
+    program = lower(parse(REFERENCE_CALLS))
+    results = {}
+    for x in (2, 3):
+        values = (x, n)
+        results[x] = full = assert_same(program, values)
+        start = entry_budget(program, values, "apply")
+        budgets = set(range(1, full.steps + 2, 37)) | set(range(start - 3, start + 60))
+        for budget in sorted(budgets):
+            assert_same(program, values, max_steps=budget)
+    assert results[2].output == (4 + 1 + 0 + 4 + 0,)
+    assert results[3].fault_kind == "nil_deref" and len(results[3].fault_stack) == n + 2
+    assert any(name.startswith("h") for form in program.fast for name in form.units)
+
+
+# --- malformed IR --------------------------------------------------------------
+
+# Each malformed form breaks this program where `lower` never would.
+WELL_FORMED = """fn g(a: int, b: int) -> int {
+    if (a > b) {
+        print(a);
+    }
+    return b;
+}
+fn main() -> int {
+    print(1);
+    let x: int = g(2, 1);
+    print(x);
+    return x;
+}
+"""
+
+
+def edited(program, function, block=None, **changes):
+    """`program` with `changes` made to one function, or to one block of it."""
+    fn = program.functions[function]
+    if block is not None:
+        changes = {"blocks": dict(fn.blocks, **{block: replace(fn.blocks[block], **changes)})}
+    return replace(
+        program, functions=dict(program.functions, **{function: replace(fn, **changes)})
+    )
+
+
+def main_statements(program, edit):
+    """`program` with `main`'s one block holding `edit(statements)`."""
+    (block,) = program.functions["main"].blocks.values()
+    return edited(program, "main", block.id, statements=edit(block.statements))
+
+
+def setting(kind, **fields):
+    """An edit that sets `fields` on each statement of `kind`."""
+    return lambda stmts: tuple(replace(s, **fields) if s.kind == kind else s for s in stmts)
+
+
+# form: (edit of the well-formed program, what its error says)
+MALFORMED = {
+    "no-entry-function": (lambda p: replace(p, entry="start"), "'start' is not defined"),
+    "no-entry-block": (lambda p: edited(p, "main", entry_block="gone"), "'gone' missing"),
+    "jump-to-no-block": (
+        lambda p: edited(p, "g", "b1", terminator=Jump("nowhere")), "unknown block 'nowhere'"
+    ),
+    "call-of-no-function": (
+        lambda p: replace(p, functions={"main": p.functions["main"]}), "undeclared function 'g'"
+    ),
+    "external-entry": (
+        lambda p: edited(p, "main", blocks={}, entry_block=None, external=True), "must have a body"
+    ),
+    "entry-with-parameters": (
+        lambda p: edited(p, "main", params=(("p", INT),)), "and no parameters"
+    ),
+    "short-call": (
+        lambda p: main_statements(p, setting("call", args=(IntConst(2),))), "passes 1 arguments"
+    ),
+    "long-call": (
+        lambda p: main_statements(
+            p, setting("call", args=(IntConst(2), IntConst(1), IntConst(0)))
+        ),
+        "passes 3 arguments",
+    ),
+    "halt": (lambda p: edited(p, "g", "b2", terminator=Halt()), r"ends in Halt\(\)"),
+    "no-terminator": (lambda p: edited(p, "g", "b2", terminator=None), "ends in None"),
+    "unknown-operator": (
+        lambda p: main_statements(
+            p, setting("print", value=Binary("**", IntConst(2), IntConst(3)))
+        ),
+        r"unknown operator '\*\*'",
+    ),
+    "unknown-statement-kind": (
+        lambda p: main_statements(
+            p, lambda stmts: stmts + (SimpleNamespace(id="main:goto", kind="goto"),)
+        ),
+        "statement kind 'goto'",
+    ),
+    "unknown-expression": (
+        lambda p: main_statements(p, setting("print", value="one")), "cannot evaluate 'one'"
+    ),
+    "opaque-condition": (
+        lambda p: edited(p, "g", "b0", terminator=replace(
+            p.functions["g"].blocks["b0"].terminator, cond=Opaque()
+        )),
+        r"cannot evaluate Opaque\(\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED))
+def test_malformed_ir_is_an_ir_error_before_any_step(form, monkeypatch):
+    """IR that `lower` never produces raises `IRError` when its form is
+    built: `run_program` raises before any step, traced or not, and patch
+    evaluation raises at its first probe, before any patch runs."""
+    program = lower(parse(WELL_FORMED))
+    assert run_program(program, ()).output == (1, 2, 1)
+    patch = synthesize_patch(program, CandidatePatchLocation("g", "b1", "b0", 0, 0))
+    edit, message = MALFORMED[form]
+    broken = edit(program)
+    with pytest.raises(IRError, match=message):
+        interp._Form(broken, frozenset(), False)
+    for traced in (False, True):
+        with pytest.raises(IRError):
+            run_program(broken, (), record_trace=traced)
+    assert broken.fast == ()
+    runs = []
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return run_program(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_program", counting_run)
+    suite = parse_suite("none | input: | expect: 1, 2, 1\nfive | input: 5 | expect: 1, 2, 1\n")
+    with pytest.raises(IRError):
+        evaluate_patches(broken, [patch], suite)
+    assert len(runs) == 1
 
 
 # --- compile count -------------------------------------------------------------
@@ -426,9 +538,6 @@ fn main() -> int {
 }
 """
 
-# Past its first block a shape reads only locals, which every read finds
-# bound: in the generator flavour a parameter may be unbound, so a segment
-# that reads `x` is charged with a check there.
 SHAPES = {
     # no step of the loop can be seen: only the loop-head check stops it
     "pure loop": "let s: int = x; let i: int = 0; while (true) { i = i + s; } return i;",
@@ -451,18 +560,23 @@ SHAPE_SPAN = 30
 @contextmanager
 def time_limit(seconds):
     """Fail the run under way after `seconds`: only the loop-head check
-    stops a loop whose steps no result shows."""
+    stops a loop whose steps no result shows. On exit the timer that was
+    set before, such as the per-test limit, goes on with what it had left."""
 
     def stop(signum, frame):
         raise AssertionError(f"a run did not stop within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    started = time.monotonic()
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:  # a timer that ran out meanwhile fires at once
+            left = outer - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
 
 
 def shape_program(name):
@@ -476,14 +590,7 @@ def shape_budgets(program, values):
     `down`. The budgets are every one from 1 to one past the capped run's
     steps, except that outside the `SHAPE_SPAN` budgets from `start` only
     every 61st and the last four are kept."""
-    entry = ("shape", program.functions["shape"].entry_block)
-    low, high = 1, 2_000
-    while low < high:  # the least budget whose run enters the shape
-        mid = (low + high) // 2
-        if entry in reference_run(program, values, max_steps=mid, record_trace=True).trace:
-            high = mid
-        else:
-            low = mid + 1
+    low = entry_budget(program, values, "shape")
     cap = low + 260
     last = reference_run(program, values, max_steps=cap).steps + 1
     every = set(range(1, last + 1, 61)) | set(range(last - 3, last + 1))

@@ -142,6 +142,37 @@ def test_a_squaring_loop_ends_in_a_report(tmp_path):
     assert "Traceback" not in out + err
 
 
+# `main` with a parameter, which no run can pass
+MAIN_WITH_PARAMETER = """fn f(y: int) -> int {
+    if (y > 0) {
+        let z: int = y + 1;
+        return z;
+    }
+    return y;
+}
+fn main(y: int) -> int { let r: int = f(y); return r; }
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate", "all"])
+def test_main_with_parameters_is_an_input_error(tmp_path, command):
+    """The error names main's line, and no result file is written."""
+    program = tmp_path / "p.mini"
+    program.write_text(MAIN_WITH_PARAMETER)
+    vuln = tmp_path / "v.json"
+    vuln.write_text('{"function": "f", "line": 3}')
+    suite = tmp_path / "p.suite"
+    suite.write_text("up | input: 1 | expect: 2\n")
+    out = tmp_path / "out"
+    argv = [command, "--program", program, "--vuln", vuln, "--out", out]
+    if command != "analyze":
+        argv += ["--suite", suite]
+    code, _, err = run_captured(argv)
+    assert code == 3
+    assert err == "error: main takes no parameters at line 8\n"
+    assert not out.exists()
+
+
 def test_program_that_is_not_utf8_is_an_input_error(tmp_path):
     program = tmp_path / "p.mini"
     program.write_bytes(b"\x80" + (CORPUS / "bmp_reader.mini").read_bytes())

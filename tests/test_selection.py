@@ -18,12 +18,10 @@ from pathpatch import harness
 from pathpatch.harness import FAULT, Limits, evaluate_patches, parse_suite
 from pathpatch.harness import TestCase as Case
 from pathpatch.harness import TestSuite as Suite
-from pathpatch.ir import BasicBlock, Jump
 from pathpatch.locate import CandidatePatchLocation, candidate_locations
 from pathpatch.minilang import lower, parse, run_program
 from pathpatch.minilang.interp import STATUS_COVERED
 from pathpatch.paths import Exploit, build_program_path_graph, resolve_vulnerability
-from pathpatch.record import replace
 from pathpatch.synth import synthesize_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry
@@ -170,27 +168,6 @@ class TestHandWrittenPrograms:
     def test_all_kinds_together_match_full_evaluation(self):
         program, suite = self._program()
         assert_same(program, every_block_patches(program), suite)
-
-    def test_a_probe_that_raises_leaves_the_case_to_the_patched_runs(self):
-        """The unpatched run of a case raises in a malformed block: patches
-        that rewrite it, or return before it, do not raise, and neither may
-        the evaluation; a patch after it raises as the full evaluation does."""
-        program = lower(parse("fn main() -> int { let a: int = read_input(); "
-                              "if (a > 0) { a = a + 1; } print(a); return 0; }"))
-        fixes, before, after = (self._patch(program, "main", b) for b in ("b1", "b0", "b2"))
-        main = program.functions["main"]
-        lost = BasicBlock("b1", main.blocks["b1"].statements, Jump("nowhere"))
-        broken = replace(main, blocks=dict(main.blocks, b1=lost))
-        program = replace(program, functions={"main": broken})
-        suite = parse_suite("up | input: 1 | expect: 2\nflat | input: 0 | expect: 0\n")
-        with pytest.raises(KeyError):
-            run_program(program, (1,))
-        # the entry-block patch returns before the malformed block too
-        assert_same(program, [fixes, before], suite)
-        with pytest.raises(KeyError):
-            reference_evaluate_patches(program, [fixes, after], suite)
-        with pytest.raises(KeyError):
-            evaluate_patches(program, [fixes, after], suite)
 
 
 LOOP = """
