@@ -18,13 +18,22 @@ interpreter is deterministic, so a run that never enters `b` does exactly
 what the unpatched run does, step for step. Each patch therefore runs only
 the cases whose probe entered its block; every other case keeps the
 probe's verdict, and the exploit the probe's outcome (safe regression test
-selection, after Rothermel & Harrold, TOSEM 1997). A probe stops as soon
-as it has entered every patched block; it then gives no verdict, and every
-patch runs that case. Malformed IR, which `lower` never produces, raises
-`IRError` at the first probe, before any patch runs. The preserved functionality ratio is exact (a
-Fraction), and ranking sorts by PFR descending with deterministic
-tie-breaks: exploit blocked first, then lower level, then block id,
-function, patch id.
+selection, after Rothermel & Harrold, TOSEM 1997). Of the entering cases,
+the probe itself answers those whose patched block belongs to the entry
+function and was first entered in the entry function's own frame, not in
+a call of `main` by itself: the patch returns from `main` at that entry,
+which ends the run, so up to there the patched run is the probe. The
+probe records the entry's cut, the steps charged before it and the
+values printed by then (`ExecutionResult.cuts`), and `interp.cut_result`
+gives the patched run from it: the values printed by then, main's return
+of the error value as one more step, or a timeout when that step is past
+the budget. A probe stops as soon as it has entered every patched block;
+it then gives no verdict, and every patch it does not answer runs that
+case. Malformed IR, which `lower` never produces, raises `IRError` at the
+first probe, before any patch runs. The
+preserved functionality ratio is exact (a Fraction), and ranking sorts by
+PFR descending with deterministic tie-breaks: exploit blocked first, then
+lower level, then block id, function, patch id.
 
 Patches run as data: a patched run is the base program's run with
 `patches={(function, block): error value}` (`synth.patch_returns`), which
@@ -37,6 +46,7 @@ patched program.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .ir import IRError, IRProgram, block_sort_key
@@ -47,6 +57,7 @@ from .minilang.interp import (
     STATUS_FAULT,
     STATUS_OK,
     ExecutionResult,
+    cut_result,
     run_program,
 )
 from .paths import Exploit, VulnerabilitySpec
@@ -124,15 +135,26 @@ def parse_suite(text: str) -> TestSuite:
 
 def _integers(text: str, number: int, what: str) -> tuple[int, ...]:
     """The comma-separated integers of `text`; empty text is none, and an
-    empty item is an error."""
+    empty item is an error. Python converts at most
+    `sys.get_int_max_str_digits()` digits (4300 by default)."""
     if not text.strip():
         return ()
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise SuiteError(
-            f"line {number}: {what} must be integers, one between each two commas"
-        ) from None
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            digits = item.strip().lstrip("+-").replace("_", "")
+            limit = sys.get_int_max_str_digits()
+            if digits.isdigit() and len(digits) > limit > 0:
+                raise SuiteError(
+                    f"line {number}: {what}: an integer of {len(digits)} digits is too long"
+                    f" (more than {limit} digits)"
+                ) from None
+            raise SuiteError(
+                f"line {number}: {what} must be integers, one between each two commas"
+            ) from None
+    return tuple(values)
 
 
 def load_suite(path) -> TestSuite:
@@ -219,14 +241,18 @@ class PatchEvaluation(Record):
 
 
 def _probe(base: IRProgram, values, limits: Limits, watch: frozenset):
-    """The coverage probe of one input: `(entered, result)`, where `entered`
-    holds the watched blocks the unpatched run entered and `result` is its
-    outcome. A probe that stopped early, having entered every watched block,
-    has no result: every patch then runs the input itself."""
+    """The coverage probe of one input: `(entered, result, output, cuts)`,
+    where `entered` holds the watched blocks the unpatched run entered,
+    `result` is its outcome, `output` what it printed and `cuts` maps each
+    block that has a cut (`ExecutionResult.cuts`) to its `(steps,
+    outputs)`. A probe that stopped early, having entered every watched
+    block, has no result: a patch then runs the input itself unless its
+    block has a cut."""
     result = _run(base, values, limits, watch)
+    cuts = dict(result.cuts)
     if result.status == STATUS_COVERED:
-        return watch, None
-    return result.entered, result
+        return watch, None, result.output, cuts
+    return result.entered, result, result.output, cuts
 
 
 def _evaluate_patch(
@@ -234,8 +260,8 @@ def _evaluate_patch(
     patch: Patch,
     suite: TestSuite,
     limits: Limits,
-    cases: list[tuple[frozenset, CaseVerdict | None]],
-    exploit: tuple[frozenset, bool | None] | None,
+    cases: list[tuple[frozenset, CaseVerdict | None, tuple, dict]],
+    exploit: tuple[frozenset, bool | None, tuple, dict] | None,
 ) -> PatchEvaluation:
     try:
         returns = patch_returns(base, [patch])
@@ -249,17 +275,26 @@ def _evaluate_patch(
             error=str(exc),
         )
     key = (patch.location.function, patch.location.block)
+
+    def patched(values, output, cuts) -> ExecutionResult:
+        """The patched run of an input whose probe entered the block: read
+        off the probe's cut when the block has one, run otherwise."""
+        cut = cuts.get(key)
+        if cut is None:
+            return _run(base, values, limits, patches=returns)
+        return cut_result(cut, output, returns[key], limits.max_steps)
+
     verdicts = tuple(
-        _verdict(case, _run(base, case.input, limits, patches=returns))
+        _verdict(case, patched(case.input, output, cuts))
         if key in entered
         else verdict
-        for case, (entered, verdict) in zip(suite.cases, cases)
+        for case, (entered, verdict, output, cuts) in zip(suite.cases, cases)
     )
     blocked = None
     if exploit is not None:
-        entered, blocked = exploit
+        entered, blocked, output, cuts = exploit
         if key in entered:
-            result = _run(base, suite.exploit.input, limits, patches=returns)
+            result = patched(suite.exploit.input, output, cuts)
             blocked = _blocked(suite.exploit, result)
     passed = sum(1 for v in verdicts if v.passed)
     return PatchEvaluation(
@@ -289,12 +324,15 @@ def evaluate_patches(
     watch = frozenset((p.location.function, p.location.block) for p in patches)
     cases = []
     for case in suite.cases:
-        entered, result = _probe(base, case.input, limits, watch)
-        cases.append((entered, None if result is None else _verdict(case, result)))
+        entered, result, output, cuts = _probe(base, case.input, limits, watch)
+        cases.append(
+            (entered, None if result is None else _verdict(case, result), output, cuts)
+        )
     exploit = None
     if suite.exploit is not None and suite.exploit.statement is not None:
-        entered, result = _probe(base, suite.exploit.input, limits, watch)
-        exploit = (entered, None if result is None else _blocked(suite.exploit, result))
+        entered, result, output, cuts = _probe(base, suite.exploit.input, limits, watch)
+        blocked = None if result is None else _blocked(suite.exploit, result)
+        exploit = (entered, blocked, output, cuts)
     evaluations = [
         _evaluate_patch(base, p, suite, limits, cases, exploit) for p in patches
     ]

@@ -28,7 +28,11 @@ with its call site and callee. `watch`, a set of `(function, block)` keys,
 makes the run record in `ExecutionResult.entered` which of those blocks it
 entered, and stop with status `covered` as soon as it has entered them
 all; the evaluation harness uses it to find the test cases a patch can
-change.
+change. It also records in `ExecutionResult.cuts`, for each watched block
+of the entry function whose first entry the entry function's own frame
+made, the steps charged before that entry and the values printed by then:
+a patch there returns from the entry function, so `cut_result` gives that
+patched run's result from the watched run's, with no run of its own.
 
 Patches as data: `patches` maps `(function, block)` keys to error values
 (IR constants, or None for a bare return). The run behaves exactly as the
@@ -72,12 +76,17 @@ depth:
     and after the run's entry function returns, where a countdown below
     zero is a timeout;
   - each block in the form's guard set starts with a guard, `if j in
-    st.H and (L<0 and _so() or j in st.V and st.W is _NK or _g(st,j)):
-    st.L=L-1 if L>0 else _so();return st.V[j]`: `st.H` holds the guards
-    active in this run, `st.E` the patched blocks' error values and
-    `st.W` the watched guards (`_NK`, none, in a run that watches
-    nothing). `_g` records a watched entry (stopping the run once every
-    watched block is entered) and tells whether the block is patched; for
+    st.H and (L<0 and _so() or j in st.V and st.W is _NK or
+    _g(st,j,L,d)):st.L=L-1 if L>0 else _so();return st.V[j]`: `st.H`
+    holds the guards active in this run, `st.E` the patched blocks' error
+    values and `st.W` the watched guards (`_NK`, none, in a run that
+    watches nothing). `_g` records a watched entry (stopping the run once
+    every watched block is entered), and its cut when it is the block's
+    first entry and made at depth `d` 0, by the entry function's own
+    frame (the generator flavour, always deeper, passes 1 for `d`): the
+    countdown `L`, which the guard has tested, and the output's length,
+    as `ExecutionResult.cuts` reports them. It tells whether the block is
+    patched; for
     a patched block it converts the error value, once per run, into
     `st.V`, so a run that watches nothing returns it again in line. A
     patched block's return charges its one step, and `_so` stops a run
@@ -210,6 +219,10 @@ class ExecutionResult(Record):
     steps: int = 0
     # the watched blocks the run entered, for a run with `watch`
     entered: frozenset[tuple[str, str]] | None = None
+    # for a run with `watch`, `(block, (steps, outputs))` for each watched
+    # block that the entry function's own frame entered first: the steps
+    # charged before that entry and the values printed by then
+    cuts: tuple[tuple[tuple[str, str], tuple[int, int]], ...] | None = None
 
     def __init__(  # hot: see record.py
         self,
@@ -223,6 +236,7 @@ class ExecutionResult(Record):
         calls=None,
         steps=0,
         entered=None,
+        cuts=None,
     ):
         store = object.__setattr__
         store(self, "status", status)
@@ -235,9 +249,10 @@ class ExecutionResult(Record):
         store(self, "calls", calls)
         store(self, "steps", steps)
         store(self, "entered", entered)
+        store(self, "cuts", cuts)
         store(self, "_values", (
             status, exit_value, fault_kind, fault_at, fault_stack,
-            output, trace, calls, steps, entered,
+            output, trace, calls, steps, entered, cuts,
         ))
 
     @property
@@ -282,8 +297,9 @@ class _State:
         # the step countdown at the last return, the active guards, the
         # patched guards' error values, as IR constants and, once their
         # block has returned them, as Python values, the watched guards,
-        # those entered, and how many blocks are watched
-        "L", "H", "E", "V", "W", "seen", "need",
+        # those entered, how many blocks are watched, and the countdown and
+        # output length at each watched guard main's own frame entered first
+        "L", "H", "E", "V", "W", "seen", "need", "cut",
         # a traced run's block entries and calls, and the call site of the
         # call being made
         "T", "C", "s",
@@ -334,6 +350,7 @@ def run_program(
         st.W = form.every if watch is form.keys else form.indices(watch)
         st.H.update(st.W)
         st.need = len(watch)
+        st.cut = {}
     if traced:
         st.T, st.C, st.s = [], [], None
     status, value, kind, at, backtrace = STATUS_OK, None, None, None, None
@@ -344,11 +361,28 @@ def run_program(
             status, value, steps = STATUS_TIMEOUT, None, max_steps + 1
     except _Stop as stop:
         status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
-    entered = None if watch is None else frozenset(form.order[j] for j in st.seen)
+    entered = cuts = None
+    if watch is not None:
+        entered = frozenset(form.order[j] for j in st.seen)
+        cuts = tuple((form.order[j], (max_steps - left, k)) for j, (left, k) in st.cut.items())
     trace, calls = (tuple(st.T), tuple(st.C)) if traced else (None, None)
     return ExecutionResult(
-        status, value, kind, at, backtrace, tuple(st.output), trace, calls, steps, entered
+        status, value, kind, at, backtrace, tuple(st.output), trace, calls, steps, entered,
+        cuts,
     )
+
+
+def cut_result(cut, output, value, max_steps) -> ExecutionResult:
+    """The run patched to return `value` (an IR constant, or None) at a
+    block of the entry function, from `cut`, a watched run's `(steps,
+    outputs)` at its first entry of that block in the entry function's own
+    frame, and that run's `output`. Up to the entry the patched run is the
+    watched one; there its return is one more step, and ends the run."""
+    steps, k = cut
+    value = _constant(value)
+    if steps < max_steps:
+        return ExecutionResult(STATUS_OK, value, output=output[:k], steps=steps + 1)
+    return ExecutionResult(STATUS_TIMEOUT, output=output[:k], steps=max_steps + 1)
 
 
 def _constant(value):
@@ -846,7 +880,8 @@ class _FastLowering:
         if j is not None:
             self.emit(depth, (
                 f"if {j} in st.H and (L<0 and _so() or {j} in st.V and st.W is _NK"
-                f" or _g(st,{j})):st.L=L-1 if L>0 else _so();return st.V[{j}]"
+                f" or _g(st,{j},L,{1 if self.deep else 'd'})):"
+                f"st.L=L-1 if L>0 else _so();return st.V[{j}]"
             ))
         for stmts, call in _segments(block):
             n = len(stmts) + 1
@@ -1053,11 +1088,15 @@ def _read(st):
     return value
 
 
-def _g(st, j):
-    """The guard of block `j`: record a watched entry, and stop the run
-    once every watched block is entered; True when the block is patched
-    in this run, with its error value, as a Python value, in `st.V`."""
+def _g(st, j, L, d):
+    """The guard of block `j`, entered with countdown `L` at call depth `d`:
+    record a watched entry, with its cut when it is the first entry and in
+    main's own frame (`d` 0), and stop the run once every watched block is
+    entered; True when the block is patched in this run, with its error
+    value, as a Python value, in `st.V`."""
     if j in st.W:
+        if not d and j not in st.seen:
+            st.cut[j] = (L, len(st.output))
         st.seen.add(j)
         if len(st.seen) == st.need:
             raise _Covered

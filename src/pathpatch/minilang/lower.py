@@ -538,6 +538,8 @@ def lower(tree: nodes.ProgramTree) -> IRProgram:
     main = next((decl for decl in tree.functions if decl.name == "main"), None)
     if main is None:
         raise LoweringError("program has no main function")
+    if main.external:  # a run starts in main's body
+        raise LoweringError("main has no body", main.line)
     if main.params:  # a run calls main with no arguments
         raise LoweringError("main takes no parameters", main.line)
     signatures = function_signatures(tree)

@@ -1042,6 +1042,23 @@ def reference_run(
     return _Interp(program, input_values, max_steps, max_heap_cells, record_trace).run()
 
 
+def reference_cuts(
+    program: IRProgram,
+    input_values,
+    watch,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS,
+) -> tuple:
+    """`ExecutionResult.cuts` of a run with `watch`, from the reference
+    interpreter: for each watched block whose first entry is made by the
+    entry function's own frame, `(block, (steps, outputs))`, the steps
+    charged before that entry and the values printed by then, in the order
+    of the entries."""
+    interp = _CutInterp(watch, program, input_values, max_steps, max_heap_cells, False)
+    interp.run()
+    return tuple(interp.cuts)
+
+
 class _Fault(Exception):
     def __init__(self, kind: str, at: str):
         self.kind = kind
@@ -1346,6 +1363,32 @@ class _Interp:
         frame.call_site = stmt.id
         self.stack.append(self.make_frame(callee, args))
         return None
+
+
+class _CutInterp(_Interp):
+    """The reference interpreter, noting the first entry of each block in
+    `watch` and, when the entry function's own frame makes it, its cut."""
+
+    def __init__(self, watch, *args):
+        super().__init__(*args)
+        self.watch = watch
+        self.seen: set = set()
+        self.cuts: list = []
+
+    def entry(self, fn, block_id, depth):
+        key = (fn.id, block_id)
+        if key in self.watch and key not in self.seen:
+            self.seen.add(key)
+            if depth == 0:
+                self.cuts.append((key, (self.steps, len(self.output))))
+
+    def make_frame(self, fn, args):
+        self.entry(fn, fn.entry_block, len(self.stack))  # not yet on the stack
+        return super().make_frame(fn, args)
+
+    def enter_block(self, frame, block_id):
+        self.entry(frame.fn, block_id, len(self.stack) - 1)
+        super().enter_block(frame, block_id)
 
 
 # ---------------------------------------------------------------------------

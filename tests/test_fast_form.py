@@ -60,6 +60,7 @@ from helpers import (
     call_fanout_program,
     long_path_source,
     random_program_tree,
+    reference_cuts,
     reference_run,
 )
 
@@ -73,9 +74,10 @@ def reference_watched(program, values, watch, **kw) -> ExecutionResult:
     """What a run with `watch` returns, from the reference interpreter:
     the plain run with the watched blocks its trace entered or, once the
     trace has entered them all, the run stopped at that entry, with status
-    covered. That stop is where the least step budget that still makes the
-    entry ends."""
+    covered; either with the cuts of `reference_cuts`. That stop is where
+    the least step budget that still makes the entry ends."""
     traced = reference_run(program, values, record_trace=True, **kw)
+    cuts = reference_cuts(program, values, watch, **kw)
     seen = set()
     for cut, key in enumerate(traced.trace):
         if key in watch:
@@ -83,7 +85,9 @@ def reference_watched(program, values, watch, **kw) -> ExecutionResult:
             if seen == watch:
                 break
     else:
-        return replace(traced, trace=None, calls=None, entered=frozenset(seen))
+        return replace(
+            traced, trace=None, calls=None, entered=frozenset(seen), cuts=cuts
+        )
     low, high = 0, traced.steps  # the least budget whose trace reaches `cut`
     while low < high:
         mid = (low + high) // 2
@@ -93,7 +97,9 @@ def reference_watched(program, values, watch, **kw) -> ExecutionResult:
         else:
             low = mid + 1
     stopped = reference_run(program, values, **dict(kw, max_steps=low))
-    return ExecutionResult(STATUS_COVERED, output=stopped.output, steps=low, entered=watch)
+    return ExecutionResult(
+        STATUS_COVERED, output=stopped.output, steps=low, entered=watch, cuts=cuts
+    )
 
 
 def assert_fast(program, patches, values, watch=None, **kw):

@@ -50,7 +50,7 @@ from pathpatch.record import replace
 from pathpatch.synth import apply_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry
-from helpers import make_function, random_program_tree, reference_run
+from helpers import make_function, random_program_tree, reference_cuts, reference_run
 
 SMALL_BUDGETS = (1, 2, 3, 7, 20, 50)
 RANDOM_INPUT_BUDGET = 5_000  # random inputs may loop for the default 1M steps
@@ -205,9 +205,12 @@ def test_watched_runs_record_entries_and_stop_once_all_are_entered():
                             break
                 watched = run_program(program, values, record_trace=True, watch=watch, **kw)
                 if cut is None:
-                    assert watched == replace(full, entered=frozenset(full.trace) & watch)
+                    cuts = reference_cuts(program, values, watch, **kw)
+                    assert watched == replace(
+                        full, entered=frozenset(full.trace) & watch, cuts=cuts
+                    )
                     assert run_program(program, values, watch=watch, **kw) == replace(
-                        full, trace=None, calls=None, entered=watched.entered
+                        full, trace=None, calls=None, entered=watched.entered, cuts=cuts
                     )
                 else:
                     stopped += 1
@@ -356,7 +359,8 @@ def test_hostile_names_stay_data():
         entered = frozenset(traced.trace) & watch
         if entered != watch:
             assert run_program(program, values, watch=watch) == replace(
-                traced, trace=None, calls=None, entered=entered
+                traced, trace=None, calls=None, entered=entered,
+                cuts=reference_cuts(program, values, watch),
             )
         for returns in patched:
             expected = reference_run(with_returns(program, returns), values)

@@ -173,6 +173,56 @@ def test_main_with_parameters_is_an_input_error(tmp_path, command):
     assert not out.exists()
 
 
+EXTERNAL_MAIN = MAIN_WITH_PARAMETER.replace(
+    "fn main(y: int) -> int { let r: int = f(y); return r; }", "extern fn main() -> int;"
+)
+
+
+@pytest.mark.parametrize("command", ["analyze", "locate", "all"])
+def test_external_main_is_an_input_error(tmp_path, command):
+    """No run can start in a main with no body: the error names main's
+    line, not the vulnerability no chain reaches, and nothing is written."""
+    program = tmp_path / "p.mini"
+    program.write_text(EXTERNAL_MAIN)
+    vuln = tmp_path / "v.json"
+    vuln.write_text('{"function": "f", "line": 3}')
+    suite = tmp_path / "p.suite"
+    suite.write_text("up | input: 1 | expect: 2\n")
+    out = tmp_path / "out"
+    argv = [command, "--program", program, "--vuln", vuln, "--out", out]
+    if command == "all":
+        argv += ["--suite", suite]
+    code, _, err = run_captured(argv)
+    assert code == 3
+    assert err == "error: main has no body at line 8\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        (f"big | input: 1, -{'7' * 4301} | expect: 0", "inputs"),
+        (f"big | input: 1 | expect: 0, {'7' * 4301}", "expected outputs"),
+    ],
+    ids=["input", "expected-output"],
+)
+def test_suite_integer_past_the_digit_limit_has_its_own_message(tmp_path, line, what):
+    """A valid integer that Python refuses to convert is named as too long,
+    not as something that is not an integer."""
+    suite = tmp_path / "p.suite"
+    suite.write_text("ok | input: 1 | expect: 1\n" + line + "\n")
+    out = tmp_path / "out"
+    code, _, err = run_captured([
+        "evaluate", "--program", CORPUS / "twopath.mini",
+        "--vuln", CORPUS / "twopath.vuln.json", "--suite", suite, "--out", out,
+    ])
+    assert code == 3
+    assert err == (
+        f"error: line 2: {what}: an integer of 4301 digits is too long (more than 4300 digits)\n"
+    )
+    assert not out.exists()
+
+
 def test_program_that_is_not_utf8_is_an_input_error(tmp_path):
     program = tmp_path / "p.mini"
     program.write_bytes(b"\x80" + (CORPUS / "bmp_reader.mini").read_bytes())

@@ -18,11 +18,12 @@ from pathpatch import harness
 from pathpatch.harness import FAULT, Limits, evaluate_patches, parse_suite
 from pathpatch.harness import TestCase as Case
 from pathpatch.harness import TestSuite as Suite
+from pathpatch.ir import Return
 from pathpatch.locate import CandidatePatchLocation, candidate_locations
 from pathpatch.minilang import lower, parse, run_program
-from pathpatch.minilang.interp import STATUS_COVERED
+from pathpatch.minilang.interp import STATUS_COVERED, cut_result
 from pathpatch.paths import Exploit, build_program_path_graph, resolve_vulnerability
-from pathpatch.synth import synthesize_patch, synthesize_patches
+from pathpatch.synth import patch_returns, synthesize_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
@@ -227,8 +228,8 @@ GUARDED = {
 
 class TestRunCountGuard:
     """Timing-free guard: selection runs exactly the probes and the
-    entering pairs, and a probe stops early exactly when its input enters
-    every patched block."""
+    entering pairs but those a cut answers, and a probe stops early exactly
+    when its input enters every patched block."""
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_runs_are_the_probes_plus_the_entering_pairs(self, monkeypatch, name):
@@ -238,10 +239,15 @@ class TestRunCountGuard:
         inputs = [case.input for case in suite.cases] + [suite.exploit.input]
         entering = 0
         entering_all = 0
+        cut = 0
         for values in inputs:
-            trace = set(run_program(program, values, record_trace=True).trace)
+            traced = run_program(program, values, record_trace=True)
+            # main calls no main, so main's blocks are entered in its own frame
+            assert program.entry not in {callee for _, callee in traced.calls}
+            trace = set(traced.trace)
             entering += sum(key in trace for key in keys)
             entering_all += set(keys) <= trace
+            cut += sum(key in trace and key[0] == program.entry for key in keys)
 
         results = []
 
@@ -252,9 +258,148 @@ class TestRunCountGuard:
 
         monkeypatch.setattr(harness, "run_program", counting)
         evaluate_patches(program, patches, suite)
-        assert len(results) == len(inputs) + entering
+        assert len(results) == len(inputs) + entering - cut
         assert entering < len(inputs) * len(patches)
         stopped = [r for r in results[: len(inputs)] if r.status == STATUS_COVERED]
         assert len(stopped) == entering_all
         if name == "loop":
             assert entering_all > 0
+        assert cut > 0 or name == "call_fanout"  # whose candidates are all below main
+
+
+# --- patches that end the run, answered by the probe's cut -----------------
+
+
+def cut_programs():
+    """`(program, inputs, budget)`: the corpus with its suites' inputs, the
+    call fan-out of nine, and the random programs of the interpreter
+    oracles, whose main may call itself, at the budget their oracles use."""
+    programs = []
+    for name in CORPUS_NAMES:
+        program, _, suite = load_corpus_entry(name)
+        inputs = [case.input for case in suite.cases] + [suite.exploit.input]
+        programs.append((program, inputs, Limits().max_steps))
+    programs.append((call_fanout_program(9)[0], [(v,) for v in range(-2, 9)], Limits().max_steps))
+    for seed in (2405, 2411):
+        rng = random.Random(seed)
+        programs += [
+            (lower(random_program_tree(rng, max_functions=4)), [()], 400) for _ in range(120)
+        ]
+    return programs
+
+
+def test_every_cut_gives_the_patched_run_of_its_block():
+    """For every block of main and every budget around its first entry, a
+    probe's cut and output give exactly the run patched there: status, exit
+    value, output and steps. In a program where nothing may call main, a
+    probe has a cut for every block it entered."""
+    answered = 0
+    for program, inputs, budget in cut_programs():
+        main = program.functions[program.entry]
+        calls_main = any(  # directly, or through a reference
+            s.kind == "call" and s.callee_name in (None, main.id)
+            for fn in program.functions.values()
+            for block in fn.blocks.values()
+            for s in block.statements
+        )
+        patches = {
+            (main.id, b): synthesize_patch(
+                program, CandidatePatchLocation(main.id, b, main.entry_block, 0, 0)
+            )
+            for b in main.blocks
+        }
+        watch = frozenset(patches)
+        for values in inputs:
+            probe = run_program(program, values, max_steps=budget, watch=watch)
+            budgets = {budget}
+            for _, (steps, _) in probe.cuts:
+                budgets.update(b for b in range(steps - 2, steps + 3) if 1 <= b <= probe.steps + 1)
+            for max_steps in sorted(budgets):
+                probe = run_program(program, values, max_steps=max_steps, watch=watch)
+                cuts = dict(probe.cuts)
+                assert calls_main or cuts.keys() == probe.entered
+                for key, patch in patches.items():
+                    returns = patch_returns(program, [patch])
+                    run = run_program(program, values, max_steps=max_steps, patches=returns)
+                    if key in cuts:
+                        answered += 1
+                        derived = cut_result(cuts[key], probe.output, returns[key], max_steps)
+                        assert derived == run, (key, values, max_steps)
+    assert answered > 1000
+
+
+RECURSIVE_MAIN = """
+fn main() -> int {
+    let a: int = read_input();
+    if (a > 0) {
+        let r: int = main();
+        print(r);
+    }
+    print(a);
+    return 0;
+}
+"""
+
+
+def test_a_block_first_entered_below_main_still_runs(monkeypatch):
+    """Main calls itself: the block after the `if` is first entered in the
+    inner frame, so a patch there returns to the outer main, which goes on;
+    the probe has no cut for it, and the patched run is made."""
+    program = lower(parse(RECURSIVE_MAIN))
+    main = program.functions["main"]
+    (join,) = (b for b, blk in main.blocks.items() if isinstance(blk.terminator, Return))
+    patch = synthesize_patch(program, CandidatePatchLocation("main", join, main.entry_block, 0, 0))
+    key = ("main", join)
+    deeper = (1,) * 300 + (0,)  # past the native depth bound, on the generator stack
+    for values in ((1, 0), deeper):
+        probe = run_program(program, values, watch=frozenset({key}))
+        assert key in probe.entered and probe.cuts == ()
+    patched = run_program(program, (1, 0), patches=patch_returns(program, [patch]))
+    value = patch.errval.value.value
+    assert patched.output == (value,) and patched.exit_value == value
+    suite = parse_suite(
+        "deep | input: 1, 0 | expect: 0, 0, 1\nflat | input: 0 | expect: 0\n"
+        f"deeper | input: {', '.join(map(str, deeper))} | expect: 0{', 0, 1' * 300}\n"
+    )
+    expected = reference_evaluate_patches(program, [patch], suite)
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs)
+        return run_program(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_program", counting)
+    (evaluation,) = evaluate_patches(program, [patch], suite)
+    assert [evaluation] == expected
+    # three probes, and two patched runs: `flat` is answered by its cut
+    assert [kw["patches"] is not None for kw in runs] == [False] * 3 + [True] * 2
+    assert [v.passed for v in evaluation.verdicts] == [False] * 3
+
+
+def test_a_probe_stopped_as_covered_keeps_its_cuts(monkeypatch):
+    """A probe that entered every patched block stops there, `covered`,
+    with no verdict; the patches of main's blocks, the block whose entry
+    stopped it included, are still read off its cuts, and only the other
+    patches run."""
+    program, vuln, suite = loop_program()
+    main = program.functions["main"]
+    (last,) = (b for b, blk in main.blocks.items() if isinstance(blk.terminator, Return))
+    patches = candidate_patches(program, vuln) + [
+        synthesize_patch(program, CandidatePatchLocation("main", last, main.entry_block, 0, 0))
+    ]
+    keys = {(p.location.function, p.location.block) for p in patches}
+    mains = {key for key in keys if key[0] == "main"}
+    probe = run_program(program, (4,), watch=frozenset(keys))
+    assert probe.status == STATUS_COVERED and len(mains) == 2
+    assert [key for key, _ in probe.cuts] == [("main", "b2"), ("main", last)]
+    expected = reference_evaluate_patches(program, patches, suite)
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs.get("patches"))
+        return run_program(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_program", counting)
+    assert evaluate_patches(program, patches, suite) == expected
+    patched = [returns for returns in runs if returns is not None]
+    assert patched and not any(mains & returns.keys() for returns in patched)
