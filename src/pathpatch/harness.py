@@ -5,11 +5,13 @@ Suite files hold one case per line:
     name | input: 1,2,3 | expect: 4,5
     exploit_bad_index | input: 2,9 | expect: FAULT oob
 
-A case passes when the run finishes ok and the printed output matches
-exactly; `expect: FAULT` lines are exploit specifications (input plus an
-optional fault kind) and are kept apart from the functional cases, so the
-preserved-functionality ratio counts real tests only. Timeouts and faults
-on functional cases are plain failures.
+A functional case expects printed outputs only: it passes when the run
+finishes ok and the printed output matches exactly, and a timeout or a
+fault is a plain failure. An `expect: FAULT` line is the suite's exploit
+specification (input plus an optional fault kind), kept apart from the
+functional cases, so the preserved-functionality ratio counts real tests
+only; a second such line is an error. A verdict keeps the run's status
+and output as they are, and formats nothing.
 
 Patch evaluation first runs every case, and the exploit, once on the
 unpatched program: a coverage probe that watches the patched blocks. A
@@ -31,9 +33,10 @@ the budget. A probe stops as soon as it has entered every patched block;
 it then gives no verdict, and every patch it does not answer runs that
 case. Malformed IR, which `lower` never produces, raises `IRError` at the
 first probe, before any patch runs. The
-preserved functionality ratio is exact (a Fraction), and ranking sorts by
-PFR descending with deterministic tie-breaks: exploit blocked first, then
-lower level, then block id, function, patch id.
+preserved functionality ratio is `passed/total` (0 with no cases), and
+ranking sorts by it descending, compared exactly in integers, with
+deterministic tie-breaks: exploit blocked first, then lower level, then
+block id, function, patch id.
 
 Patches run as data: a patched run is the base program's run with
 `patches={(function, block): error value}` (`synth.patch_returns`), which
@@ -46,8 +49,8 @@ patched program.
 
 from __future__ import annotations
 
+import math
 import sys
-from fractions import Fraction
 
 from .ir import IRError, IRProgram, block_sort_key
 from .minilang.interp import (
@@ -74,7 +77,7 @@ class SuiteError(Exception):
 class TestCase(Record):
     name: str
     input: tuple[int, ...]
-    expect: tuple[int, ...] | str  # output values, or FAULT
+    expect: tuple[int, ...]
 
 
 class TestSuite(Record):
@@ -170,13 +173,15 @@ def load_suite(path) -> TestSuite:
 class CaseVerdict(Record):
     name: str
     passed: bool
-    detail: str
+    status: str
+    output: tuple[int, ...]
 
-    def __init__(self, name, passed, detail):  # hot: see record.py
+    def __init__(self, name, passed, status, output):  # hot: see record.py
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "_values", (name, passed, detail))
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "_values", (name, passed, status, output))
 
 
 def _run(
@@ -193,30 +198,10 @@ def _run(
 
 
 def _verdict(case: TestCase, result: ExecutionResult) -> CaseVerdict:
-    if case.expect == FAULT:
-        if result.status == STATUS_FAULT:
-            return CaseVerdict(case.name, True, f"fault {result.fault_kind}")
-        return CaseVerdict(case.name, False, f"expected a fault, got {result.status}")
-    if result.status != STATUS_OK:
-        return CaseVerdict(case.name, False, result.status)
-    if result.output != case.expect:
-        return CaseVerdict(
-            case.name,
-            False,
-            f"output {_listed(result.output)} != expected {_listed(case.expect)}",
-        )
-    return CaseVerdict(case.name, True, "ok")
-
-
-def _listed(values) -> str:
-    """`values` written as a list, but an integer of more than 10,000 bits
-    as its size: Python refuses decimal text past 4,300 digits."""
-    return "[" + ", ".join(
-        f"<{v.bit_length()}-bit integer>"
-        if isinstance(v, int) and v.bit_length() > 10_000
-        else repr(v)
-        for v in values
-    ) + "]"
+    status, output = result.status, result.output
+    return CaseVerdict(
+        case.name, status == STATUS_OK and output == case.expect, status, output
+    )
 
 
 def _blocked(exploit: Exploit, result: ExecutionResult) -> bool:
@@ -233,11 +218,18 @@ class PatchEvaluation(Record):
     patch: Patch
     passed: int
     total: int
-    pfr: Fraction
     exploit_blocked: bool | None
     rank: int | None = None
     error: str | None = None
     verdicts: tuple[CaseVerdict, ...] = ()
+
+    @property
+    def pfr(self):
+        """`passed/total` as a `Fraction`, 0 with no cases. `fractions` is
+        imported here, on first read, because no CLI run reads it."""
+        from fractions import Fraction
+
+        return Fraction(self.passed, self.total) if self.total else Fraction(0)
 
 
 def _probe(base: IRProgram, values, limits: Limits, watch: frozenset):
@@ -270,7 +262,6 @@ def _evaluate_patch(
             patch=patch,
             passed=0,
             total=len(suite.cases),
-            pfr=Fraction(0),
             exploit_blocked=None,
             error=str(exc),
         )
@@ -301,7 +292,6 @@ def _evaluate_patch(
         patch=patch,
         passed=passed,
         total=len(verdicts),
-        pfr=Fraction(passed, len(verdicts)) if verdicts else Fraction(0),
         exploit_blocked=blocked,
         verdicts=verdicts,
     )
@@ -342,10 +332,13 @@ def evaluate_patches(
 
 def rank(evaluations: list[PatchEvaluation]) -> list[PatchEvaluation]:
     """Rank 1..n: PFR descending; ties broken by exploit blocked first, then
-    lower level, then block id, function, and patch id."""
+    lower level, then block id, function, and patch id. PFRs are compared
+    as numerators over the totals' common multiple; a total of 0 is PFR 0."""
+    common = math.lcm(*(ev.total for ev in evaluations if ev.total))
+
     def key(ev: PatchEvaluation):
         return (
-            -ev.pfr,
+            -ev.passed * (common // ev.total) if ev.total else 0,
             0 if ev.exploit_blocked else 1,
             ev.patch.location.level,
             block_sort_key(ev.patch.location.block),

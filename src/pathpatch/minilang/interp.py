@@ -255,10 +255,6 @@ class ExecutionResult(Record):
             output, trace, calls, steps, entered, cuts,
         ))
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
 
 class _Stop(Exception):
     """Ends a run."""

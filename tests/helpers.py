@@ -24,7 +24,6 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from pathpatch.analysis import (
     EXIT,
@@ -1439,7 +1438,6 @@ def reference_evaluate_patch(
             patch=patch,
             passed=0,
             total=len(suite.cases),
-            pfr=Fraction(0),
             exploit_blocked=None,
             error=str(exc),
         )
@@ -1447,12 +1445,10 @@ def reference_evaluate_patch(
     blocked = None
     if suite.exploit is not None and suite.exploit.statement is not None:
         blocked = check_exploit(variant, suite, limits)
-    pfr = Fraction(result.passed, result.total) if result.total else Fraction(0)
     return PatchEvaluation(
         patch=patch,
         passed=result.passed,
         total=result.total,
-        pfr=pfr,
         exploit_blocked=blocked,
         verdicts=result.verdicts,
     )

@@ -524,17 +524,28 @@ class TestFlags:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @staticmethod
+    def loaded_by_cli_import(modules):
+        """Those of `modules` that `import pathpatch.cli` loads in a fresh
+        process, as the printed list."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        probe = f"import sys, pathpatch.cli; print([m for m in {modules!r} if m in sys.modules])"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout
+
     def test_importing_the_cli_loads_no_thread_pool(self):
         """Every run pays the import: no thread pool, and no `dataclasses`,
         whose per-class code generation and `inspect` import cost most of
         it."""
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         heavy = ("concurrent.futures", "dataclasses", "inspect")
-        probe = f"import sys, pathpatch.cli; print([m for m in {heavy!r} if m in sys.modules])"
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout == "[]\n"
+        assert self.loaded_by_cli_import(heavy) == "[]\n"
+
+    def test_importing_the_cli_loads_no_fractions(self):
+        """Ranking compares pass counts in integers, so no run imports
+        `fractions`, nor the `decimal` it pulls in."""
+        assert self.loaded_by_cli_import(("fractions", "decimal")) == "[]\n"
 
 
 class TestVulnerabilitySpec:

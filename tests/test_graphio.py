@@ -237,8 +237,6 @@ class TestReport:
         assert pfr_percent(0, 0) == 0
 
     def _fake_evaluations(self, pfrs):
-        from fractions import Fraction
-
         from pathpatch.harness import PatchEvaluation, rank
         from pathpatch.locate import CandidatePatchLocation
         from pathpatch.synth import ErrorReturnValue, Patch
@@ -255,8 +253,7 @@ class TestReport:
             )
             evals.append(
                 PatchEvaluation(
-                    patch=patch, passed=passed, total=total,
-                    pfr=Fraction(passed, total), exploit_blocked=True,
+                    patch=patch, passed=passed, total=total, exploit_blocked=True,
                 )
             )
         return rank(evals)

@@ -4,10 +4,10 @@ Each patch runs only the cases whose coverage probe, an unpatched run
 watching the patched blocks, entered its block. The differential oracle is
 `helpers.reference_evaluate_patches`, which runs every case and the exploit
 on every patched program: the two must return equal `PatchEvaluation`
-lists, verdict details included. The run-count guard pins the selection
-itself, without timing: `evaluate_patches` makes exactly one run per probe
-plus one per (patch, input) pair whose unpatched traced run enters the
-patched block.
+lists, each case's pass flag, status and output included. The run-count
+guard pins the selection itself, without timing: `evaluate_patches` makes
+exactly one run per probe plus one per (patch, input) pair whose
+unpatched traced run enters the patched block.
 """
 
 import random
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from pathpatch import harness
-from pathpatch.harness import FAULT, Limits, evaluate_patches, parse_suite
+from pathpatch.harness import Limits, evaluate_patches, parse_suite
 from pathpatch.harness import TestCase as Case
 from pathpatch.harness import TestSuite as Suite
 from pathpatch.ir import Return
@@ -76,7 +76,7 @@ class TestDifferentialOracle:
         for _ in range(120):
             program = lower(random_program_tree(rng, max_functions=4))
             _, statement = pick_vulnerable_statement(rng, program)
-            expects = [(), (rng.randint(0, 3),), FAULT]
+            expects = [(), (rng.randint(0, 3),)]
             suite = Suite(
                 cases=tuple(
                     Case(f"c{i}", (), rng.choice(expects)) for i in range(rng.randint(1, 4))
@@ -89,7 +89,7 @@ class TestDifferentialOracle:
             evaluations = assert_same(
                 program, patches[: rng.randint(1, len(patches))], suite, limits
             )
-            statuses.update(v.detail for ev in evaluations for v in ev.verdicts)
+            statuses.update(v.status for ev in evaluations for v in ev.verdicts)
         assert {"ok", "timeout"} <= statuses
 
 
