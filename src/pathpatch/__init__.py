@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .checks import cut_disconnects, fuzz_vulnerability
 from .graphio import (
-    GraphDocument,
     build_report,
     import_graph,
     pfr_display,

@@ -60,6 +60,7 @@ from .checks import cut_disconnects, fuzz_vulnerability
 from .graphio import (
     GraphImportError,
     build_report,
+    embedded_vulnerability,
     import_graph,
     load_graph_file,
     render_report_text,
@@ -163,12 +164,11 @@ def load_inputs(args):
     if args.program.endswith(".json"):
         doc = load_graph_file(program_path)
         program = import_graph(doc)
+        embedded = embedded_vulnerability(doc)
         if vuln_raw is not None:
             vuln = _vuln_from_json(program, vuln_raw)
-        elif doc.vulnerable is not None:
-            vuln = resolve_vulnerability(
-                program, doc.vulnerable[0], statement=doc.vulnerable[1]
-            )
+        elif embedded is not None:
+            vuln = resolve_vulnerability(program, embedded[0], statement=embedded[1])
         else:
             raise UsageError(
                 "graph document embeds no vulnerability; pass --vuln"

@@ -1,9 +1,16 @@
-"""Import and export of abstract program graphs, and the result report.
+"""Import of abstract program graphs, and the result report.
 
 The graph document carries call graph shape, per-function block structure
 with conditional labels, and the vulnerable statement. Control dependencies
 are never part of the document: they are always recomputed from structure,
 so a fixture cannot carry inconsistent labels.
+
+`import_graph` reads the parsed JSON straight into the IR, checking each
+field where it reads it: names, entries, block and statement ids, edge
+endpoints, call triples and the `vulnerable` pair are strings,
+`conditional` is a boolean (absent means false), and a branch index is an
+integer or null. A document with several faults reports the first one
+this single pass meets.
 
 Graph-imported programs have opaque statement bodies (nops with the given
 ids); analyses accept them, execution rejects them.
@@ -27,7 +34,6 @@ from .ir import (
     Opaque,
     validate_program,
 )
-from .record import Record
 
 SCHEMA_GRAPH = "program-graph@1"
 SCHEMA_REPORT = "patch-report@1"
@@ -37,116 +43,25 @@ class GraphImportError(IRError):
     pass
 
 
-class GraphBlock(Record):
-    id: str
-    conditional: bool
-    statements: tuple[str, ...] = ()
-
-
-class GraphFunction(Record):
-    name: str
-    entry: str
-    blocks: tuple[GraphBlock, ...]
-    edges: tuple[tuple[str, str, int | None], ...]
-
-
-class GraphDocument(Record):
-    functions: tuple[GraphFunction, ...]
-    calls: tuple[tuple[str, str, str], ...] = ()  # (caller, call_site, callee)
-    vulnerable: tuple[str, str] | None = None  # (function, statement id)
-
-    @staticmethod
-    def from_json(text: str) -> "GraphDocument":
-        try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
-            raise GraphImportError(f"not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise GraphImportError("the document must be a JSON object")
-        if raw.get("schema") != SCHEMA_GRAPH:
-            raise GraphImportError(
-                f"field 'schema': expected {SCHEMA_GRAPH!r}, got {raw.get('schema')!r}"
-            )
-        functions = []
-        for fn in _items(raw, "functions"):
-            blocks = tuple(
-                GraphBlock(
-                    id=str(_member(b, "id", "blocks")),
-                    conditional=bool(b.get("conditional", False)),
-                    statements=tuple(str(s) for s in _items(b, "statements")),
-                )
-                for b in _items(_object(fn, "functions"), "blocks")
-            )
-            edges = []
-            for src, dst, index in _triples(fn, "edges"):
-                if index is not None and not isinstance(index, int):
-                    raise GraphImportError(
-                        "field 'edges': a branch index must be an integer or null"
-                    )
-                edges.append((str(src), str(dst), None if index is None else int(index)))
-            functions.append(
-                GraphFunction(
-                    name=str(_member(fn, "name", "functions")),
-                    entry=str(_member(fn, "entry", "functions")),
-                    blocks=blocks,
-                    edges=tuple(edges),
-                )
-            )
-        calls = tuple(tuple(str(part) for part in c) for c in _triples(raw, "calls"))
-        vulnerable = None
-        if raw.get("vulnerable") is not None:
-            v = raw["vulnerable"]
-            vulnerable = (
-                str(_member(v, "function", "vulnerable")),
-                str(_member(v, "statement", "vulnerable")),
-            )
-        return GraphDocument(
-            functions=tuple(functions), calls=calls, vulnerable=vulnerable
-        )
-
-    def to_json(self) -> str:
-        raw = {
-            "schema": SCHEMA_GRAPH,
-            "functions": [
-                {
-                    "name": fn.name,
-                    "entry": fn.entry,
-                    "blocks": [
-                        {
-                            "id": b.id,
-                            "conditional": b.conditional,
-                            "statements": list(b.statements),
-                        }
-                        for b in fn.blocks
-                    ],
-                    "edges": [list(e) for e in fn.edges],
-                }
-                for fn in self.functions
-            ],
-            "calls": [list(c) for c in self.calls],
-            "vulnerable": (
-                None
-                if self.vulnerable is None
-                else {"function": self.vulnerable[0], "statement": self.vulnerable[1]}
-            ),
-        }
-        return json.dumps(raw, indent=2, sort_keys=True) + "\n"
-
-
-def _object(value, field: str) -> dict:
-    if not isinstance(value, dict):
+def _text(value, field: str, what: str) -> str:
+    """`value`, which must be a JSON string; the error names the field."""
+    if not isinstance(value, str):
         raise GraphImportError(
-            f"field {field!r}: expected an object, got {type(value).__name__}"
+            f"field {field!r}: {what} must be a string, got {type(value).__name__}"
         )
     return value
 
 
-def _member(record, key: str, field: str):
-    """`record[key]`; a GraphImportError names the field when `record` is
-    not an object or has no `key`."""
-    if key not in _object(record, field):
+def _string(record, key: str, field: str) -> str:
+    """The string `record[key]`; a GraphImportError names the field when
+    `record` is not an object, has no `key`, or holds another type there."""
+    if not isinstance(record, dict):
+        raise GraphImportError(
+            f"field {field!r}: expected an object, got {type(record).__name__}"
+        )
+    if key not in record:
         raise GraphImportError(f"field {field!r}: missing {key!r}")
-    return record[key]
+    return _text(record[key], field, repr(key))
 
 
 def _items(record: dict, key: str) -> list:
@@ -168,60 +83,93 @@ def _triples(record: dict, key: str) -> list:
     return rows
 
 
-def load_graph_file(path) -> GraphDocument:
+def load_graph_file(path):
+    """The parsed JSON of a graph document, for `import_graph`."""
     with open(path, "r", encoding="utf-8") as handle:
-        return GraphDocument.from_json(handle.read())
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
+        raise GraphImportError(f"not valid JSON: {exc}") from exc
 
 
-def import_graph(doc: GraphDocument) -> IRProgram:
-    """Build an analyzable (not executable) program from a graph document."""
-    if not doc.functions:
+def embedded_vulnerability(doc: dict) -> tuple[str, str] | None:
+    """The document's `vulnerable` pair, (function, statement id), or None."""
+    v = doc.get("vulnerable")
+    if v is None:
+        return None
+    return _string(v, "function", "vulnerable"), _string(v, "statement", "vulnerable")
+
+
+def import_graph(doc) -> IRProgram:
+    """Build an analyzable (not executable) program from a graph document,
+    given as parsed JSON, checking each field where it is read."""
+    if not isinstance(doc, dict):
+        raise GraphImportError("the document must be a JSON object")
+    if doc.get("schema") != SCHEMA_GRAPH:
+        raise GraphImportError(
+            f"field 'schema': expected {SCHEMA_GRAPH!r}, got {doc.get('schema')!r}"
+        )
+    documented = _items(doc, "functions")
+    if not documented:
         raise GraphImportError("field 'functions': document has no functions")
-    functions: dict[str, IRFunction] = {}
-    seen_statements: set[str] = set()
+    calls = [
+        tuple(_text(part, "calls", "a call's caller, site or callee") for part in row)
+        for row in _triples(doc, "calls")
+    ]
     call_sites = {}
-    for caller, call_site, callee in doc.calls:
+    for caller, call_site, callee in calls:
         call_sites.setdefault(call_site, []).append((caller, callee))
     for targets in call_sites.values():
         targets.sort()
 
-    statement_owner: dict[str, str] = {}
-    for fn in doc.functions:
-        if fn.name in functions:
-            raise GraphImportError(f"field 'functions': duplicate name {fn.name!r}")
-        block_ids = set()
-        for blk in fn.blocks:
-            if blk.id in block_ids:
+    functions: dict[str, IRFunction] = {}
+    statement_owner: dict[str, str] = {}  # every statement id, expanded ones too
+    for fn in documented:
+        name = _string(fn, "name", "functions")
+        if name in functions:
+            raise GraphImportError(f"field 'functions': duplicate name {name!r}")
+        documented_blocks = _items(fn, "blocks")
+        # each block's outgoing (target, branch index) edges
+        out_edges: dict[str, list[tuple[str, int | None]]] = {}
+        for blk in documented_blocks:
+            bid = _string(blk, "id", "blocks")
+            if bid in out_edges:
                 raise GraphImportError(
-                    f"field 'blocks': duplicate block id {blk.id!r} in {fn.name}"
+                    f"field 'blocks': duplicate block id {bid!r} in {name}"
                 )
-            block_ids.add(blk.id)
-        if fn.entry not in block_ids:
+            out_edges[bid] = []
+        entry = _string(fn, "entry", "functions")
+        if entry not in out_edges:
             raise GraphImportError(
-                f"field 'entry': block {fn.entry!r} not defined in {fn.name}"
+                f"field 'entry': block {entry!r} not defined in {name}"
             )
-        out_edges: dict[str, list[tuple[str, int | None]]] = {b: [] for b in block_ids}
-        for src, dst, index in fn.edges:
-            if src not in block_ids:
+        for src, dst, index in _triples(fn, "edges"):
+            # JSON's `true` and `false` are no integers
+            if index is not None and (not isinstance(index, int) or isinstance(index, bool)):
                 raise GraphImportError(
-                    f"field 'edges': source block {src!r} not defined in {fn.name}"
+                    "field 'edges': a branch index must be an integer or null"
                 )
-            if dst not in block_ids:
+            if _text(src, "edges", "a source block") not in out_edges:
                 raise GraphImportError(
-                    f"field 'edges': target block {dst!r} not defined in {fn.name}"
+                    f"field 'edges': source block {src!r} not defined in {name}"
+                )
+            if _text(dst, "edges", "a target block") not in out_edges:
+                raise GraphImportError(
+                    f"field 'edges': target block {dst!r} not defined in {name}"
                 )
             out_edges[src].append((dst, index))
 
         blocks: dict[str, BasicBlock] = {}
-        for blk in fn.blocks:
+        for blk in documented_blocks:
+            bid = blk["id"]
             statements = []
-            for sid in blk.statements:
-                if sid in seen_statements:
+            for sid in _items(blk, "statements"):
+                if _text(sid, "statements", "a statement id") in statement_owner:
                     raise GraphImportError(
                         f"field 'statements': duplicate statement id {sid!r}"
                     )
-                seen_statements.add(sid)
-                statement_owner[sid] = fn.name
+                statement_owner[sid] = name
                 targets = call_sites.get(sid, ())
                 if not targets:
                     statements.append(Nop(id=sid))
@@ -230,19 +178,18 @@ def import_graph(doc: GraphDocument) -> IRProgram:
                 # indirect calls); expand into one call per target, keeping
                 # the document's id on the first so references still resolve
                 for k, (caller, callee) in enumerate(targets):
-                    if caller != fn.name:
+                    if caller != name:
                         raise GraphImportError(
-                            f"field 'calls': call site {sid!r} is in {fn.name}, "
+                            f"field 'calls': call site {sid!r} is in {name}, "
                             f"not {caller}"
                         )
                     expanded = sid if k == 0 else f"{sid}#{k}"
                     if k > 0:
-                        if expanded in seen_statements:
+                        if expanded in statement_owner:
                             raise GraphImportError(
                                 f"field 'calls': expanded call id {expanded!r} collides"
                             )
-                        seen_statements.add(expanded)
-                        statement_owner[expanded] = fn.name
+                        statement_owner[expanded] = name
                     statements.append(
                         Call(
                             id=expanded,
@@ -252,58 +199,65 @@ def import_graph(doc: GraphDocument) -> IRProgram:
                             args=(),
                         )
                     )
-            outs = out_edges[blk.id]
-            if blk.conditional:
+            conditional = blk.get("conditional", False)
+            if not isinstance(conditional, bool):
+                raise GraphImportError(
+                    f"field 'blocks': 'conditional' must be a boolean, "
+                    f"got {type(conditional).__name__}"
+                )
+            outs = out_edges[bid]
+            if conditional:
                 if len(outs) != 2 or {index for _, index in outs} != {0, 1}:
                     raise GraphImportError(
-                        f"field 'edges': conditional block {blk.id!r} in {fn.name} "
+                        f"field 'edges': conditional block {bid!r} in {name} "
                         "needs exactly two edges with branch indices 0 and 1"
                     )
                 by_index = {index: dst for dst, index in outs}
                 terminator = Branch(
-                    id=f"{fn.name}:{blk.id}:branch",
+                    id=f"{name}:{bid}:branch",
                     cond=Opaque(),
                     then_target=by_index[0],
                     else_target=by_index[1],
                 )
             elif len(outs) > 1:
                 raise GraphImportError(
-                    f"field 'edges': non-conditional block {blk.id!r} in {fn.name} "
+                    f"field 'edges': non-conditional block {bid!r} in {name} "
                     "has more than one outgoing edge"
                 )
             elif outs:
                 terminator = Jump(outs[0][0])
             else:
                 terminator = Halt()
-            blocks[blk.id] = BasicBlock(
-                id=blk.id, statements=tuple(statements), terminator=terminator
+            blocks[bid] = BasicBlock(
+                id=bid, statements=tuple(statements), terminator=terminator
             )
-        functions[fn.name] = IRFunction(
-            id=fn.name,
-            name=fn.name,
+        functions[name] = IRFunction(
+            id=name,
+            name=name,
             params=(),
             return_type=UNIT,
             blocks=blocks,
-            entry_block=fn.entry,
+            entry_block=entry,
         )
 
-    for caller, call_site, callee in doc.calls:
+    for caller, call_site, callee in calls:
         if caller not in functions:
             raise GraphImportError(f"field 'calls': unknown caller {caller!r}")
         if callee not in functions:
             raise GraphImportError(f"field 'calls': unknown callee {callee!r}")
-        if call_site not in seen_statements:
+        if call_site not in statement_owner:
             raise GraphImportError(
                 f"field 'calls': call site {call_site!r} is not a statement"
             )
 
-    if doc.vulnerable is not None:
-        vuln_fn, vuln_stmt = doc.vulnerable
+    vulnerable = embedded_vulnerability(doc)
+    if vulnerable is not None:
+        vuln_fn, vuln_stmt = vulnerable
         if vuln_fn not in functions:
             raise GraphImportError(
                 f"field 'vulnerable': unknown function {vuln_fn!r}"
             )
-        if vuln_stmt not in seen_statements:
+        if vuln_stmt not in statement_owner:
             raise GraphImportError(
                 f"field 'vulnerable': unknown statement {vuln_stmt!r}"
             )
@@ -314,7 +268,7 @@ def import_graph(doc: GraphDocument) -> IRProgram:
 
     program = IRProgram(
         functions=functions,
-        entry=doc.functions[0].name,
+        entry=next(iter(functions)),
         source_map={},
         address_taken=frozenset(),
         executable=False,

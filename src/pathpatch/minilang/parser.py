@@ -104,13 +104,16 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         start_col = col
-        if ch.isdigit():
+        # isdecimal, not isdigit: `int` rejects digits such as '²'
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i

@@ -55,7 +55,7 @@ from .analysis import (
     compute_control_dependencies,
     compute_postdominators,
 )
-from .ir import IRProgram, block_sort_key
+from .ir import Branch, IRProgram, Return, block_sort_key
 from .record import Record
 
 DEFAULT_ENUMERATION_CAP = 10_000
@@ -196,17 +196,22 @@ def resolve_vulnerability(program: IRProgram, function: str, statement: str | No
             raise AnalysisError(f"statement {statement!r} is not in {function}")
         return VulnerabilitySpec(function, statement, exploit)
     if line is not None:
-        natural = lambda sid: (len(sid), sid)
-        best = None
-        for blk in fn.blocks.values():
-            for stmt in blk.statements:
-                loc = program.source_map.get(stmt.id)
-                if loc is not None and loc[1] == line:
-                    if best is None or natural(stmt.id) < natural(best):
-                        best = stmt.id
-        if best is None:
-            raise AnalysisError(f"no statement of {function} is on line {line}")
-        return VulnerabilitySpec(function, best, exploit)
+        # a plain statement on the line wins; a line with none, such as a
+        # `return` or an `if` or `while` condition, anchors on its branch
+        # or return terminator
+        plain = [stmt.id for blk in fn.blocks.values() for stmt in blk.statements]
+        ends = [
+            blk.terminator.id
+            for blk in fn.blocks.values()
+            if isinstance(blk.terminator, (Branch, Return))
+        ]
+        source_map = program.source_map
+        for ids in (plain, ends):
+            on_line = [sid for sid in ids if source_map.get(sid, (None, None))[1] == line]
+            if on_line:
+                best = min(on_line, key=lambda sid: (len(sid), sid))
+                return VulnerabilitySpec(function, best, exploit)
+        raise AnalysisError(f"no statement of {function} is on line {line}")
     # function-only: first statement, walking from the entry block; a
     # function with no plain statements anchors on a terminator instead
     seen = set()

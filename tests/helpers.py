@@ -21,7 +21,6 @@ running every case on every patched program
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ from pathpatch.ir import (
     Var,
     block_sort_key,
 )
-from pathpatch.graphio import GraphBlock, GraphDocument, GraphFunction
 from pathpatch.harness import (
     CaseVerdict,
     Limits,
@@ -485,15 +483,16 @@ def pick_vulnerable_statement(rng: random.Random, program: IRProgram) -> str:
 # ---------------------------------------------------------------------------
 
 
-def export_graph(program: IRProgram, vulnerable: tuple[str, str] | None = None) -> GraphDocument:
-    """Project any program down to its graph document shape.
+def export_graph(program: IRProgram, vulnerable: tuple[str, str] | None = None) -> dict:
+    """Project any program down to its graph document shape, as the JSON
+    object that `import_graph` reads.
 
     Calls are exported from the resolved call graph, so an indirect call
     site appears once per signature-matching target and a reimport sees
     the same over-approximation the analyses used.
     """
     calls = [
-        (edge.caller, edge.call_site, edge.callee)
+        [edge.caller, edge.call_site, edge.callee]
         for edge in build_call_graph(program).edges
         if not program.functions[edge.callee].external
     ]
@@ -510,29 +509,31 @@ def export_graph(program: IRProgram, vulnerable: tuple[str, str] | None = None) 
         edges = []
         for blk in fn.blocks.values():
             blocks.append(
-                GraphBlock(
-                    id=blk.id,
-                    conditional=blk.is_conditional,
-                    statements=tuple(s.id for s in blk.statements),
-                )
+                {
+                    "id": blk.id,
+                    "conditional": blk.is_conditional,
+                    "statements": [s.id for s in blk.statements],
+                }
             )
             term = blk.terminator
             if isinstance(term, Branch):
-                edges.append((blk.id, term.then_target, 0))
-                edges.append((blk.id, term.else_target, 1))
+                edges.append([blk.id, term.then_target, 0])
+                edges.append([blk.id, term.else_target, 1])
             elif isinstance(term, Jump):
-                edges.append((blk.id, term.target, None))
+                edges.append([blk.id, term.target, None])
         functions.append(
-            GraphFunction(
-                name=fn.id,
-                entry=fn.entry_block,
-                blocks=tuple(blocks),
-                edges=tuple(edges),
-            )
+            {"name": fn.id, "entry": fn.entry_block, "blocks": blocks, "edges": edges}
         )
-    return GraphDocument(
-        functions=tuple(functions), calls=tuple(calls), vulnerable=vulnerable
-    )
+    return {
+        "schema": "program-graph@1",
+        "functions": functions,
+        "calls": calls,
+        "vulnerable": (
+            None
+            if vulnerable is None
+            else {"function": vulnerable[0], "statement": vulnerable[1]}
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +898,7 @@ def recursive_fanout_source(n: int) -> str:
     return call_fanout_source(n).replace(head, head + " if (x > 1000) { r = f0(x); }")
 
 
-def fanout_document(n: int, dead: int | None = None, stuck: bool = False) -> GraphDocument:
+def fanout_document(n: int, dead: int | None = None, stuck: bool = False) -> dict:
     """A graph document of the call fan-out: main calls f0 and each f_i
     calls f_{i+1} from two sites, one on each arm of a conditional, so
     2**n chains reach f_n. With `dead`, the second site of f_dead lies in a
@@ -944,16 +945,12 @@ def fanout_document(n: int, dead: int | None = None, stuck: bool = False) -> Gra
             + ([["v1", "v2", 0], ["v1", "v2", 1]] if stuck else [["v1", "v2", None]]),
         }
     )
-    return GraphDocument.from_json(
-        json.dumps(
-            {
-                "schema": "program-graph@1",
-                "functions": functions,
-                "calls": calls,
-                "vulnerable": {"function": f"f{n}", "statement": "vuln"},
-            }
-        )
-    )
+    return {
+        "schema": "program-graph@1",
+        "functions": functions,
+        "calls": calls,
+        "vulnerable": {"function": f"f{n}", "statement": "vuln"},
+    }
 
 
 # main calls f, g and h; f calls g, g calls h and h calls f, and each of the

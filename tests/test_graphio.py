@@ -1,13 +1,17 @@
-"""Graph document import/export and the result report."""
+"""Graph document import, export through the tests' `export_graph`, and the
+result report."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from pathpatch.cli import run
 from pathpatch.graphio import (
-    GraphDocument,
     GraphImportError,
     build_report,
+    embedded_vulnerability,
     import_graph,
     load_graph_file,
     pfr_display,
@@ -21,9 +25,9 @@ from pathpatch.minilang import lower, parse
 from helpers import export_graph
 
 
-def doc_from(payload: dict) -> GraphDocument:
+def doc_from(payload: dict) -> dict:
     payload.setdefault("schema", "program-graph@1")
-    return GraphDocument.from_json(json.dumps(payload))
+    return payload
 
 
 class TestImport:
@@ -155,15 +159,78 @@ class TestImport:
             run_program(program, [])
 
 
+def first_block(key, value):
+    return lambda doc: doc["functions"][0]["blocks"][0].__setitem__(key, value)
+
+
+# edits of corpus/abstract.graph.json that put another JSON type where the
+# document needs a string, a boolean or a branch index, and the error each
+# gives; `str()` and `bool()` coercion imported some of these and blamed
+# another field for the rest
+WRONG_TYPES = {
+    "conditional-string": (
+        first_block("conditional", "false"),
+        "field 'blocks': 'conditional' must be a boolean, got str",
+    ),
+    "conditional-null": (
+        first_block("conditional", None),
+        "field 'blocks': 'conditional' must be a boolean, got NoneType",
+    ),
+    "block-id-null": (
+        first_block("id", None), "field 'blocks': 'id' must be a string, got NoneType"
+    ),
+    "statement-object": (
+        first_block("statements", [{"x": 1}]),
+        "field 'statements': a statement id must be a string, got dict",
+    ),
+    "branch-index-true": (
+        lambda doc: doc["functions"][0]["edges"][1].__setitem__(2, True),
+        "field 'edges': a branch index must be an integer or null",
+    ),
+    "edge-source-number": (
+        lambda doc: doc["functions"][0]["edges"][2].__setitem__(0, 1),
+        "field 'edges': a source block must be a string, got int",
+    ),
+    "name-list": (
+        lambda doc: doc["functions"][0].update(name=["f"]),
+        "field 'functions': 'name' must be a string, got list",
+    ),
+    "entry-number": (
+        lambda doc: doc["functions"][0].update(entry=0),
+        "field 'functions': 'entry' must be a string, got int",
+    ),
+    "call-site-number": (
+        lambda doc: doc.update(calls=[["f", 5, "f"]]),
+        "field 'calls': a call's caller, site or callee must be a string, got int",
+    ),
+    "vulnerable-function-list": (
+        lambda doc: doc["vulnerable"].update(function=["f"]),
+        "field 'vulnerable': 'function' must be a string, got list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_field_of_another_type_is_an_input_error(tmp_path, corpus_dir, case):
+    edit, message = WRONG_TYPES[case]
+    doc = json.loads((corpus_dir / "abstract.graph.json").read_text())
+    edit(doc)
+    graph = tmp_path / "g.graph.json"
+    graph.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["analyze", "--program", str(graph)])
+    assert (code, err.getvalue()) == (3, f"error: {message}\n")
+
+
 class TestExportRoundTrip:
     def test_import_export_import_is_idempotent(self, corpus_dir):
         doc = load_graph_file(corpus_dir / "abstract.graph.json")
         program = import_graph(doc)
-        doc2 = export_graph(program, vulnerable=doc.vulnerable)
+        doc2 = export_graph(program, vulnerable=embedded_vulnerability(doc))
         program2 = import_graph(doc2)
-        doc3 = export_graph(program2, vulnerable=doc2.vulnerable)
+        doc3 = export_graph(program2, vulnerable=embedded_vulnerability(doc2))
         assert doc2 == doc3
-        assert doc2.to_json() == doc3.to_json()
 
     def test_export_of_lowered_program_reimports(self, corpus_dir):
         program = lower(parse((corpus_dir / "dispatch.mini").read_text()))
@@ -192,8 +259,8 @@ class TestExportRoundTrip:
             (l.function, l.block) for l in reimported
         }
         # and another export/import cycle is a fixpoint
-        doc2 = export_graph(again, vulnerable=doc.vulnerable)
-        assert export_graph(import_graph(doc2), vulnerable=doc2.vulnerable) == doc2
+        doc2 = export_graph(again, vulnerable=embedded_vulnerability(doc))
+        assert export_graph(import_graph(doc2), vulnerable=embedded_vulnerability(doc2)) == doc2
 
     def test_multi_callee_site_expands_on_import(self):
         doc = doc_from(

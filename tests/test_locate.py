@@ -1,12 +1,11 @@
 """Candidate patch location selection and levels."""
 
-import json
 import random
 
 import pytest
 
 from pathpatch.checks import cut_disconnects
-from pathpatch.graphio import GraphDocument, import_graph, load_graph_file
+from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
 from pathpatch.minilang import lower, parse
 from pathpatch.paths import (
@@ -163,35 +162,28 @@ class TestDegenerateAndDedup:
 
     def test_conditional_vulnerable_block_emits_itself_with_warning(self):
         # graph shape where the walk runs out of path on a conditional block
-        from pathpatch.graphio import GraphDocument
-        import json
-
-        doc = GraphDocument.from_json(
-            json.dumps(
+        doc = {
+            "schema": "program-graph@1",
+            "functions": [
                 {
-                    "schema": "program-graph@1",
-                    "functions": [
-                        {
-                            "name": "f",
-                            "entry": "a",
-                            "blocks": [
-                                {"id": "a", "conditional": True, "statements": ["s0"]},
-                                {"id": "b", "conditional": True, "statements": ["s1"]},
-                                {"id": "x", "conditional": False, "statements": ["s2"]},
-                                {"id": "y", "conditional": False, "statements": ["s3"]},
-                            ],
-                            "edges": [
-                                ["a", "b", 0],
-                                ["a", "x", 1],
-                                ["b", "y", 0],
-                                ["b", "b", 1],
-                            ],
-                        }
+                    "name": "f",
+                    "entry": "a",
+                    "blocks": [
+                        {"id": "a", "conditional": True, "statements": ["s0"]},
+                        {"id": "b", "conditional": True, "statements": ["s1"]},
+                        {"id": "x", "conditional": False, "statements": ["s2"]},
+                        {"id": "y", "conditional": False, "statements": ["s3"]},
                     ],
-                    "vulnerable": {"function": "f", "statement": "s1"},
+                    "edges": [
+                        ["a", "b", 0],
+                        ["a", "x", 1],
+                        ["b", "y", 0],
+                        ["b", "b", 1],
+                    ],
                 }
-            )
-        )
+            ],
+            "vulnerable": {"function": "f", "statement": "s1"},
+        }
         program = import_graph(doc)
         vuln = resolve_vulnerability(program, "f", statement="s1")
         ppg = build_program_path_graph(program, vuln)
@@ -279,61 +271,57 @@ def located_with_notes(ppg):
     return locations, notes
 
 
-def revisit_document() -> GraphDocument:
+def revisit_document() -> dict:
     """main calls f from two sites; in f, conditional a reaches the
     conditional call block c directly and through conditional b, so the
     walk enters c three times, and f's frame recurs on both chains."""
-    return GraphDocument.from_json(
-        json.dumps(
+    return {
+        "schema": "program-graph@1",
+        "functions": [
             {
-                "schema": "program-graph@1",
-                "functions": [
-                    {
-                        "name": "main",
-                        "entry": "m",
-                        "blocks": [
-                            {"id": "m", "conditional": True, "statements": ["m0"]},
-                            {"id": "p", "statements": ["call_p"]},
-                            {"id": "q", "statements": ["call_q"]},
-                        ],
-                        "edges": [["m", "p", 0], ["m", "q", 1]],
-                    },
-                    {
-                        "name": "f",
-                        "entry": "a",
-                        "blocks": [
-                            {"id": "a", "conditional": True, "statements": ["a0"]},
-                            {"id": "b", "conditional": True, "statements": ["b0"]},
-                            {"id": "c", "conditional": True, "statements": ["call_g"]},
-                            {"id": "d", "statements": ["d0"]},
-                            {"id": "e", "statements": ["e0"]},
-                        ],
-                        "edges": [
-                            ["a", "b", 0], ["a", "c", 1],
-                            ["b", "c", 0], ["b", "d", 1],
-                            ["d", "c", None],
-                            ["c", "e", 0], ["c", "e", 1],
-                        ],
-                    },
-                    {
-                        "name": "g",
-                        "entry": "g0",
-                        "blocks": [
-                            {"id": "g0", "conditional": True, "statements": ["t0"]},
-                            {"id": "g1", "conditional": True, "statements": ["vuln"]},
-                            {"id": "g2", "statements": ["t2"]},
-                        ],
-                        "edges": [
-                            ["g0", "g1", 0], ["g0", "g2", 1],
-                            ["g1", "g2", 0], ["g1", "g2", 1],
-                        ],
-                    },
+                "name": "main",
+                "entry": "m",
+                "blocks": [
+                    {"id": "m", "conditional": True, "statements": ["m0"]},
+                    {"id": "p", "statements": ["call_p"]},
+                    {"id": "q", "statements": ["call_q"]},
                 ],
-                "calls": [["main", "call_p", "f"], ["main", "call_q", "f"], ["f", "call_g", "g"]],
-                "vulnerable": {"function": "g", "statement": "vuln"},
-            }
-        )
-    )
+                "edges": [["m", "p", 0], ["m", "q", 1]],
+            },
+            {
+                "name": "f",
+                "entry": "a",
+                "blocks": [
+                    {"id": "a", "conditional": True, "statements": ["a0"]},
+                    {"id": "b", "conditional": True, "statements": ["b0"]},
+                    {"id": "c", "conditional": True, "statements": ["call_g"]},
+                    {"id": "d", "statements": ["d0"]},
+                    {"id": "e", "statements": ["e0"]},
+                ],
+                "edges": [
+                    ["a", "b", 0], ["a", "c", 1],
+                    ["b", "c", 0], ["b", "d", 1],
+                    ["d", "c", None],
+                    ["c", "e", 0], ["c", "e", 1],
+                ],
+            },
+            {
+                "name": "g",
+                "entry": "g0",
+                "blocks": [
+                    {"id": "g0", "conditional": True, "statements": ["t0"]},
+                    {"id": "g1", "conditional": True, "statements": ["vuln"]},
+                    {"id": "g2", "statements": ["t2"]},
+                ],
+                "edges": [
+                    ["g0", "g1", 0], ["g0", "g2", 1],
+                    ["g1", "g2", 0], ["g1", "g2", 1],
+                ],
+            },
+        ],
+        "calls": [["main", "call_p", "f"], ["main", "call_q", "f"], ["f", "call_g", "g"]],
+        "vulnerable": {"function": "g", "statement": "vuln"},
+    }
 
 
 class TestLocateOracle:
@@ -418,7 +406,7 @@ class TestLocateOracle:
             "functions": [{"name": "f", "entry": "c0", "blocks": blocks, "edges": edges}],
             "vulnerable": {"function": "f", "statement": "vuln"},
         }
-        program = import_graph(GraphDocument.from_json(json.dumps(doc)))
+        program = import_graph(doc)
         vuln = resolve_vulnerability(program, "f", statement="vuln")
         ppg = build_program_path_graph(program, vuln)
         calls = []

@@ -31,6 +31,19 @@ class TestParser:
             parse("fn main() -> int {\n  let x: int = 1;\n")
         assert err.value.line == 3
 
+    def test_unterminated_block_after_a_comment_reports_the_end_column(self):
+        with pytest.raises(ParseError) as err:
+            parse("fn main() -> int { return 0; # c")
+        assert (err.value.line, err.value.col) == (1, 33)
+
+    @pytest.mark.parametrize("digit", ["²", "①"])
+    def test_a_digit_that_int_rejects_is_an_unexpected_character(self, digit):
+        with pytest.raises(ParseError, match=f"unexpected character '{digit}'"):
+            parse(f"fn main() -> int {{ return {digit}; }}")
+        # a decimal digit of another script still reads as its value
+        (ret,) = parse("fn main() -> int { return ٣; }").functions[0].body
+        assert ret.value.value == 3
+
     def test_duplicate_function_names_rejected(self):
         with pytest.raises(ParseError, match="duplicate function"):
             parse("fn f() -> unit { } fn f() -> unit { }")

@@ -1,13 +1,12 @@
 """Call chains, intraprocedural path DAGs, and the program path graph."""
 
-import json
 import random
 
 import pytest
 
 from pathpatch import cli
 from pathpatch.analysis import build_call_graph
-from pathpatch.graphio import GraphDocument, import_graph, load_graph_file
+from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.minilang import lower, parse, run_program
 from pathpatch.paths import (
     PathEnumerationError,
@@ -156,6 +155,28 @@ class TestIntraproceduralPaths:
             assert set(dag.blocks) == expected
 
 
+# `f` faults on line 2, a return, when main reads 4; line 7 is a condition
+RETURN_AND_CONDITION = """fn f(y: int) -> int {
+    return 10 / y;
+}
+fn main() -> int {
+    let y: int = read_input();
+    let r: int = 0;
+    if (y > 3) {
+        r = f(y - 4);
+    }
+    return r;
+}
+"""
+# line 3 holds a branch and, after it, an assignment
+ONE_LINE_IF = """fn main() -> int {
+    let x: int = read_input();
+    if (x > 0) { x = 1; }
+    return x;
+}
+"""
+
+
 class TestProgramPathGraph:
     def test_abstract_graph_has_exactly_the_two_documented_paths(self, corpus_dir):
         doc = load_graph_file(corpus_dir / "abstract.graph.json")
@@ -186,6 +207,30 @@ class TestProgramPathGraph:
         )
         with pytest.raises(AnalysisError, match="external"):
             resolve_vulnerability(program, "lib")
+
+    def test_a_return_line_anchors_on_the_return(self):
+        program = lower(parse(RETURN_AND_CONDITION))
+        vuln = resolve_vulnerability(program, "f", line=2)
+        assert vuln == resolve_vulnerability(program, "f")
+        assert run_program(program, [4]).fault_at == vuln.statement
+
+    def test_a_condition_line_anchors_on_the_branch(self):
+        program = lower(parse(RETURN_AND_CONDITION))
+        vuln = resolve_vulnerability(program, "main", line=7)
+        _, block = program.statement_index()[vuln.statement]
+        assert program.functions["main"].blocks[block].terminator.id == vuln.statement
+        assert count_paths(build_program_path_graph(program, vuln)) == 1
+
+    def test_a_plain_statement_wins_over_a_branch_on_its_line(self):
+        program = lower(parse(ONE_LINE_IF))
+        vuln = resolve_vulnerability(program, "main", line=3)
+        (assignment,) = [
+            stmt.id
+            for blk in program.functions["main"].blocks.values()
+            for stmt in blk.statements
+            if program.source_map[stmt.id][1] == 3
+        ]
+        assert vuln.statement == assignment
 
     def test_unreachable_vulnerability_diagnostic(self):
         program = lower(
@@ -280,7 +325,7 @@ class TestProgramPathGraph:
         assert nonempty > checked // 3
 
 
-def dead_call_document(reachable_call: bool) -> GraphDocument:
+def dead_call_document(reachable_call: bool) -> dict:
     """main -> h -> g where main and h each also call from a block their
     entry cannot reach; without `reachable_call`, main has only the dead
     call, so every chain is dropped."""
@@ -324,7 +369,7 @@ def dead_call_document(reachable_call: bool) -> GraphDocument:
         + ([["main", "m_ok", "h"]] if reachable_call else []),
         "vulnerable": {"function": "g", "statement": "g_vuln"},
     }
-    return GraphDocument.from_json(json.dumps(doc))
+    return doc
 
 
 class TestSharedFramePaths:
@@ -482,7 +527,7 @@ class TestSharedFramePaths:
             "calls": [["main", "call_p", "g"], ["main", "call_q", "g"]],
             "vulnerable": {"function": "g", "statement": "vuln"},
         }
-        program = import_graph(GraphDocument.from_json(json.dumps(doc)))
+        program = import_graph(doc)
         vuln = resolve_vulnerability(program, "g", statement="vuln")
         ppg = build_program_path_graph(program, vuln)
         assert len(ppg.chains) == 2
