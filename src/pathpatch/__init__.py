@@ -34,9 +34,7 @@ from .harness import (
 from .ir import BasicBlock, IRFunction, IRProgram
 from .locate import CandidatePatchLocation, candidate_locations
 from .minilang import (
-    build_cfg,
     load_program,
-    lower,
     parse,
     parse_file,
     run_program,

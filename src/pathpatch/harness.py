@@ -31,7 +31,7 @@ gives the patched run from it: the values printed by then, main's return
 of the error value as one more step, or a timeout when that step is past
 the budget. A probe stops as soon as it has entered every patched block;
 it then gives no verdict, and every patch it does not answer runs that
-case. Malformed IR, which `lower` never produces, raises `IRError` at the
+case. Malformed IR, which `parse` never produces, raises `IRError` at the
 first probe, before any patch runs. The
 preserved functionality ratio is `passed/total` (0 with no cases), and
 ranking sorts by it descending, compared exactly in integers, with

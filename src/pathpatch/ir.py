@@ -335,6 +335,11 @@ def validate_program(program: IRProgram) -> None:
         raise IRError(f"entry function {program.entry!r} is not defined")
     seen_statements: set[StatementId] = set()
     for fn in program.functions.values():
+        params: set[str] = set()
+        for name, _ in fn.params:
+            if name in params:
+                raise IRError(f"{fn.id}: parameter {name!r} declared twice")
+            params.add(name)
         if fn.external:
             if fn.blocks:
                 raise IRError(f"external function {fn.id} must not have blocks")

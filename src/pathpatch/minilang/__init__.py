@@ -1,18 +1,13 @@
-"""MiniLang frontend: parser, lowering and interpreter."""
+"""MiniLang frontend: a one-pass parser into the IR, and the interpreter."""
 
 from .interp import ExecutionResult, run_program
-from .lower import build_cfg, lower
-from .nodes import FrontendError, LoweringError, ParseError, ProgramTree
-from .parser import parse, parse_file
+from .parser import FrontendError, LoweringError, ParseError, parse, parse_file
 
 __all__ = [
     "ExecutionResult",
     "FrontendError",
     "LoweringError",
     "ParseError",
-    "ProgramTree",
-    "build_cfg",
-    "lower",
     "parse",
     "parse_file",
     "run_program",
@@ -20,5 +15,5 @@ __all__ = [
 
 
 def load_program(path):
-    """Parse and lower a MiniLang source file."""
-    return lower(parse_file(path))
+    """Parse a MiniLang source file into the IR."""
+    return parse_file(path)

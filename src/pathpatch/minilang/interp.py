@@ -130,14 +130,15 @@ driver loop, `_deep`, keeps the suspended generators on an explicit
 stack, so depth is bounded by memory, not by the recursion limit. The
 driver notes the suspended frames on a stop, for its backtrace.
 
-Malformed IR. A form runs only IR that `lower` can produce: building one
+Malformed IR. A form runs only IR that `parse` can produce: building one
 raises `IRError`, before any step, for what `ir.validate_program` rejects
 (a missing entry function or entry block, a jump to no block, a call of
-an undeclared function), for an entry function that is external or takes
-parameters, a direct call whose argument count differs from the callee's,
-a `halt`, a missing terminator, and an unknown operator, statement kind
-or expression (an opaque condition included). The arity of a call through
-a reference is the frontend's type checker's to ensure.
+an undeclared function, a parameter declared twice), for an entry
+function that is external or takes parameters, a direct call whose
+argument count differs from the callee's, a `halt`, a missing
+terminator, and an unknown operator, statement kind or expression (an
+opaque condition included). The arity of a call through a reference is
+the frontend's type checker's to ensure.
 
 Generated text: program data reaches the source only through `repr()` of
 a string, int, bool or None, so no name can clash with the generated
@@ -694,7 +695,7 @@ class _FastLowering:
     Variables are `v<k>` in the order the function first names
     them, parameters first. Constants that are not a string, int, bool or
     None are collected in `consts` under generated names, and `units`
-    collects the `_Unit` of each function generated. IR that `lower`
+    collects the `_Unit` of each function generated. IR that `parse`
     cannot produce raises `IRError` where the lowering meets it.
     """
 
@@ -769,9 +770,7 @@ class _FastLowering:
             body = [record, "st.L=L", f"return {self.const(_default_for(fn.return_type))}"]
             self.emit(0, head + ";".join(filter(None, body)) + (";yield" if self.deep else ""))
             return
-        params = [p for p, _ in fn.params]
-        # a parameter named again later is bound by the later one
-        args = [f"x{k}" if p in params[k + 1:] else self.var(p) for k, p in enumerate(params)]
+        args = [self.var(p) for p, _ in fn.params]
         if self.deep:
             self.emit(0, f"def {f}({','.join(['st', 'L'] + args)}):")
         else:

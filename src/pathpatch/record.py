@@ -1,9 +1,9 @@
 """Immutable value records, without generated code.
 
-`Record` is the base of every value class in the package: IR nodes, syntax
-tree nodes, path-graph pieces and results. A subclass declares its fields
-as annotations, in order; a class attribute of the same name is that
-field's default:
+`Record` is the base of every value class in the package: IR nodes,
+path-graph pieces and results. A subclass declares its fields as
+annotations, in order; a class attribute of the same name is that field's
+default:
 
     class Frame(Record):
         function: str

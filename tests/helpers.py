@@ -66,7 +66,7 @@ from pathpatch.harness import (
     _verdict,
 )
 from pathpatch.locate import CandidatePatchLocation
-from pathpatch.minilang import lower, nodes, parse
+from pathpatch.minilang import parse
 from pathpatch.minilang.interp import (
     DEFAULT_MAX_HEAP_CELLS,
     DEFAULT_MAX_STEPS,
@@ -80,20 +80,6 @@ from pathpatch.minilang.interp import (
     STATUS_TIMEOUT,
     ExecutionResult,
     FnVal,
-)
-from pathpatch.minilang.nodes import (
-    AssignStmt,
-    BinOp,
-    CallExpr,
-    ExprStmt,
-    FuncDecl,
-    If,
-    IntLit,
-    Let,
-    Name,
-    ProgramTree,
-    ReturnStmt,
-    While,
 )
 from pathpatch.paths import (
     CallChain,
@@ -422,48 +408,38 @@ def bf_interprocedural_paths(program: IRProgram, vuln_stmt: str) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def random_program_tree(rng: random.Random, max_functions: int = 5) -> ProgramTree:
+def random_program_source(rng: random.Random, max_functions: int = 5) -> str:
+    """A random well-typed MiniLang program on one line: `main` and up to
+    `max_functions - 1` helpers, each a local `x` that nested `if`, `while`
+    and call statements update, returned at the end."""
     count = rng.randint(1, max_functions)
     names = ["main"] + [f"h{i}" for i in range(1, count)]
-    functions = []
-    for name in names:
-        body = [Let("x", INT, IntLit(0, 1), 1)]
-        body.extend(_random_body(rng, names, depth=0))
-        body.append(ReturnStmt(Name("x", 1), 1))
-        functions.append(
-            FuncDecl(
-                name=name,
-                params=(),
-                return_type=INT,
-                body=tuple(body),
-                line=1,
-            )
-        )
-    return ProgramTree(functions=tuple(functions))
+    return "".join(
+        f"fn {name}() -> int {{ let x: int = 0; {_random_body(rng, names, depth=0)}return x; }} "
+        for name in names
+    )
 
 
-def _random_body(rng: random.Random, names: list[str], depth: int) -> list:
-    stmts = []
+def _random_body(rng: random.Random, names: list[str], depth: int) -> str:
+    stmts = ""
     for _ in range(rng.randint(1, 3)):
         roll = rng.random()
         if roll < 0.30 or depth >= 2:
-            stmts.append(
-                AssignStmt("x", BinOp("+", Name("x", 1), IntLit(1, 1), 1), 1)
-            )
+            stmts += "x = x + 1; "
         elif roll < 0.55:
-            stmts.append(ExprStmt(CallExpr(rng.choice(names), (), 1), 1))
+            stmts += f"{rng.choice(names)}(); "
         elif roll < 0.85:
-            cond = BinOp("<", Name("x", 1), IntLit(rng.randint(1, 5), 1), 1)
-            then_body = tuple(_random_body(rng, names, depth + 1))
+            cond = f"x < {rng.randint(1, 5)}"
+            then_body = _random_body(rng, names, depth + 1)
             else_body = (
-                tuple(_random_body(rng, names, depth + 1))
+                f"else {{ {_random_body(rng, names, depth + 1)}}} "
                 if rng.random() < 0.4
-                else None
+                else ""
             )
-            stmts.append(If(cond, then_body, else_body, 1))
+            stmts += f"if ({cond}) {{ {then_body}}} {else_body}"
         else:
-            cond = BinOp("<", Name("x", 1), IntLit(rng.randint(1, 5), 1), 1)
-            stmts.append(While(cond, tuple(_random_body(rng, names, depth + 1)), 1))
+            cond = f"x < {rng.randint(1, 5)}"
+            stmts += f"while ({cond}) {{ {_random_body(rng, names, depth + 1)}}} "
     return stmts
 
 
@@ -886,7 +862,7 @@ def call_fanout_source(n: int) -> str:
 
 def call_fanout_program(n: int):
     """(program, vulnerability) of `call_fanout_source(n)`."""
-    program = lower(parse(call_fanout_source(n)))
+    program = parse(call_fanout_source(n))
     return program, resolve_vulnerability(program, f"f{n}", line=4)
 
 

@@ -16,7 +16,7 @@ from pathpatch.cli import run as cli_run
 from pathpatch.graphio import import_graph, load_graph_file, pfr_display
 from pathpatch.harness import evaluate_patches, rank
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import lower, run_program
+from pathpatch.minilang import parse, run_program
 from pathpatch.paths import (
     build_program_path_graph,
     enumerate_paths,
@@ -31,7 +31,7 @@ from helpers import (
     bf_interprocedural_paths,
     pick_vulnerable_statement,
     random_cfg,
-    random_program_tree,
+    random_program_source,
 )
 
 
@@ -150,7 +150,7 @@ def test_criterion_5_path_graph_oracle():
         checked = 0
         mismatches = 0
         while checked < 500:
-            program = lower(random_program_tree(rng, max_functions=5))
+            program = parse(random_program_source(rng, max_functions=5))
             if any(
                 len(fn.blocks) > 10 for fn in program.functions.values()
             ):

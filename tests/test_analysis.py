@@ -29,7 +29,7 @@ from pathpatch.ir import (
     Unary,
     Var,
 )
-from pathpatch.minilang import lower, parse
+from pathpatch.minilang import parse
 
 from helpers import (
     bf_control_deps,
@@ -192,7 +192,7 @@ class TestControlDependence:
         assert all(d.governed != d.governor for d in cdg.deps)
 
     def test_bmp_reader_transitive_governors_of_vulnerable_block(self, corpus_dir):
-        program = lower(parse((corpus_dir / "bmp_reader.mini").read_text()))
+        program = parse((corpus_dir / "bmp_reader.mini").read_text())
         fn = program.functions["read_image"]
         cdg = compute_control_dependencies(fn)
         governors = cdg.transitive_governors("b6")
@@ -219,12 +219,10 @@ class TestControlDependence:
 
 class TestCallGraph:
     def test_direct_chain(self):
-        program = lower(
-            parse(
-                "fn g() -> int { return 1; }"
-                "fn f() -> int { let x: int = g(); return x; }"
-                "fn main() -> int { let y: int = f(); return y; }"
-            )
+        program = parse(
+            "fn g() -> int { return 1; }"
+            "fn f() -> int { let x: int = g(); return x; }"
+            "fn main() -> int { let y: int = f(); return y; }"
         )
         cg = build_call_graph(program)
         pairs = {(e.caller, e.callee) for e in cg.edges}
@@ -232,23 +230,21 @@ class TestCallGraph:
         assert all(not e.via_reference for e in cg.edges)
 
     def test_no_calls_means_no_edges(self):
-        program = lower(parse("fn main() -> int { return 0; }"))
+        program = parse("fn main() -> int { return 0; }")
         assert build_call_graph(program).edges == ()
 
     def test_reference_call_fans_out_to_matching_functions(self):
-        program = lower(
-            parse(
-                "fn inc(x: int) -> int { return x + 1; }"
-                "fn dec(x: int) -> int { return x - 1; }"
-                "fn wide(x: int, y: int) -> int { return x + y; }"
-                "fn apply(op: fn(int) -> int, v: int) -> int { let r: int = op(v); return r; }"
-                "fn main() -> int {"
-                "  let a: int = apply(&inc, 1);"
-                "  let b: int = apply(&dec, 2);"
-                "  let w: fn(int, int) -> int = &wide;"
-                "  return a + b;"
-                "}"
-            )
+        program = parse(
+            "fn inc(x: int) -> int { return x + 1; }"
+            "fn dec(x: int) -> int { return x - 1; }"
+            "fn wide(x: int, y: int) -> int { return x + y; }"
+            "fn apply(op: fn(int) -> int, v: int) -> int { let r: int = op(v); return r; }"
+            "fn main() -> int {"
+            "  let a: int = apply(&inc, 1);"
+            "  let b: int = apply(&dec, 2);"
+            "  let w: fn(int, int) -> int = &wide;"
+            "  return a + b;"
+            "}"
         )
         cg = build_call_graph(program)
         ref_edges = [e for e in cg.edges if e.via_reference]
@@ -261,7 +257,7 @@ class TestCallGraph:
         assert len({e.call_site for e in ref_edges}) == 1
 
     def test_dispatch_corpus_fans_out(self, corpus_dir):
-        program = lower(parse((corpus_dir / "dispatch.mini").read_text()))
+        program = parse((corpus_dir / "dispatch.mini").read_text())
         cg = build_call_graph(program)
         ref_targets = {e.callee for e in cg.edges if e.via_reference}
         assert ref_targets == {"handler_safe", "handler_risky"}
@@ -298,11 +294,9 @@ class TestCallGraph:
         assert observed <= edges
 
     def test_external_functions_are_sinks(self):
-        program = lower(
-            parse(
-                "extern fn mystery(x: int) -> int;"
-                "fn main() -> int { let r: int = mystery(3); return r; }"
-            )
+        program = parse(
+            "extern fn mystery(x: int) -> int;"
+            "fn main() -> int { let r: int = mystery(3); return r; }"
         )
         cg = build_call_graph(program)
         assert {(e.caller, e.callee) for e in cg.edges} == {("main", "mystery")}

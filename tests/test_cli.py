@@ -15,7 +15,7 @@ from pathpatch import cli
 from pathpatch.cli import run
 from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import load_program, lower, parse, run_program
+from pathpatch.minilang import load_program, parse, run_program
 from pathpatch.minilang.parser import MAX_NESTING
 from pathpatch.paths import (
     DEFAULT_ENUMERATION_CAP,
@@ -33,7 +33,7 @@ from helpers import (
     frame_walks,
     long_path_source,
     pick_vulnerable_statement,
-    random_program_tree,
+    random_program_source,
     recursive_fanout_source,
     reference_path_graph,
     reference_path_graph_document,
@@ -146,7 +146,7 @@ class TestPathGraphDocument:
         rng = random.Random(6061)
         nonempty = 0
         for _ in range(120):
-            program = lower(random_program_tree(rng))
+            program = parse(random_program_source(rng))
             _, stmt = pick_vulnerable_statement(rng, program)
             vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
             nonempty += bool(checked_document(program, vuln)["frames"])
@@ -199,7 +199,7 @@ class TestPathGraphDocument:
         """With recursion the frame graph has a cycle; the chains are only
         the walks that repeat no function, listed in the chain search's
         order."""
-        program = lower(parse(RECURSIVE_CHAINS))
+        program = parse(RECURSIVE_CHAINS)
         doc = checked_document(program, resolve_vulnerability(program, "v", line=3))
         assert doc["chain_count"] == 9 and len(doc["frames"]) == 10
         frames = doc["frames"]
@@ -710,7 +710,7 @@ class TestDeepInputs:
 
     @pytest.mark.parametrize("command", ["analyze", "all"])
     def test_operator_chain_of_1000_terms_is_a_parse_error(self, tmp_path, capsys, command):
-        """A flat chain is parsed by a loop, but it nests one BinOp per
+        """A flat chain is parsed by a loop, but it nests one `Binary` per
         operator; lowering used to die on 1000 terms with a RecursionError
         traceback."""
         _, args = self._chain(tmp_path, 999)

@@ -7,7 +7,7 @@ backtrace and `entered` included), what `helpers.reference_run` returns on
 that patch's `apply_patch` variant. There is one form and no fallback: a
 run that times out on the step budget inside a segment, or nests calls
 past the native depth bound, gets its result in that form, exactly as
-the reference does. IR that `lower` cannot produce is an `IRError` when
+the reference does. IR that `parse` cannot produce is an `IRError` when
 the form is built, before any step.
 """
 
@@ -42,7 +42,7 @@ from pathpatch.ir import (
     with_returns,
 )
 from pathpatch.locate import CandidatePatchLocation, candidate_locations
-from pathpatch.minilang import interp, lower, parse, run_program
+from pathpatch.minilang import interp, parse, run_program
 from pathpatch.minilang.interp import (
     STATUS_COVERED,
     STATUS_FAULT,
@@ -59,7 +59,7 @@ from helpers import (
     SQUARING,
     call_fanout_program,
     long_path_source,
-    random_program_tree,
+    random_program_source,
     reference_cuts,
     reference_run,
 )
@@ -166,7 +166,7 @@ def test_watched_subsets_match_the_reference(name):
 def test_random_programs_with_patches_as_data_match_the_reference():
     rng = random.Random(2411)
     for _ in range(120):
-        program = lower(random_program_tree(rng, max_functions=4))
+        program = parse(random_program_source(rng, max_functions=4))
         blocks = sorted((fn.id, b) for fn in program.functions.values() for b in fn.blocks)
         chosen = rng.sample(blocks, min(3, len(blocks)))
         patches = [
@@ -213,7 +213,7 @@ def test_a_squaring_loop_times_out_at_the_product():
     """Past 2**4096 a product of two variables ends the run, with status
     timeout, far inside the step budget: traced or not, and in the
     reference alike."""
-    program = lower(parse(SQUARING))
+    program = parse(SQUARING)
     for values in ((3, 1), (-3, 1), (2**3000, 0)):
         expected = reference_run(program, values)
         assert expected.status == STATUS_TIMEOUT and expected.steps < 300
@@ -256,7 +256,7 @@ def test_recursion_past_the_depth_bound_matches():
     below it: plain, traced, watched (covered at the bottom, or never) and
     patched runs match the reference, and so do step budgets that end
     above, at and below the bound."""
-    program = lower(parse(DEEP))
+    program = parse(DEEP)
     base = deep_base(program)
     patch = synthesize_patch(program, CandidatePatchLocation("down", base, "", 0, 0))
     patch = replace(patch, errval=replace(patch.errval, value=IntConst(-1)))
@@ -277,7 +277,7 @@ def test_recursion_past_the_depth_bound_matches():
 
 
 def test_a_fault_at_the_bottom_of_20000_nested_calls_has_its_full_backtrace():
-    program = lower(parse(DEEP.replace("return 0;\n}\nfn main", "return 1 / (n - n);\n}\nfn main")))
+    program = parse(DEEP.replace("return 0;\n}\nfn main", "return 1 / (n - n);\n}\nfn main"))
     result = assert_fast(program, [], (20_000,))
     assert result.status == STATUS_FAULT and result.fault_kind == "div_zero"
     assert len(result.fault_stack) == 20_002
@@ -347,7 +347,7 @@ def test_calls_through_a_reference_on_the_generator_stack_match(n):
     generator flavour: to a function, to an external and to nil, they
     match the reference, traced or not, at budgets across the run and at
     every budget around the calls."""
-    program = lower(parse(REFERENCE_CALLS))
+    program = parse(REFERENCE_CALLS)
     results = {}
     for x in (2, 3):
         values = (x, n)
@@ -363,7 +363,7 @@ def test_calls_through_a_reference_on_the_generator_stack_match(n):
 
 # --- malformed IR --------------------------------------------------------------
 
-# Each malformed form breaks this program where `lower` never would.
+# Each malformed form breaks this program where `parse` never would.
 WELL_FORMED = """fn g(a: int, b: int) -> int {
     if (a > b) {
         print(a);
@@ -425,6 +425,9 @@ MALFORMED = {
         ),
         "passes 3 arguments",
     ),
+    "repeated-parameter": (
+        lambda p: edited(p, "g", params=(("a", INT), ("a", INT))), "parameter 'a' declared twice"
+    ),
     "halt": (lambda p: edited(p, "g", "b2", terminator=Halt()), r"ends in Halt\(\)"),
     "no-terminator": (lambda p: edited(p, "g", "b2", terminator=None), "ends in None"),
     "unknown-operator": (
@@ -453,10 +456,10 @@ MALFORMED = {
 
 @pytest.mark.parametrize("form", sorted(MALFORMED))
 def test_malformed_ir_is_an_ir_error_before_any_step(form, monkeypatch):
-    """IR that `lower` never produces raises `IRError` when its form is
+    """IR that `parse` never produces raises `IRError` when its form is
     built: `run_program` raises before any step, traced or not, and patch
     evaluation raises at its first probe, before any patch runs."""
-    program = lower(parse(WELL_FORMED))
+    program = parse(WELL_FORMED)
     assert run_program(program, ()).output == (1, 2, 1)
     patch = synthesize_patch(program, CandidatePatchLocation("g", "b1", "b0", 0, 0))
     edit, message = MALFORMED[form]
@@ -586,7 +589,7 @@ def time_limit(seconds):
 
 
 def shape_program(name):
-    return lower(parse(SHAPE_DRIVER + f"fn shape(x: int) -> int {{ {SHAPES[name]} }}\n"))
+    return parse(SHAPE_DRIVER + f"fn shape(x: int) -> int {{ {SHAPES[name]} }}\n")
 
 
 def shape_budgets(program, values):
@@ -663,10 +666,10 @@ def structured_programs():
     """The corpus, the call fan-out of nine, a long-path program and the
     random programs of the interpreter oracles."""
     programs = [load_corpus_entry(name)[0] for name in CORPUS_NAMES]
-    programs += [call_fanout_program(9)[0], lower(parse(long_path_source(13, 20)))]
+    programs += [call_fanout_program(9)[0], parse(long_path_source(13, 20))]
     for seed in (2405, 2411):
         rng = random.Random(seed)
-        programs += [lower(random_program_tree(rng, max_functions=4)) for _ in range(120)]
+        programs += [parse(random_program_source(rng, max_functions=4)) for _ in range(120)]
     return programs
 
 
@@ -728,7 +731,7 @@ def test_what_python_cannot_nest_runs_in_the_dispatch_loop():
         main.blocks, b0=replace(main.blocks["b0"], statements=main.blocks["b0"].statements
                                 + (Assign("s8", "stop", IntConst(2)),))
     ))})
-    programs = [two_exit_program(), stopping, lower(parse(nested_loops_source(17)))]
+    programs = [two_exit_program(), stopping, parse(nested_loops_source(17))]
     for program in programs:
         full = assert_same(program, ())
         for budget in range(1, min(full.steps, 200) + 2):
@@ -736,6 +739,6 @@ def test_what_python_cannot_nest_runs_in_the_dispatch_loop():
         (unit,) = program.fast[0].units.values()
         assert "if b==" in unit.source
     assert [reference_run(p, ()).output for p in programs[:2]] == [(1, 4), (2, 2)]
-    shallower = lower(parse(nested_loops_source(16)))
+    shallower = parse(nested_loops_source(16))
     assert assert_same(shallower, ()).output == (1,)
     assert "b==" not in shallower.fast[0].units["f0"].source

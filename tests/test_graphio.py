@@ -20,7 +20,7 @@ from pathpatch.graphio import (
     report_to_json,
 )
 from pathpatch.ir import IRError
-from pathpatch.minilang import lower, parse
+from pathpatch.minilang import parse
 
 from helpers import export_graph
 
@@ -233,7 +233,7 @@ class TestExportRoundTrip:
         assert doc2 == doc3
 
     def test_export_of_lowered_program_reimports(self, corpus_dir):
-        program = lower(parse((corpus_dir / "dispatch.mini").read_text()))
+        program = parse((corpus_dir / "dispatch.mini").read_text())
         doc = export_graph(program)
         again = import_graph(doc)
         for fn_id, fn in program.functions.items():
@@ -244,7 +244,7 @@ class TestExportRoundTrip:
         from pathpatch.locate import candidate_locations
         from pathpatch.paths import build_program_path_graph, resolve_vulnerability
 
-        program = lower(parse((corpus_dir / "dispatch.mini").read_text()))
+        program = parse((corpus_dir / "dispatch.mini").read_text())
         vuln = resolve_vulnerability(program, "handler_risky", line=10)
         doc = export_graph(program, vulnerable=(vuln.function, vuln.statement))
         again = import_graph(doc)

@@ -19,7 +19,7 @@ from pathpatch.harness import (
 from pathpatch.harness import TestCase as Case
 from pathpatch.harness import TestSuite as Suite
 from pathpatch.locate import CandidatePatchLocation, candidate_locations
-from pathpatch.minilang import lower, parse
+from pathpatch.minilang import parse
 from pathpatch.paths import build_program_path_graph
 from pathpatch.record import replace
 from pathpatch.synth import ErrorReturnValue, Patch, synthesize_patches
@@ -91,7 +91,7 @@ class TestRunSuite:
         assert result.passed == result.total == len(suite.cases)
 
     def test_output_mismatch_fails(self):
-        program = lower(parse("fn main() -> int { print(5); return 0; }"))
+        program = parse("fn main() -> int { print(5); return 0; }")
         suite = Suite(cases=(Case("t", (), (6,)),))
         result = run_test_suite(program, suite)
         assert result.passed == 0
@@ -99,7 +99,7 @@ class TestRunSuite:
         assert (verdict.status, verdict.output) == ("ok", (5,))
 
     def test_timeout_counts_as_failure(self):
-        program = lower(parse("fn main() -> int { while (true) { } return 0; }"))
+        program = parse("fn main() -> int { while (true) { } return 0; }")
         suite = Suite(cases=(Case("t", (), ()),))
         result = run_test_suite(program, suite, Limits(max_steps=100))
         assert result.passed == 0
@@ -129,7 +129,7 @@ class TestCheckExploit:
             assert check_exploit(apply_patch(program, patch), suite) is True
 
     def test_unanchored_exploit_is_an_error(self):
-        program = lower(parse("fn main() -> int { return 0; }"))
+        program = parse("fn main() -> int { return 0; }")
         with pytest.raises(SuiteError):
             check_exploit(program, Suite(cases=()))
 

@@ -37,7 +37,7 @@ from pathpatch.ir import (
     with_returns,
 )
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import lower, parse, run_program
+from pathpatch.minilang import parse, run_program
 from pathpatch.minilang.interp import (
     STATUS_COVERED,
     STATUS_FAULT,
@@ -50,7 +50,7 @@ from pathpatch.record import replace
 from pathpatch.synth import apply_patch, synthesize_patches
 
 from conftest import CORPUS_NAMES, load_corpus_entry
-from helpers import make_function, random_program_tree, reference_cuts, reference_run
+from helpers import make_function, random_program_source, reference_cuts, reference_run
 
 SMALL_BUDGETS = (1, 2, 3, 7, 20, 50)
 RANDOM_INPUT_BUDGET = 5_000  # random inputs may loop for the default 1M steps
@@ -155,7 +155,7 @@ fn main() -> int {
 
 
 def test_every_operator_and_statement_kind_matches_the_reference():
-    program = lower(parse(FEATURES))
+    program = parse(FEATURES)
     statuses = set()
     kinds = set()
     cases = [(a, b) for a in range(-2, 9) for b in range(-2, 5)] + [(1,), ()]
@@ -175,7 +175,7 @@ def test_every_operator_and_statement_kind_matches_the_reference():
 def test_random_programs_match_the_reference():
     rng = random.Random(2405)
     for _ in range(120):
-        program = lower(random_program_tree(rng, max_functions=4))
+        program = parse(random_program_source(rng, max_functions=4))
         assert_same(program, (), max_steps=RANDOM_INPUT_BUDGET, record_trace=True)
         for budget in SMALL_BUDGETS:
             assert_same(program, (), max_steps=budget)
@@ -221,7 +221,7 @@ def test_watched_runs_record_entries_and_stop_once_all_are_entered():
 
 
 def test_steps_count_every_statement_and_terminator():
-    program = lower(parse("fn main() -> int { let x: int = 1; print(x); return x; }"))
+    program = parse("fn main() -> int { let x: int = 1; print(x); return x; }")
     result = run_program(program)
     # two statements and the return
     assert result.steps == 3

@@ -4,15 +4,13 @@ import pytest
 
 from pathpatch.ir import Branch, IRError, Return, validate_program
 from pathpatch.minilang import parse
-from pathpatch.minilang.lower import build_cfg, function_signatures, lower
 
 from helpers import make_function
 
 
 def lower_single(source: str):
-    tree = parse(source)
-    decl = tree.functions[0]
-    return build_cfg(decl, function_signatures(tree))
+    """The CFG of `source`'s one function `f`, lowered beside a stub `main`."""
+    return parse(source + " fn main() -> int { return 0; }").functions["f"]
 
 
 def test_straight_line_body_is_one_block():
@@ -75,9 +73,7 @@ def test_rebuild_is_deterministic():
         "fn f(c: bool) -> int { let x: int = 0; if (c) { x = 1; } else { x = 2; }"
         " while (x < 5) { x = x + 1; } return x; }"
     )
-    tree1, tree2 = parse(source), parse(source)
-    fn1 = build_cfg(tree1.functions[0], function_signatures(tree1))
-    fn2 = build_cfg(tree2.functions[0], function_signatures(tree2))
+    fn1, fn2 = lower_single(source), lower_single(source)
     assert fn1 == fn2
     assert repr(fn1) == repr(fn2)
 
@@ -86,6 +82,8 @@ def test_statements_after_return_are_dropped():
     fn = lower_single("fn f() -> int { return 1; let x: int = 2; }")
     assert len(fn.blocks) == 1
     assert fn.blocks[fn.entry_block].statements == ()
+    # a `let` after the `return` still declares its local
+    assert dict(fn.locals) == {"x": "int"}
 
 
 def test_dead_branch_blocks_are_pruned():
@@ -134,9 +132,8 @@ def test_validate_rejects_duplicate_statement_ids():
 
 
 def test_bmp_reader_conditional_lines(corpus_dir):
-    tree = parse((corpus_dir / "bmp_reader.mini").read_text(), path="bmp_reader.mini")
-    decl = next(d for d in tree.functions if d.name == "read_image")
-    fn = build_cfg(decl, function_signatures(tree))
+    program = parse((corpus_dir / "bmp_reader.mini").read_text(), path="bmp_reader.mini")
+    fn = program.functions["read_image"]
     conditional_lines = sorted(
         blk.line for blk in fn.blocks.values() if blk.is_conditional
     )

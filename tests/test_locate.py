@@ -7,7 +7,7 @@ import pytest
 from pathpatch.checks import cut_disconnects
 from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import lower, parse
+from pathpatch.minilang import parse
 from pathpatch.paths import (
     PathDag,
     build_program_path_graph,
@@ -22,7 +22,7 @@ from helpers import (
     fanout_document,
     level_of,
     pick_vulnerable_statement,
-    random_program_tree,
+    random_program_source,
     reference_candidate_locations,
     reference_path_graph,
 )
@@ -111,11 +111,9 @@ class TestBmpReader:
 
 class TestLevels:
     def test_direct_caller_is_level_one(self):
-        program = lower(
-            parse(
-                "fn inner(i: int) -> int { if (i > 0) { let t: int = i + 1; return t; } return 0; }"
-                "fn main() -> int { if (true) { return inner(3); } return 0; }"
-            )
+        program = parse(
+            "fn inner(i: int) -> int { if (i > 0) { let t: int = i + 1; return t; } return 0; }"
+            "fn main() -> int { if (true) { return inner(3); } return 0; }"
         )
         vuln = resolve_vulnerability(program, "inner", line=1)
         _, locations = locations_for(program, vuln)
@@ -126,14 +124,12 @@ class TestLevels:
     def test_diamond_call_graph_takes_minimum_distance(self):
         # main -> short -> deep and main -> long -> middle -> deep:
         # `main` is 2 frames from deep on one chain and 3 on the other
-        program = lower(
-            parse(
-                "fn deep(i: int) -> int { if (i > 0) { let t: int = i + 1; return t; } return 0; }"
-                "fn middle(i: int) -> int { return deep(i); }"
-                "fn long(i: int) -> int { return middle(i); }"
-                "fn short(i: int) -> int { return deep(i); }"
-                "fn main() -> int { if (true) { return short(1); } return long(2); }"
-            )
+        program = parse(
+            "fn deep(i: int) -> int { if (i > 0) { let t: int = i + 1; return t; } return 0; }"
+            "fn middle(i: int) -> int { return deep(i); }"
+            "fn long(i: int) -> int { return middle(i); }"
+            "fn short(i: int) -> int { return deep(i); }"
+            "fn main() -> int { if (true) { return short(1); } return long(2); }"
         )
         vuln = resolve_vulnerability(program, "deep", line=1)
         ppg, locations = locations_for(program, vuln)
@@ -151,7 +147,7 @@ class TestLevels:
 
 class TestDegenerateAndDedup:
     def test_no_conditionals_warns_and_returns_empty(self):
-        program = lower(parse("fn main() -> int { let x: int = 1; print(x); return x; }"))
+        program = parse("fn main() -> int { let x: int = 1; print(x); return x; }")
         vuln = resolve_vulnerability(program, "main", line=1)
         ppg = build_program_path_graph(program, vuln)
         locations, notes = located_with_notes(ppg)
@@ -195,7 +191,7 @@ class TestDegenerateAndDedup:
         ]
 
     def test_shared_blocks_are_deduplicated_across_chains(self, corpus_dir):
-        program = lower(parse((corpus_dir / "twopath.mini").read_text()))
+        program = parse((corpus_dir / "twopath.mini").read_text())
         vuln = resolve_vulnerability(program, "lookup", line=6)
         _, locations = locations_for(program, vuln)
         keys = [(loc.function, loc.block) for loc in locations]
@@ -211,15 +207,14 @@ class TestRandomizedRule:
         has such an edge, removing the candidates severs the program."""
         import random
 
-        from pathpatch.minilang import lower
         from pathpatch.paths import count_paths
-        from helpers import pick_vulnerable_statement, random_program_tree
+        from helpers import pick_vulnerable_statement, random_program_source
 
         rng = random.Random(424242)
         checked = 0
         cut_checked = 0
         while checked < 120:
-            program = lower(random_program_tree(rng))
+            program = parse(random_program_source(rng))
             _, stmt = pick_vulnerable_statement(rng, program)
             vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
             ppg = build_program_path_graph(program, vuln)
@@ -343,7 +338,7 @@ class TestLocateOracle:
         rng = random.Random(5150)
         warned = 0
         for _ in range(200):
-            program = lower(random_program_tree(rng))
+            program = parse(random_program_source(rng))
             _, stmt = pick_vulnerable_statement(rng, program)
             vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
             ppg = build_program_path_graph(program, vuln)

@@ -7,7 +7,7 @@ import pytest
 from pathpatch import cli
 from pathpatch.analysis import build_call_graph
 from pathpatch.graphio import import_graph, load_graph_file
-from pathpatch.minilang import lower, parse, run_program
+from pathpatch.minilang import parse, run_program
 from pathpatch.paths import (
     PathEnumerationError,
     build_program_path_graph,
@@ -29,7 +29,7 @@ from helpers import (
     level_of,
     make_function,
     pick_vulnerable_statement,
-    random_program_tree,
+    random_program_source,
     recursive_fanout_source,
     reference_path_graph,
 )
@@ -37,12 +37,10 @@ from helpers import (
 
 class TestCallChains:
     def test_three_frame_shape(self):
-        program = lower(
-            parse(
-                "fn read_image(i: int) -> int { return i; }"
-                "fn input_bmp_reader(i: int) -> int { return read_image(i); }"
-                "fn main() -> int { return input_bmp_reader(1); }"
-            )
+        program = parse(
+            "fn read_image(i: int) -> int { return i; }"
+            "fn input_bmp_reader(i: int) -> int { return read_image(i); }"
+            "fn main() -> int { return input_bmp_reader(1); }"
         )
         chains = find_call_chains(build_call_graph(program), "read_image", "main")
         assert len(chains) == 1
@@ -51,45 +49,39 @@ class TestCallChains:
         assert chains[0].frames[-1].call_site is None
 
     def test_vulnerable_function_is_entry(self):
-        program = lower(parse("fn main() -> int { return 0; }"))
+        program = parse("fn main() -> int { return 0; }")
         chains = find_call_chains(build_call_graph(program), "main", "main")
         assert len(chains) == 1
         assert chains[0].functions == ("main",)
 
     def test_two_callers_give_two_chains(self):
-        program = lower(
-            parse(
-                "fn target(i: int) -> int { return i; }"
-                "fn left() -> int { return target(1); }"
-                "fn right() -> int { return target(2); }"
-                "fn main() -> int { return left() + right(); }"
-            )
+        program = parse(
+            "fn target(i: int) -> int { return i; }"
+            "fn left() -> int { return target(1); }"
+            "fn right() -> int { return target(2); }"
+            "fn main() -> int { return left() + right(); }"
         )
         chains = find_call_chains(build_call_graph(program), "target", "main")
         middles = sorted(c.functions[1] for c in chains)
         assert middles == ["left", "right"]
 
     def test_unreachable_function_means_no_chains(self):
-        program = lower(
-            parse(
-                "fn island(i: int) -> int { return i; }"
-                "fn main() -> int { return 0; }"
-            )
+        program = parse(
+            "fn island(i: int) -> int { return i; }"
+            "fn main() -> int { return 0; }"
         )
         assert find_call_chains(build_call_graph(program), "island", "main") == []
 
     def test_recursion_contributes_one_frame(self):
-        program = lower(
-            parse(
-                "fn rec(n: int) -> int { if (n <= 0) { return 0; } return rec(n - 1); }"
-                "fn main() -> int { return rec(5); }"
-            )
+        program = parse(
+            "fn rec(n: int) -> int { if (n <= 0) { return 0; } return rec(n - 1); }"
+            "fn main() -> int { return rec(5); }"
         )
         chains = find_call_chains(build_call_graph(program), "rec", "main")
         assert [c.functions for c in chains] == [("main", "rec")]
 
     def test_chains_via_function_references(self, corpus_dir):
-        program = lower(parse((corpus_dir / "dispatch.mini").read_text()))
+        program = parse((corpus_dir / "dispatch.mini").read_text())
         chains = find_call_chains(build_call_graph(program), "handler_risky", "main")
         assert len(chains) == 2  # two call sites in main, both through run
         assert {c.functions for c in chains} == {("main", "run", "handler_risky")}
@@ -118,12 +110,10 @@ class TestIntraproceduralPaths:
         assert intraprocedural_paths(fn, "a", "c").empty
 
     def test_loop_header_stays_conditional_but_back_edge_is_excluded(self):
-        program = lower(
-            parse(
-                "fn main() -> int { let x: int = 0;"
-                " while (x < 5) { x = x + 1; }"
-                " let y: int = x + 1; print(y); return y; }"
-            )
+        program = parse(
+            "fn main() -> int { let x: int = 0;"
+            " while (x < 5) { x = x + 1; }"
+            " let y: int = x + 1; print(y); return y; }"
         )
         fn = program.functions["main"]
         target = next(
@@ -189,7 +179,7 @@ class TestProgramPathGraph:
         assert paths == {"a-1-b-2-c-4-5", "a-1-b-3-c-4-5"}
 
     def test_single_block_main(self):
-        program = lower(parse("fn main() -> int { let x: int = 1; return x; }"))
+        program = parse("fn main() -> int { let x: int = 1; return x; }")
         vuln = resolve_vulnerability(program, "main")
         ppg = build_program_path_graph(program, vuln)
         assert count_paths(ppg) == 1
@@ -199,30 +189,28 @@ class TestProgramPathGraph:
     def test_external_functions_cannot_be_vulnerable(self):
         from pathpatch.analysis import AnalysisError
 
-        program = lower(
-            parse(
-                "extern fn lib(x: int) -> int;"
-                "fn main() -> int { return lib(1); }"
-            )
+        program = parse(
+            "extern fn lib(x: int) -> int;"
+            "fn main() -> int { return lib(1); }"
         )
         with pytest.raises(AnalysisError, match="external"):
             resolve_vulnerability(program, "lib")
 
     def test_a_return_line_anchors_on_the_return(self):
-        program = lower(parse(RETURN_AND_CONDITION))
+        program = parse(RETURN_AND_CONDITION)
         vuln = resolve_vulnerability(program, "f", line=2)
         assert vuln == resolve_vulnerability(program, "f")
         assert run_program(program, [4]).fault_at == vuln.statement
 
     def test_a_condition_line_anchors_on_the_branch(self):
-        program = lower(parse(RETURN_AND_CONDITION))
+        program = parse(RETURN_AND_CONDITION)
         vuln = resolve_vulnerability(program, "main", line=7)
         _, block = program.statement_index()[vuln.statement]
         assert program.functions["main"].blocks[block].terminator.id == vuln.statement
         assert count_paths(build_program_path_graph(program, vuln)) == 1
 
     def test_a_plain_statement_wins_over_a_branch_on_its_line(self):
-        program = lower(parse(ONE_LINE_IF))
+        program = parse(ONE_LINE_IF)
         vuln = resolve_vulnerability(program, "main", line=3)
         (assignment,) = [
             stmt.id
@@ -233,11 +221,9 @@ class TestProgramPathGraph:
         assert vuln.statement == assignment
 
     def test_unreachable_vulnerability_diagnostic(self):
-        program = lower(
-            parse(
-                "fn island(i: int) -> int { return i; }"
-                "fn main() -> int { return 0; }"
-            )
+        program = parse(
+            "fn island(i: int) -> int { return i; }"
+            "fn main() -> int { return 0; }"
         )
         vuln = resolve_vulnerability(program, "island")
         ppg = build_program_path_graph(program, vuln)
@@ -283,20 +269,18 @@ class TestProgramPathGraph:
             assert entry in members, f"executed block {entry} not on path graph"
 
     def test_three_chain_program_counts_match_brute_force(self):
-        program = lower(
-            parse(
-                "fn sink(i: int) -> int { if (i > 0) { let t: int = i; return t; } return 0; }"
-                "fn via_a(i: int) -> int { return sink(i); }"
-                "fn via_b(i: int) -> int { return sink(i + 1); }"
-                "fn main() -> int {"
-                "  let m: int = read_input();"
-                "  let r: int = 0;"
-                "  if (m == 0) { r = sink(m); }"
-                "  if (m == 1) { r = via_a(m); }"
-                "  if (m == 2) { r = via_b(m); }"
-                "  return r;"
-                "}"
-            )
+        program = parse(
+            "fn sink(i: int) -> int { if (i > 0) { let t: int = i; return t; } return 0; }"
+            "fn via_a(i: int) -> int { return sink(i); }"
+            "fn via_b(i: int) -> int { return sink(i + 1); }"
+            "fn main() -> int {"
+            "  let m: int = read_input();"
+            "  let r: int = 0;"
+            "  if (m == 0) { r = sink(m); }"
+            "  if (m == 1) { r = via_a(m); }"
+            "  if (m == 2) { r = via_b(m); }"
+            "  return r;"
+            "}"
         )
         vuln = resolve_vulnerability(program, "sink", line=1)
         ppg = build_program_path_graph(program, vuln)
@@ -310,7 +294,7 @@ class TestProgramPathGraph:
         checked = 0
         nonempty = 0
         while checked < 150:
-            program = lower(random_program_tree(rng))
+            program = parse(random_program_source(rng))
             _, stmt = pick_vulnerable_statement(rng, program)
             vuln_fn = stmt.split(":")[0]
             vuln = resolve_vulnerability(program, vuln_fn, statement=stmt)
@@ -391,7 +375,7 @@ class TestSharedFramePaths:
         rng = random.Random(3031)
         nonempty = 0
         for _ in range(120):
-            program = lower(random_program_tree(rng))
+            program = parse(random_program_source(rng))
             _, stmt = pick_vulnerable_statement(rng, program)
             vuln = resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)
             ppg = build_program_path_graph(program, vuln)
@@ -448,7 +432,7 @@ class TestSharedFramePaths:
     def test_recursive_fanout_matches_reference(self, n):
         """f_{n-1} can call f0 back, a cycle no chain closes: the chains
         are walked one by one, and give the frames the reference gives."""
-        program = lower(parse(recursive_fanout_source(n)))
+        program = parse(recursive_fanout_source(n))
         vuln = resolve_vulnerability(program, f"f{n}", line=4)
         ppg = build_program_path_graph(program, vuln)
         assert ppg == reference_path_graph(program, vuln)
@@ -461,13 +445,13 @@ class TestSharedFramePaths:
         chain, over the frames or by the walk, equal what the reference's
         list of chains gives."""
         cases = [load_corpus_entry(name)[:2] for name in CORPUS_NAMES]
-        program = lower(parse(RECURSIVE_CHAINS))
+        program = parse(RECURSIVE_CHAINS)
         cases.append((program, resolve_vulnerability(program, "v", line=3)))
-        program = lower(parse(recursive_fanout_source(3)))
+        program = parse(recursive_fanout_source(3))
         cases.append((program, resolve_vulnerability(program, "f3", line=4)))
         rng = random.Random(4041)
         for _ in range(120):
-            program = lower(random_program_tree(rng))
+            program = parse(random_program_source(rng))
             _, stmt = pick_vulnerable_statement(rng, program)
             cases.append((program, resolve_vulnerability(program, stmt.split(":")[0], statement=stmt)))
         for program, vuln in cases:

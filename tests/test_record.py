@@ -91,7 +91,7 @@ def raises_type_error(make) -> bool:
 def test_every_record_class_is_covered():
     names = {cls.__name__ for cls in RECORDS}
     assert HOT <= names
-    assert {"IRFunction", "PostDominators", "BinOp", "Patch"} <= names
+    assert {"IRFunction", "PostDominators", "Binary", "Patch"} <= names
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)

@@ -20,7 +20,7 @@ from pathpatch.harness import TestCase as Case
 from pathpatch.harness import TestSuite as Suite
 from pathpatch.ir import Return
 from pathpatch.locate import CandidatePatchLocation, candidate_locations
-from pathpatch.minilang import lower, parse, run_program
+from pathpatch.minilang import parse, run_program
 from pathpatch.minilang.interp import STATUS_COVERED, cut_result
 from pathpatch.paths import Exploit, build_program_path_graph, resolve_vulnerability
 from pathpatch.synth import patch_returns, synthesize_patch, synthesize_patches
@@ -29,7 +29,7 @@ from conftest import CORPUS_NAMES, load_corpus_entry
 from helpers import (
     call_fanout_program,
     pick_vulnerable_statement,
-    random_program_tree,
+    random_program_source,
     reference_evaluate_patches,
 )
 
@@ -74,7 +74,7 @@ class TestDifferentialOracle:
         rng = random.Random(5511)
         statuses = set()
         for _ in range(120):
-            program = lower(random_program_tree(rng, max_functions=4))
+            program = parse(random_program_source(rng, max_functions=4))
             _, statement = pick_vulnerable_statement(rng, program)
             expects = [(), (rng.randint(0, 3),)]
             suite = Suite(
@@ -138,7 +138,7 @@ FEATURES_SUITE = "".join(
 
 class TestHandWrittenPrograms:
     def _program(self):
-        program = lower(parse(FEATURES))
+        program = parse(FEATURES)
         vuln = resolve_vulnerability(program, "twice", line=5)
         suite = parse_suite(FEATURES_SUITE + "x | input: 7 | expect: FAULT\n")
         return program, suite.with_vulnerability(vuln)
@@ -201,7 +201,7 @@ def loop_program():
     """A loop whose longer cases enter every candidate block, so their
     probes stop early; no input of bmp_reader or of the fan-out program
     does, so only this program guards the early stop."""
-    program = lower(parse(LOOP))
+    program = parse(LOOP)
     vuln = resolve_vulnerability(program, "check", line=5)
     suite = parse_suite(
         "".join(f"n{n} | input: {n} | expect: {-(n // 2) ** 2}\n" for n in range(5))
@@ -283,7 +283,7 @@ def cut_programs():
     for seed in (2405, 2411):
         rng = random.Random(seed)
         programs += [
-            (lower(random_program_tree(rng, max_functions=4)), [()], 400) for _ in range(120)
+            (parse(random_program_source(rng, max_functions=4)), [()], 400) for _ in range(120)
         ]
     return programs
 
@@ -345,7 +345,7 @@ def test_a_block_first_entered_below_main_still_runs(monkeypatch):
     """Main calls itself: the block after the `if` is first entered in the
     inner frame, so a patch there returns to the outer main, which goes on;
     the probe has no cut for it, and the patched run is made."""
-    program = lower(parse(RECURSIVE_MAIN))
+    program = parse(RECURSIVE_MAIN)
     main = program.functions["main"]
     (join,) = (b for b, blk in main.blocks.items() if isinstance(blk.terminator, Return))
     patch = synthesize_patch(program, CandidatePatchLocation("main", join, main.entry_block, 0, 0))

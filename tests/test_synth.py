@@ -5,7 +5,7 @@ import pytest
 from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.ir import BoolConst, IntConst, NilConst
 from pathpatch.locate import candidate_locations
-from pathpatch.minilang import lower, parse, run_program
+from pathpatch.minilang import parse, run_program
 from pathpatch.paths import build_program_path_graph, resolve_vulnerability
 from pathpatch.synth import (
     PROVENANCE_ANNOTATION,
@@ -28,61 +28,51 @@ class TestInferErrorReturn:
         assert errval.value == NilConst()
 
     def test_annotation_wins(self):
-        program = lower(
-            parse(
-                "fn f() -> int errval -7 { if (true) { return -1; } return 0; }"
-                "fn main() -> int { return f(); }"
-            )
+        program = parse(
+            "fn f() -> int errval -7 { if (true) { return -1; } return 0; }"
+            "fn main() -> int { return f(); }"
         )
         errval = infer_error_return(program.functions["f"])
         assert errval.value == IntConst(-7)
         assert errval.provenance == PROVENANCE_ANNOTATION
 
     def test_early_guarded_return_constant_is_mined(self):
-        program = lower(
-            parse(
-                "fn checked_div(a: int, b: int) -> int {"
-                " if (b == 0) { return -1; }"
-                " return a / b; }"
-                "fn main() -> int { return checked_div(6, 2); }"
-            )
+        program = parse(
+            "fn checked_div(a: int, b: int) -> int {"
+            " if (b == 0) { return -1; }"
+            " return a / b; }"
+            "fn main() -> int { return checked_div(6, 2); }"
         )
         errval = infer_error_return(program.functions["checked_div"])
         assert errval.value == IntConst(-1)
         assert errval.provenance == PROVENANCE_MINED
 
     def test_most_frequent_constant_wins_then_smallest(self):
-        program = lower(
-            parse(
-                "fn f(a: int) -> int {"
-                " if (a < 0) { return -2; }"
-                " if (a == 0) { return -2; }"
-                " if (a > 99) { return -9; }"
-                " return a; }"
-                "fn main() -> int { return f(1); }"
-            )
+        program = parse(
+            "fn f(a: int) -> int {"
+            " if (a < 0) { return -2; }"
+            " if (a == 0) { return -2; }"
+            " if (a > 99) { return -9; }"
+            " return a; }"
+            "fn main() -> int { return f(1); }"
         )
         assert infer_error_return(program.functions["f"]).value == IntConst(-2)
-        program2 = lower(
-            parse(
-                "fn f(a: int) -> int {"
-                " if (a < 0) { return -2; }"
-                " if (a > 99) { return -9; }"
-                " return a; }"
-                "fn main() -> int { return f(1); }"
-            )
+        program2 = parse(
+            "fn f(a: int) -> int {"
+            " if (a < 0) { return -2; }"
+            " if (a > 99) { return -9; }"
+            " return a; }"
+            "fn main() -> int { return f(1); }"
         )
         assert infer_error_return(program2.functions["f"]).value == IntConst(-9)
 
     def test_type_defaults(self):
-        program = lower(
-            parse(
-                "fn i() -> int { return 3; }"
-                "fn b() -> bool { return true; }"
-                "fn r() -> ref { return alloc(1); }"
-                "fn u() -> unit { return; }"
-                "fn main() -> int { return i(); }"
-            )
+        program = parse(
+            "fn i() -> int { return 3; }"
+            "fn b() -> bool { return true; }"
+            "fn r() -> ref { return alloc(1); }"
+            "fn u() -> unit { return; }"
+            "fn main() -> int { return i(); }"
         )
         cases = {
             "i": IntConst(-1),
@@ -106,11 +96,9 @@ class TestSynthesize:
         assert line5.line == 5
 
     def test_unit_function_gets_plain_return(self):
-        program = lower(
-            parse(
-                "fn act(flag: bool) -> unit { if (flag) { print(1); } return; }"
-                "fn main() -> int { act(true); return 0; }"
-            )
+        program = parse(
+            "fn act(flag: bool) -> unit { if (flag) { print(1); } return; }"
+            "fn main() -> int { act(true); return 0; }"
         )
         vuln = resolve_vulnerability(program, "act", line=1)
         ppg = build_program_path_graph(program, vuln)
@@ -195,7 +183,7 @@ class TestApply:
 
     def test_stale_patch_is_rejected(self, bmp_reader):
         program, vuln, _ = bmp_reader
-        other = lower(parse("fn main() -> int { return 0; }"))
+        other = parse("fn main() -> int { return 0; }")
         ppg = build_program_path_graph(program, vuln)
         patches = synthesize_patches(program, candidate_locations(ppg))
         with pytest.raises(PatchError, match="no longer applies"):
