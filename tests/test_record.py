@@ -25,7 +25,52 @@ from pathpatch.record import Record, replace
 for _module in pkgutil.walk_packages(pathpatch.__path__, "pathpatch."):
     importlib.import_module(_module.name)
 
-RECORDS = sorted(Record.__subclasses__(), key=lambda c: (c.__module__, c.__qualname__))
+# The layouts of MiniLang's former syntax-tree classes. No package class
+# declares them any more, but they keep the oracle running on one-field
+# records, a field named `type` and trailing defaults of several kinds.
+SYNTAX_LAYOUTS = {
+    "IntLit": ("value", "line"),
+    "BoolLit": ("value", "line"),
+    "NilLit": ("line",),
+    "Name": ("name", "line"),
+    "FuncRefExpr": ("name", "line"),
+    "UnaryOp": ("op", "operand", "line"),
+    "BinOp": ("op", "left", "right", "line"),
+    "IndexExpr": ("array", "index", "line"),
+    "CallExpr": ("callee", "args", "line"),
+    "AllocExpr": ("size", "line"),
+    "ReadInputExpr": ("line",),
+    "Let": ("name", "type", "value", "line"),
+    "AssignStmt": ("name", "value", "line"),
+    "ArrayWriteStmt": ("array", "index", "value", "line"),
+    "If": ("cond", "then_body", "else_body", "line"),
+    "While": ("cond", "body", "line"),
+    "ReturnStmt": ("value", "line"),
+    "PrintStmt": ("value", "line"),
+    "AssertStmt": ("cond", "line"),
+    "ExprStmt": ("call", "line"),
+    "FuncDecl": ("name", "params", "return_type", "body", "line", "error_return", "external"),
+    "ProgramTree": ("functions", "path"),
+}
+SYNTAX_DEFAULTS = {
+    "FuncDecl": {"error_return": None, "external": False},
+    "ProgramTree": {"path": "<memory>"},
+}
+SYNTAX_RECORDS = [
+    type(
+        name,
+        (Record,),
+        {
+            "__module__": __name__,
+            "__qualname__": name,
+            "__annotations__": dict.fromkeys(fields, object),
+            **SYNTAX_DEFAULTS.get(name, {}),
+        },
+    )
+    for name, fields in SYNTAX_LAYOUTS.items()
+]
+
+RECORDS =sorted(Record.__subclasses__(), key=lambda c: (c.__module__, c.__qualname__))
 HOT = {"ExecutionResult", "CaseVerdict"}
 
 # Fields that a `__post_init__` reads need values of the right shape.
