@@ -1,4 +1,8 @@
-"""Intraprocedural CFG analyses and the interprocedural call graph.
+"""Graph questions: reachability, (post)dominator trees, control
+dependence and the interprocedural call graph.
+
+`reachable` is the one set-reachability walk; every module that asks which
+nodes a walk can reach calls it.
 
 Postdominance is computed against a synthetic exit node that joins every
 return/halt block, as the dominator tree of the reversed CFG; dominator
@@ -34,6 +38,21 @@ class AnalysisError(IRError):
 
 def successors_map(fn: IRFunction) -> dict[str, tuple[str, ...]]:
     return {bid: blk.successors for bid, blk in fn.blocks.items()}
+
+
+def reachable(roots, successors) -> set:
+    """The nodes reachable from `roots`, roots included, where
+    `successors(node)` gives the nodes one step from `node`. The walk keeps
+    an explicit stack, so its depth is not bounded by Python's recursion
+    limit."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def predecessors_map(fn: IRFunction) -> dict[str, list[str]]:
@@ -111,37 +130,22 @@ def _immediate_dominators(order: list[str], predecessors: dict) -> list[int]:
 def compute_postdominators(fn: IRFunction) -> PostDominators:
     """Immediate postdominators of every block, against a synthetic exit.
 
-    The dominator tree of the reversed CFG rooted at the exit; successors
-    that cannot reach an exit place no constraint, since no path through
-    them arrives there. Blocks that cannot reach any exit (a cycle with no
-    way out) are attached directly to the synthetic exit; each gets a note
-    in the result's `warnings`, in `fn.blocks` order. Nothing is raised.
+    The dominator tree of the reversed CFG rooted at the exit, whose
+    predecessors are the blocks with no successor; successors that cannot
+    reach an exit place no constraint, since no path through them arrives
+    there. Blocks that cannot reach any exit (a cycle with no way out) are
+    attached directly to the synthetic exit; each gets a note in the
+    result's `warnings`, in `fn.blocks` order. Nothing is raised.
     """
-    exits = []
-    preds: dict = {bid: [] for bid in fn.blocks}
-    succs: dict = {}
-    for bid, blk in fn.blocks.items():
-        outs = blk.successors
-        succs[bid] = outs or (EXIT,)
-        if not outs:
-            exits.append(bid)
-        for target in outs:
-            preds[target].append(bid)
-    preds[EXIT] = exits
-    succs[EXIT] = ()
-    order = _reverse_postorder(EXIT, preds)
-    idom = _immediate_dominators(order, succs)
-    reaching = dict(zip(order, idom))
-
+    preds: dict = predecessors_map(fn)
+    preds[EXIT] = [bid for bid, blk in fn.blocks.items() if not blk.successors]
+    idom = immediate_dominators(EXIT, preds)
     ipdom: dict[str, str] = {}
     warns: list[str] = []
     for bid in fn.blocks:
-        index = reaching.get(bid)
-        if index is None:
-            ipdom[bid] = EXIT
+        if bid not in idom:
             warns.append(f"{fn.id}:{bid} cannot reach any exit; attached to exit")
-        else:
-            ipdom[bid] = order[index]
+        ipdom[bid] = idom.get(bid, EXIT)
     return PostDominators(ipdom=ipdom, warnings=tuple(warns))
 
 
@@ -225,18 +229,7 @@ class ControlDepGraph(Record):
 
     def transitive_governors(self, block: str) -> tuple[tuple[str, int], ...]:
         """All (conditional, edge) pairs the block transitively depends on."""
-        seen: set[tuple[str, int]] = set()
-        frontier = [block]
-        visited_blocks = set()
-        while frontier:
-            cur = frontier.pop()
-            if cur in visited_blocks:
-                continue
-            visited_blocks.add(cur)
-            for governor, k in self.governors_of(cur):
-                if (governor, k) not in seen:
-                    seen.add((governor, k))
-                    frontier.append(governor)
+        seen = reachable(self.governors_of(block), lambda g: self.governors_of(g[0]))
         return tuple(sorted(seen, key=lambda g: (block_sort_key(g[0]), g[1])))
 
 
@@ -322,6 +315,7 @@ def build_call_graph(program: IRProgram) -> CallGraph:
     signature matches the reference's declared type.
     """
     edges: list[CallEdge] = []
+    taken = None  # the address-taken functions, sorted; found at the first indirect call
     for fn in program.functions.values():
         if fn.external:
             continue
@@ -347,7 +341,9 @@ def build_call_graph(program: IRProgram) -> CallGraph:
                             f"indirect call through non-function value "
                             f"{stmt.callee_ref!r} at {stmt.id}"
                         )
-                    for target in sorted(program.address_taken):
+                    if taken is None:
+                        taken = sorted(referenced_functions(program.functions))
+                    for target in taken:
                         candidate = program.functions.get(target)
                         if candidate is None:
                             continue

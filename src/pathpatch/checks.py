@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .analysis import build_call_graph
+from .analysis import build_call_graph, reachable
 from .ir import IRProgram
 from .minilang.interp import DEFAULT_MAX_HEAP_CELLS, STATUS_FAULT, run_program
 
@@ -26,16 +26,9 @@ def reachable_blocks(
     for edge in call_graph.edges:
         calls_by_site.setdefault(edge.call_site, []).append(edge.callee)
 
-    entry_fn = program.functions[program.entry]
-    start = (program.entry, entry_fn.entry_block)
-    if start in removed:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        fn_id, block_id = stack.pop()
-        fn = program.functions[fn_id]
-        block = fn.blocks[block_id]
+    def successors(node):
+        fn_id, block_id = node
+        block = program.functions[fn_id].blocks[block_id]
         targets = [(fn_id, succ) for succ in block.successors]
         for stmt in block.statements:
             if stmt.kind == "call":
@@ -43,11 +36,12 @@ def reachable_blocks(
                     callee_fn = program.functions[callee]
                     if not callee_fn.external:
                         targets.append((callee, callee_fn.entry_block))
-        for node in targets:
-            if node not in seen and node not in removed:
-                seen.add(node)
-                stack.append(node)
-    return seen
+        return [t for t in targets if t not in removed]
+
+    start = (program.entry, program.functions[program.entry].entry_block)
+    if start in removed:
+        return set()
+    return reachable((start,), successors)
 
 
 def vulnerable_statement_reachable(

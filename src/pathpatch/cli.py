@@ -43,9 +43,10 @@ once per run of every subcommand, to `note:` lines on stderr; the
 candidate walk's notes go to `candidates.json` and to locate's `warning:`
 lines. No Python warning is raised, so `-W error` changes nothing.
 
-Exit codes: 0 success, 2 usage, 3 input/parse error, 4 analysis diagnostic
-(for example a vulnerability no call chain can reach, or a chain walk that
-runs past its budget).
+Exit codes: 0 success, 2 usage (an output file that cannot be written
+included), 3 input/parse error, 4 analysis diagnostic (for example a
+vulnerability no call chain can reach, or a chain walk that runs past its
+budget).
 """
 
 from __future__ import annotations
@@ -214,9 +215,12 @@ def _spec_field(record: dict, key: str, kind: type, what: str):
 
 def write_out(args, name: str, text: str) -> None:
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text, encoding="utf-8")
+        path = Path(args.out) / name
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def path_graph_document(program, ppg) -> dict:
@@ -368,9 +372,13 @@ def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
     write_out(args, "report.txt", text)
     if args.out:
         summary = report["summary"]
+        best = (
+            f"; best: {summary['best_display']} at level {summary['best_patch_level']}"
+            if summary["patches"]
+            else ""
+        )
         print(
-            f"{summary['patches']} patch(es) evaluated; best: "
-            f"{summary['best_display']} at level {summary['best_patch_level']} "
+            f"{summary['patches']} patch(es) evaluated{best} "
             f"(report.json, report.txt in {args.out})"
         )
     else:

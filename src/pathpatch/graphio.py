@@ -233,7 +233,6 @@ def import_graph(doc) -> IRProgram:
             )
         functions[name] = IRFunction(
             id=name,
-            name=name,
             params=(),
             return_type=UNIT,
             blocks=blocks,
@@ -270,7 +269,6 @@ def import_graph(doc) -> IRProgram:
         functions=functions,
         entry=next(iter(functions)),
         source_map={},
-        address_taken=frozenset(),
         executable=False,
     )
     validate_program(program)
@@ -333,9 +331,10 @@ def build_report(evaluations, meta: dict | None = None) -> dict:
 def render_report_text(report: dict) -> str:
     lines = []
     summary = report["summary"]
+    best = summary["best_patch_level"]
     lines.append(
         f"patches: {summary['patches']}   levels: {summary['levels']}   "
-        f"best patch level: {summary['best_patch_level']}"
+        f"best patch level: {'n/a' if best is None else best}"
     )
     lines.append("")
     header = f"{'rank':>4}  {'location':<34} {'level':>5}  {'tests':<12} {'exploit':<8}"

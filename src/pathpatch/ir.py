@@ -250,7 +250,6 @@ class BasicBlock(Record):
 
 class IRFunction(Record):
     id: FunctionId
-    name: str
     params: tuple[tuple[str, ValueType], ...]
     return_type: ValueType
     blocks: dict[BlockId, BasicBlock]
@@ -265,17 +264,11 @@ class IRFunction(Record):
         except KeyError:
             raise IRError(f"no block {block_id!r} in function {self.id}") from None
 
-    def statements(self):
-        for blk in self.blocks.values():
-            for stmt in blk.statements:
-                yield blk, stmt
-
 
 class IRProgram(Record):
     functions: dict[FunctionId, IRFunction]
     entry: FunctionId
     source_map: dict[StatementId, tuple[str, int]]
-    address_taken: frozenset[FunctionId] = frozenset()
     executable: bool = True  # graph-imported programs are analyzable only
 
     # not a field: the interpreter's compiled forms, each compiled on first

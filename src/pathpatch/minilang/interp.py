@@ -151,7 +151,7 @@ store, so threads may run, and compile, the same program at once.
 
 from __future__ import annotations
 
-from ..analysis import immediate_dominators
+from ..analysis import immediate_dominators, reachable
 from ..ir import (
     BOOL,
     INT,
@@ -615,12 +615,8 @@ def _shape(fn):
                 return None
             joins[idom[bid]] = bid
     for header, sources in loops.items():
-        body = {header}  # the natural loop: what reaches a back edge, not via the header
-        while sources:
-            bid = sources.pop()
-            if bid not in body:
-                body.add(bid)
-                sources.extend(preds[bid])
+        # the natural loop: what reaches a back edge, not via the header
+        body = reachable((header, *sources), lambda b: () if b == header else preds[b])
         exits = {t for bid in body for t in succ[bid] if t not in body}
         own = [t for t in succ[header] if t in exits]
         shared = [t for t in exits - set(own) if not _is_tail(t, fn.entry_block, succ, preds)]
@@ -635,12 +631,7 @@ def _is_tail(bid, entry, succ, preds):
     reaches only from blocks it reaches."""
     if len(preds[bid]) != 1:
         return False
-    region, stack = {bid}, [bid]
-    while stack:
-        for t in succ[stack.pop()]:
-            if t not in region:
-                region.add(t)
-                stack.append(t)
+    region = reachable((bid,), succ.__getitem__)
     return entry not in region and all(
         p in region for t in region if t != bid for p in preds[t]
     )

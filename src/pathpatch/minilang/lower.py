@@ -21,6 +21,7 @@ Lowering is deterministic: the same source always produces the same ids.
 
 from __future__ import annotations
 
+from ..analysis import reachable
 from ..ir import (
     BOOL,
     INT,
@@ -123,9 +124,10 @@ class FunctionBuilder:
             value = default_value(return_type)
             self.terminate(Return(self.new_stmt_id(line), value))
         blocks = {}
-        reachable = self._reachable_blocks()
+        targets = {b.id: terminator_targets(b.terminator) for b in self.blocks}
+        live = reachable(("b0",), targets.__getitem__)
         for block in self.blocks:
-            if block.id not in reachable:
+            if block.id not in live:
                 continue  # empty join created for a branchless region
             blocks[block.id] = BasicBlock(
                 id=block.id,
@@ -135,7 +137,6 @@ class FunctionBuilder:
             )
         return IRFunction(
             id=self.name,
-            name=self.name,
             params=params,
             return_type=return_type,
             blocks=blocks,
@@ -143,14 +144,3 @@ class FunctionBuilder:
             declared_error_return=error_return,
             locals=self.locals,
         )
-
-    def _reachable_blocks(self) -> set[str]:
-        by_id = {b.id: b for b in self.blocks}
-        seen = {"b0"}
-        stack = ["b0"]
-        while stack:
-            for t in terminator_targets(by_id[stack.pop()].terminator):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen

@@ -47,7 +47,6 @@ ParseError, never a RecursionError.
 
 from __future__ import annotations
 
-from ..analysis import referenced_functions
 from ..ir import (
     BOOL,
     INT,
@@ -355,7 +354,6 @@ class Parser:
             functions=functions,
             entry="main",
             source_map=source_map,
-            address_taken=referenced_functions(functions),
             executable=True,
         )
         validate_program(program)
@@ -411,7 +409,6 @@ class Parser:
             self.expect(";")
             functions[name] = IRFunction(
                 id=name,
-                name=name,
                 params=params,
                 return_type=ret,
                 blocks={},

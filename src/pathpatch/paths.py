@@ -54,6 +54,7 @@ from .analysis import (
     build_call_graph,
     compute_control_dependencies,
     compute_postdominators,
+    reachable,
 )
 from .ir import Branch, IRProgram, Return, block_sort_key
 from .record import Record
@@ -302,13 +303,7 @@ def _call_frames(cg: CallGraph, vuln_fn: str, entry: str):
     edges); and the entry's frames, none when the entry cannot reach
     vuln_fn.
     """
-    can_reach = {vuln_fn}
-    frontier = [vuln_fn]
-    while frontier:
-        for edge in cg.callers_of(frontier.pop()):
-            if edge.caller not in can_reach:
-                can_reach.add(edge.caller)
-                frontier.append(edge.caller)
+    can_reach = reachable((vuln_fn,), lambda f: (e.caller for e in cg.callers_of(f)))
     if entry not in can_reach:
         return [], [], []
     frames = [Frame(vuln_fn, None)]
@@ -421,25 +416,13 @@ def intraprocedural_paths(fn, source: str, target: str, edges=None) -> PathDag:
     """
     if edges is None:
         edges = _forward_edges(fn, [])
-    succ: dict[str, list[str]] = {}
-    pred: dict[str, list[str]] = {}
+    succ: dict[str, list[str]] = {bid: [] for bid in fn.blocks}
+    pred: dict[str, list[str]] = {bid: [] for bid in fn.blocks}
     for src, dst, _ in edges:
-        succ.setdefault(src, []).append(dst)
-        pred.setdefault(dst, []).append(src)
-
-    def reach(start: str, neigh: dict[str, list[str]]) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in neigh.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    from_source = reach(source, succ)
-    to_target = reach(target, pred)
-    members = from_source & to_target
+        succ[src].append(dst)
+        pred[dst].append(src)
+    members = reachable((source,), succ.__getitem__)
+    members &= reachable((target,), pred.__getitem__)
     if target not in members or source not in members:
         return PathDag(fn.id, source, target, (), ())
     kept = tuple(

@@ -124,7 +124,6 @@ def make_function(succs: dict[str, list[str]], entry: str, name: str = "f") -> I
         blocks[bid] = BasicBlock(id=bid, statements=statements, terminator=term)
     return IRFunction(
         id=name,
-        name=name,
         params=(),
         return_type=INT,
         blocks=blocks,

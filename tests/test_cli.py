@@ -332,6 +332,31 @@ class TestEvaluate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["patches"][0]["pfr_percent"] == 0
 
+    def test_no_patch_prints_no_best(self, tmp_path, capsys):
+        """With no conditional on the vulnerable path there is no patch:
+        stdout has no `best:` clause and report.txt reads `n/a`, not
+        Python's `None`."""
+        program = tmp_path / "flat.mini"
+        program.write_text("fn main() -> int { let x: int = 1; print(x); return x; }\n")
+        vuln = tmp_path / "v.json"
+        vuln.write_text(json.dumps({"function": "main"}))
+        suite = tmp_path / "flat.suite"
+        suite.write_text("one | input: | expect: 1\n")
+        out = tmp_path / "out"
+        code = invoke(
+            "all", "--program", str(program), "--vuln", str(vuln),
+            "--suite", str(suite), "--out", str(out),
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert f"0 patch(es) evaluated (report.json, report.txt in {out})\n" in stdout
+        assert "None" not in stdout
+        text = (out / "report.txt").read_text()
+        assert text.startswith("patches: 0   levels: 1   best patch level: n/a\n")
+        assert "None" not in text
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert summary["best_patch_level"] is None and summary["best_display"] is None
+
     def test_graph_mode_evaluation_is_refused(self, capsys):
         code = invoke(
             "evaluate",

@@ -193,7 +193,7 @@ def test_a_loop_back_to_the_entry_block_matches_the_reference():
         "more": BasicBlock("more", (), Jump("top")),
         "out": BasicBlock("out", (), Return("ret", x)),
     }
-    main = IRFunction("main", "main", (), INT, blocks, "top", locals={"x": INT})
+    main = IRFunction("main", (), INT, blocks, "top", locals={"x": INT})
     program = IRProgram(functions={"main": main}, entry="main", source_map={})
     for patches in ({}, {("main", "again"): IntConst(-1)}, {("main", "top"): IntConst(-2)}):
         expected = reference_run(with_returns(program, patches), ())
@@ -717,7 +717,7 @@ def two_exit_program():
         "out2": BasicBlock("out2", (Print("s5", IntConst(2)),), Jump("end")),
         "end": BasicBlock("end", (Print("s6", x),), Return("s7", x)),
     }
-    main = IRFunction("main", "main", (), INT, blocks, "b0", locals={"x": INT, "stop": INT})
+    main = IRFunction("main", (), INT, blocks, "b0", locals={"x": INT, "stop": INT})
     return IRProgram(functions={"main": main}, entry="main", source_map={})
 
 

@@ -1,10 +1,12 @@
 """Candidate patch location selection and levels."""
 
 import random
+import re
 
 import pytest
 
-from pathpatch.checks import cut_disconnects
+from pathpatch.analysis import build_call_graph
+from pathpatch.checks import cut_disconnects, reachable_blocks
 from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
 from pathpatch.minilang import parse
@@ -240,6 +242,44 @@ class TestRandomizedRule:
         assert cut_checked > 10
 
 
+def with_function_references(rng, source: str) -> str:
+    """`source`, from `random_program_source`, with a reference `r` declared
+    in every function and about half of its calls made through `r`."""
+    names = re.findall(r"fn (\w+)\(", source)
+    source = re.sub(
+        r"let x: int = 0; ",
+        lambda m: f"{m.group(0)}let r: fn() -> int = &{rng.choice(names)}; ",
+        source,
+    )
+    return re.sub(
+        r"\b(main|h\d+)\(\); ",
+        lambda m: f"r = &{m.group(1)}; r(); " if rng.random() < 0.5 else m.group(0),
+        source,
+    )
+
+
+def fixed_point_reach(program, removed) -> set:
+    """(function, block) pairs reached from the entry block, grown one step
+    over every CFG and call edge at a time until nothing changes; removed
+    pairs are never reached."""
+    owner = program.statement_index()
+    functions = program.functions
+    edges = {
+        (owner[e.call_site], (e.callee, functions[e.callee].entry_block))
+        for e in build_call_graph(program).edges
+        if not functions[e.callee].external
+    }
+    for fn in functions.values():
+        for bid, blk in fn.blocks.items():
+            edges.update(((fn.id, bid), (fn.id, t)) for t in blk.successors)
+    reached = {(program.entry, functions[program.entry].entry_block)} - removed
+    while True:
+        grown = reached | {b for a, b in edges if a in reached and b not in removed}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
 class TestCoverageAndCut:
     def test_every_maximal_path_contains_a_candidate(self, corpus_entry):
         name, program, vuln, _ = corpus_entry
@@ -252,6 +292,32 @@ class TestCoverageAndCut:
         name, program, vuln, _ = corpus_entry
         _, locations = locations_for(program, vuln)
         assert cut_disconnects(program, vuln.statement, locations)
+
+    def test_cut_through_a_call_needs_every_route(self):
+        """twopath reaches lookup through route_a and route_b: removing
+        route_a's call block leaves lookup reached through route_b, while
+        removing lookup's own guarded block severs both."""
+        program, vuln, _ = load_corpus_entry("twopath")
+        _, locations = locations_for(program, vuln)
+        by_block = {(loc.function, loc.block): loc for loc in locations}
+        assert not cut_disconnects(program, vuln.statement, [by_block["route_a", "b2"]])
+        assert cut_disconnects(program, vuln.statement, [by_block["lookup", "b2"]])
+
+    def test_reachable_blocks_matches_a_fixed_point(self):
+        """`reachable_blocks` on random programs, with calls made directly
+        and through function references, and random removed blocks, against
+        a fixed point over the CFG and call-graph edges."""
+        rng = random.Random(24)
+        for _ in range(80):
+            program = parse(with_function_references(rng, random_program_source(rng)))
+            nodes = sorted(
+                (fn.id, bid) for fn in program.functions.values() for bid in fn.blocks
+            )
+            for _ in range(3):
+                removed = frozenset(n for n in nodes if rng.random() < 0.2)
+                assert reachable_blocks(program, removed) == fixed_point_reach(
+                    program, removed
+                )
 
     def test_abstract_graph_cut(self, corpus_dir):
         program = import_graph(load_graph_file(corpus_dir / "abstract.graph.json"))

@@ -259,6 +259,25 @@ def test_path_of_the_wrong_kind_is_a_usage_error(tmp_path, case):
     assert repr(str(named)) in err
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("analyze", "path_graph.json"),
+        ("locate", "candidates.json"),
+        ("evaluate", "report.json"),
+        ("evaluate", "report.txt"),
+    ],
+)
+def test_output_file_that_is_a_directory_is_a_usage_error(tmp_path, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    suite = ["--suite", CORPUS / "bmp_reader.suite"] if command == "evaluate" else []
+    code, stdout, err = run_captured([command, *BMP, *suite, "--out", out])
+    assert code == 2
+    assert "Traceback" not in stdout + err
+    assert err.startswith(f"error: cannot write {out / name}: ") and err.count("\n") == 1, err
+
+
 # --- generated inputs --------------------------------------------------------
 
 TOKENS = [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pathpatch.analysis import build_call_graph, referenced_functions
 from pathpatch.ir import INT, FnType, IntConst, Return, Unary, Var
 from pathpatch.minilang import (
     LoweringError,
@@ -174,7 +175,10 @@ class TestLowering:
             "fn use(op: fn(int) -> int) -> int { return op(1); }"
             "fn main() -> int { return use(&helper); }"
         )
-        assert program.address_taken == frozenset({"helper"})
+        assert referenced_functions(program.functions) == frozenset({"helper"})
+        assert [
+            (e.caller, e.callee) for e in build_call_graph(program).edges if e.via_reference
+        ] == [("use", "helper")]
 
     def test_literal_type_mismatch_rejected(self):
         with pytest.raises(LoweringError, match="assign"):

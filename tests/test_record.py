@@ -227,7 +227,7 @@ def test_replace_runs_post_init_again():
 
 
 def test_attributes_that_are_not_fields_are_not_compared_printed_or_copied():
-    fn = IRFunction("f", "f", (), "int", {}, None)
+    fn = IRFunction("f", (), "int", {}, None)
     program = IRProgram({"f": fn}, "f", {})
     object.__setattr__(program, "fast", ("cache",))
     fresh = IRProgram({"f": fn}, "f", {})
