@@ -139,7 +139,10 @@ def compute_postdominators(fn: IRFunction) -> PostDominators:
     """
     preds: dict = predecessors_map(fn)
     preds[EXIT] = [bid for bid, blk in fn.blocks.items() if not blk.successors]
-    idom = immediate_dominators(EXIT, preds)
+    # the reversed CFG's predecessors are the CFG's successors
+    succs = {bid: blk.successors or (EXIT,) for bid, blk in fn.blocks.items()}
+    succs[EXIT] = ()
+    idom = immediate_dominators(EXIT, preds, succs)
     ipdom: dict[str, str] = {}
     warns: list[str] = []
     for bid in fn.blocks:
@@ -154,15 +157,13 @@ def compute_postdominators(fn: IRFunction) -> PostDominators:
 # ---------------------------------------------------------------------------
 
 
-def immediate_dominators(root: str, successors: dict) -> dict[str, str]:
+def immediate_dominators(root: str, successors: dict, predecessors: dict) -> dict[str, str]:
     """The immediate dominator of each node that `root` reaches over
-    `successors`, in reverse postorder; the root is its own."""
+    `successors`, in reverse postorder; the root is its own.
+    `predecessors` maps each of those nodes to the nodes with an edge to
+    it, and may name nodes `root` does not reach."""
     order = _reverse_postorder(root, successors)
-    preds: dict = {node: [] for node in order}
-    for node in order:
-        for target in successors[node]:
-            preds[target].append(node)
-    idom = _immediate_dominators(order, preds)
+    idom = _immediate_dominators(order, predecessors)
     return {node: order[i] for node, i in zip(order, idom)}
 
 

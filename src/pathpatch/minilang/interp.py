@@ -83,15 +83,13 @@ depth:
     watches nothing). `_g` records a watched entry (stopping the run once
     every watched block is entered), and its cut when it is the block's
     first entry and made at depth `d` 0, by the entry function's own
-    frame (the generator flavour, always deeper, passes 1 for `d`): the
-    countdown `L`, which the guard has tested, and the output's length,
-    as `ExecutionResult.cuts` reports them. It tells whether the block is
-    patched; for
-    a patched block it converts the error value, once per run, into
-    `st.V`, so a run that watches nothing returns it again in line. A
-    patched block's return charges its one step, and `_so` stops a run
-    whose budget has run out. An unpatched entry of a watched block drops
-    its guard from `st.H`, so a loop pays for it once;
+    frame: the countdown `L`, which the guard has tested, and the output's
+    length, as `ExecutionResult.cuts` reports them. It tells whether the
+    block is patched; for a patched block it converts the error value,
+    once per run, into `st.V`, so a run that watches nothing returns it
+    again in line. A patched block's return charges its one step, and
+    `_so` stops a run whose budget has run out. An unpatched entry of a
+    watched block drops its guard from `st.H`, so a loop pays for it once;
   - in a traced form, each block first appends its key to `st.T`, and a
     call line stores its call site in `st.s`, which the callee's first
     line appends, with the callee, to `st.C`.
@@ -122,13 +120,18 @@ stops it first (a fault, input exhaustion, or the heap or value budget).
 budget: nothing runs, and the run times out. A stop at an `L<0` test, and
 a patched block whose one step does not fit, time out at once.
 
-Deep calls. Calls nest natively up to `_MAX_DEPTH`. The function called
-past it runs, with every call below it, in the generator flavour of the
-same lowering, `h<i>(st, L, <parameters>)`, compiled on the first run
-that needs it: a call line is `v3=yield h2(st,L,...);L=st.L`, and one
-driver loop, `_deep`, keeps the suspended generators on an explicit
-stack, so depth is bounded by memory, not by the recursion limit. The
-driver notes the suspended frames on a stop, for its backtrace.
+Deep calls. Every call, at every depth, is a native call. Since CPython
+3.11 a call from Python code to a Python function takes no C stack, so
+only the recursion limit bounds the depth. Each function's first line is
+`if d==200:_deepen(st,L)`, with `_MAX_DEPTH` for 200: the first call of a
+run that reaches that depth raises the recursion limit by the steps the
+run has left, plus `_DEEP_MARGIN`, since every deeper call charges at
+least one step before it is made. The limit goes back to its value
+before when the last deep run in flight, in any thread, ends; a run that
+stays shallower never touches it. While a deep run is in flight the
+raised limit is process-wide, so on 3.11 C-level recursion in other
+threads (`repr` or `json` of a deeply nested value, say) shares it, and
+can overflow the C stack where it would have raised `RecursionError`.
 
 Malformed IR. A form runs only IR that `parse` can produce: building one
 raises `IRError`, before any step, for what `ir.validate_program` rejects
@@ -151,7 +154,10 @@ store, so threads may run, and compile, the same program at once.
 
 from __future__ import annotations
 
-from ..analysis import immediate_dominators, reachable
+import sys
+from _thread import allocate_lock
+
+from ..analysis import immediate_dominators, predecessors_map, reachable, successors_map
 from ..ir import (
     BOOL,
     INT,
@@ -188,10 +194,14 @@ STATUS_TIMEOUT = "timeout"
 STATUS_INPUT_EXHAUSTED = "input_exhausted"
 STATUS_COVERED = "covered"
 
-# Calls nested natively before the callee moves to the generator stack;
-# well inside Python's default recursion limit of 1000, whatever the
-# caller's own depth.
+# The call depth at which a run raises the recursion limit; well inside
+# Python's default limit of 1000, so that shallower runs never need to.
 _MAX_DEPTH = 200
+# Frames a deep run may need past one per step left: the helpers a
+# generated function calls, and a trace or profile function.
+_DEEP_MARGIN = 50
+# The largest C int, the most `sys.setrecursionlimit` takes.
+_INT_MAX = (1 << 31) - 1
 
 # Past these, a function runs in the dispatch loop: CPython compiles at
 # most 99 levels of indentation and 20 statically nested loops.
@@ -300,6 +310,8 @@ class _State:
         # a traced run's block entries and calls, and the call site of the
         # call being made
         "T", "C", "s",
+        # whether the run has raised the recursion limit (`_deepen`)
+        "D",
     )
 
     def __init__(self, inputs, max_heap_cells):
@@ -308,6 +320,7 @@ class _State:
         self.heap_cells = 0
         self.max_heap_cells = max_heap_cells
         self.output: list[int] = []
+        self.D = False
 
 
 def _default_for(value_type):
@@ -358,6 +371,9 @@ def run_program(
             status, value, steps = STATUS_TIMEOUT, None, max_steps + 1
     except _Stop as stop:
         status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
+    finally:
+        if st.D:
+            _shallow()
     entered = cuts = None
     if watch is not None:
         entered = frozenset(form.order[j] for j in st.seen)
@@ -441,8 +457,8 @@ class _Form:
     `keys` is the guard set asked for; `guards` maps each of its blocks
     that exists to the guard's index, `order` lists them by index, and
     `every` holds every index. `traced` tells whether the form records a
-    trace. `units` maps the name of each generated function, of either
-    flavour, to its `_Unit`.
+    trace. `units` maps the name of each generated function to its
+    `_Unit`.
     """
 
     __slots__ = ("keys", "traced", "guards", "order", "every", "units", "entry")
@@ -464,13 +480,10 @@ class _Form:
         self.every = frozenset(range(len(self.order)))
         self.units = {}
         lowering = _FastLowering(program.functions, self.guards, traced, self.units)
-        namespace = lowering.namespace(deep=False)
-        namespace["G"] = _Deep(program.functions, self.guards, traced, self.units)
-        # the callees of native calls through a reference
-        namespace["F"] = {
-            name: namespace[lowering.code_name(name, False)] for name in program.functions
-        }
-        self.entry = namespace[lowering.code_name(program.entry, False)]
+        namespace = lowering.namespace()
+        # the callees of calls through a reference
+        namespace["F"] = {name: namespace[lowering.code_name(name)] for name in program.functions}
+        self.entry = namespace[lowering.code_name(program.entry)]
 
     def indices(self, watch):
         """The guard indices of the blocks in `watch`."""
@@ -478,16 +491,13 @@ class _Form:
 
     def frames(self, stop):
         """`(unit, line, frame)` of each generated frame `stop` unwound,
-        outermost first, with the suspended generators of a deep stack
-        (whose frame is None) in place of the driver's frame."""
+        outermost first."""
         frames = []
         tb = stop.__traceback__
         while tb is not None:
             code = tb.tb_frame.f_code
             if code.co_filename == _FORM_FILE:
                 frames.append((self.units[code.co_name], tb.tb_lineno, tb.tb_frame))
-            elif code is _deep.__code__:
-                frames += [(self.units[name], line, None) for name, line in stop.frames]
             tb = tb.tb_next
         return frames
 
@@ -508,8 +518,7 @@ class _Form:
         site = unit.sites[line]
         steps = max_steps - left + site[2]
         if isinstance(stop, _Fault):
-            calls = (u.sites.get(at) for u, at, _ in frames[:-1])  # None: a deep entry
-            backtrace = tuple(s[:2] for s in calls if s is not None) + (site[:2],)
+            backtrace = tuple(u.sites[at][:2] for u, at, _ in frames[:-1]) + (site[:2],)
             return STATUS_FAULT, None, stop.kind, site[1], backtrace, steps
         status = STATUS_TIMEOUT if isinstance(stop, _Timeout) else STATUS_INPUT_EXHAUSTED
         return status, None, None, None, None, steps
@@ -527,51 +536,6 @@ def _tail(unit, line, frame, k):
         except _Stop as stop:
             return stop, i + 1
     return None
-
-
-class _Deep:
-    """The generator flavour of a form, compiled on the first run that
-    needs it, by a lowering of its own: `functions()` maps each IR
-    function name to its generator function."""
-
-    __slots__ = ("args", "table")
-
-    def __init__(self, *args):
-        self.args = args  # the lowering's
-        self.table = None
-
-    def functions(self):
-        if self.table is None:
-            lowering = _FastLowering(*self.args)
-            namespace = lowering.namespace(deep=True)
-            namespace["H"] = {
-                name: namespace[lowering.code_name(name, True)] for name in lowering.functions
-            }
-            self.table = namespace["H"]
-        return self.table
-
-
-def _deep(deep, name, st, L, d, *args):
-    """The call of function `name` and every call below it, run on an
-    explicit stack of generators; returns the call's value."""
-    stack = [deep.functions()[name](st, L, *args)]
-    value = None
-    try:
-        while 1:
-            try:
-                callee = stack[-1].send(value)
-            except StopIteration as done:
-                stack.pop()
-                if not stack:
-                    return done.value
-                value = done.value
-            else:
-                stack.append(callee)
-                value = None
-    except _Stop as stop:
-        # the suspended callers, outermost first, for the stop's backtrace
-        stop.frames = [(g.gi_code.co_name, g.gi_frame.f_lineno) for g in stack[:-1]]
-        raise
 
 
 class _Unstructured(Exception):
@@ -592,15 +556,14 @@ def _shape(fn):
     header's own exit. None when a block has two joins or a loop two exits
     that are no tail."""
     blocks = fn.blocks
-    succ = {bid: b.successors for bid, b in blocks.items()}
-    idom = immediate_dominators(fn.entry_block, succ)  # in reverse postorder
+    succ = successors_map(fn)
+    preds = predecessors_map(fn)
+    idom = immediate_dominators(fn.entry_block, succ, preds)  # in reverse postorder
     index = {bid: i for i, bid in enumerate(idom)}
-    preds: dict[str, list] = {bid: [] for bid in blocks}
     forward = dict.fromkeys(blocks, 0)
     loops: dict[str, list] = {}
     for bid in idom:
         for t in succ[bid]:
-            preds[t].append(bid)
             d = bid  # a back edge goes to a block that dominates its source
             while index[d] > index[t]:
                 d = idom[d]
@@ -671,23 +634,21 @@ _INFIX = frozenset(("+", "-", "<", "<=", ">", ">=", "==", "!="))
 
 
 class _FastLowering:
-    """Python source for a program's functions, in two flavours.
+    """Python source for a program's functions.
 
-    IR function `name` becomes `def f<i>(st, L, d, <parameters>)` in the
-    native flavour, whose calls are Python calls, and `def h<i>(st, L,
-    <parameters>)` in the generator flavour, whose calls are yields to
-    `_deep`; `i` is its position in the program, `L` the step countdown
-    and `d` the call depth. A return stores the countdown in `st.L`, and a
-    caller reads it back after the call. The blocks are written as nested `if`
-    and `while` from the entry block (`write`), or in a dispatch loop
-    (`body`); a segment's charge has a check unless no step of it can be
-    seen (`safe`, which the expressions of the segment clear). Each
-    statement, call and terminator other than a jump is one line.
-    Variables are `v<k>` in the order the function first names
-    them, parameters first. Constants that are not a string, int, bool or
-    None are collected in `consts` under generated names, and `units`
-    collects the `_Unit` of each function generated. IR that `parse`
-    cannot produce raises `IRError` where the lowering meets it.
+    IR function `name` becomes `def f<i>(st, L, d, <parameters>)`, whose
+    calls are Python calls; `i` is its position in the program, `L` the
+    step countdown and `d` the call depth. A return stores the countdown
+    in `st.L`, and a caller reads it back after the call. The blocks are
+    written as nested `if` and `while` from the entry block (`write`), or
+    in a dispatch loop (`body`); a segment's charge has a check unless no
+    step of it can be seen (`safe`, which the expressions of the segment
+    clear). Each statement, call and terminator other than a jump is one
+    line. Variables are `v<k>` in the order the function first names them,
+    parameters first. Constants that are not a string, int, bool or None
+    are collected in `consts` under generated names, and `units` collects
+    the `_Unit` of each function generated. IR that `parse` cannot produce
+    raises `IRError` where the lowering meets it.
     """
 
     def __init__(self, functions, guards, traced, units):
@@ -697,18 +658,17 @@ class _FastLowering:
         self.units = units
         self.index = {name: i for i, name in enumerate(functions)}
 
-    def code_name(self, name, deep) -> str:
-        return f"{'h' if deep else 'f'}{self.index[name]}"
+    def code_name(self, name) -> str:
+        return f"f{self.index[name]}"
 
-    def namespace(self, deep) -> dict:
-        """Every function compiled in one flavour, in a fresh namespace
-        that also holds the helpers and the collected constants. Code comes
-        from `_CODE` when another form, or a patched variant, generated the
-        same text before."""
+    def namespace(self) -> dict:
+        """Every function compiled, in a fresh namespace that also holds
+        the helpers and the collected constants. Code comes from `_CODE`
+        when another form, or a patched variant, generated the same text
+        before."""
         namespace = dict(_HELPERS)
         for name, fn in self.functions.items():
-            f = self.code_name(name, deep)
-            self.deep = deep
+            f = self.code_name(name)
             self.consts: dict[str, object] = {}
             self.prefix = f"_{f}c"
             self.lines: list[str] = []
@@ -756,26 +716,19 @@ class _FastLowering:
         # run's entry is made by none
         record = f"st.C.append((st.s,{self.const(fn.id)}))" if self.traced else None
         if fn.external:
-            # externals have no body; they yield their return type's default
-            head = f"def {f}(st,L,*a):" if self.deep else f"def {f}(st,L,d,*a):"
+            # externals have no body; they return their return type's default
             body = [record, "st.L=L", f"return {self.const(_default_for(fn.return_type))}"]
-            self.emit(0, head + ";".join(filter(None, body)) + (";yield" if self.deep else ""))
+            self.emit(0, f"def {f}(st,L,d,*a):" + ";".join(filter(None, body)))
             return
         args = [self.var(p) for p, _ in fn.params]
-        if self.deep:
-            self.emit(0, f"def {f}({','.join(['st', 'L'] + args)}):")
-        else:
-            self.emit(0, f"def {f}({','.join(['st', 'L', 'd'] + args)}):")
-            deep = ",".join(["G", self.const(name), "st", "L", "d"] + args)
-            self.emit(1, f"if d>{_MAX_DEPTH}:return _deep({deep})")
+        self.emit(0, f"def {f}({','.join(['st', 'L', 'd'] + args)}):")
+        self.emit(1, f"if d=={_MAX_DEPTH}:_deepen(st,L)")
         if record:
             self.emit(1, f"if st.s is not None:{record}")
         defaults = [f"{self.var(v)}={self.const(_default_for(t))}" for v, t in fn.locals.items()]
         if defaults:
             self.emit(1, ";".join(defaults))
         self.body(name, fn)
-        if self.deep:  # never reached: makes a function with no call a generator
-            self.emit(1, "yield")
 
     def body(self, name, fn) -> None:
         """The function's blocks as nested `if` and `while`, from its entry
@@ -866,7 +819,7 @@ class _FastLowering:
         if j is not None:
             self.emit(depth, (
                 f"if {j} in st.H and (L<0 and _so() or {j} in st.V and st.W is _NK"
-                f" or _g(st,{j},L,{1 if self.deep else 'd'})):"
+                f" or _g(st,{j},L,d)):"
                 f"st.L=L-1 if L>0 else _so();return st.V[{j}]"
             ))
         for stmts, call in _segments(block):
@@ -986,12 +939,9 @@ class _FastLowering:
                     f"call {stmt.id!r} passes {len(stmt.args)} arguments to "
                     f"{stmt.callee_name!r}, which takes {wanted}"
                 )
-            head = f"{self.code_name(stmt.callee_name, self.deep)}(st,L"
+            call = f"{self.code_name(stmt.callee_name)}(st,L,d+1{args})"
         else:
-            head = f"_fn({'H' if self.deep else 'F'},{self.var(stmt.callee_ref)})(st,L"
-        if not self.deep:
-            head += ",d+1"
-        call = f"{'yield ' if self.deep else ''}{head}{args})"
+            call = f"_fn(F,{self.var(stmt.callee_ref)})(st,L,d+1{args})"
         if stmt.target is not None:
             call = f"{self.var(stmt.target)}={call}"
         if self.traced:
@@ -1093,6 +1043,41 @@ def _g(st, j, L, d):
     return False
 
 
+# The deep runs in flight, and the recursion limit before the first of
+# them raised it; under `_LIMIT_LOCK`, which is a `_thread` lock so that
+# the interpreter does not import `threading`.
+_LIMIT_LOCK = allocate_lock()
+_in_flight = 0
+_shallow_limit = 0
+
+
+def _deepen(st, L):
+    """A call at depth `_MAX_DEPTH`, with countdown `L`: on the run's first,
+    raise the recursion limit by `L` frames and `_DEEP_MARGIN`, up to the
+    largest C int. The countdown only falls, and every deeper call charges
+    a step first, so the run never needs more."""
+    global _in_flight, _shallow_limit
+    if st.D:
+        return
+    with _LIMIT_LOCK:
+        limit = sys.getrecursionlimit()
+        if not _in_flight:
+            _shallow_limit = limit
+        _in_flight += 1
+        st.D = True
+        sys.setrecursionlimit(min(limit + L + _DEEP_MARGIN, _INT_MAX))
+
+
+def _shallow():
+    """A run that raised the recursion limit has ended: restore the limit
+    if no other deep run is in flight."""
+    global _in_flight
+    with _LIMIT_LOCK:
+        _in_flight -= 1
+        if not _in_flight:
+            sys.setrecursionlimit(_shallow_limit)
+
+
 def _so():
     """Stop the run: the step budget ran out."""
     raise _StepsOut
@@ -1113,6 +1098,6 @@ def _print(st, value):
 _HELPERS = {"S": _StepsOut, "_NK": _NO_KEYS} | {
     helper.__name__: helper
     for helper in (
-        _Fault, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _so, _print, _deep,
+        _Fault, _div, _mul, _aread, _awrite, _alloc, _read, _fn, _g, _so, _print, _deepen,
     )
 }

@@ -664,6 +664,43 @@ class TestDeepInputs:
         assert rows == [(f"f{n - 1}", 3, 0)]
 
 
+    def test_a_step_budget_past_the_largest_recursion_limit_runs_deep_cases(
+        self, tmp_path, capsys
+    ):
+        """Cases that recurse 300 calls deep, under a `--max-steps` past the
+        largest recursion limit Python takes: `all` completes."""
+        program = tmp_path / "deep.mini"
+        program.write_text(
+            "fn down(n: int, i: int) -> int {\n"
+            "    if (n > 0) {\n"
+            "        return down(n - 1, i);\n"
+            "    }\n"
+            "    let arr: ref = alloc(2);\n"
+            "    let v: int = 0;\n"
+            "    if (i >= 0) {\n"
+            "        v = arr[i];\n"
+            "    }\n"
+            "    return v;\n"
+            "}\n"
+            "fn main() -> int { print(down(read_input(), read_input())); return 0; }\n"
+        )
+        vuln = tmp_path / "deep.vuln.json"
+        vuln.write_text(json.dumps({"function": "down", "line": 8}))
+        suite = tmp_path / "deep.suite"
+        suite.write_text(
+            "deep | input: 300, 1 | expect: 0\nshallow | input: 3, -1 | expect: 0\n"
+            "exploit | input: 300, 5 | expect: FAULT oob\n"
+        )
+        code = invoke(
+            "all", "--program", str(program), "--vuln", str(vuln), "--suite", str(suite),
+            "--max-steps", "1000000000000", "--out", str(tmp_path / "out"),
+        )
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "Traceback" not in err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["patches"]
+
     @staticmethod
     def _nested(tmp_path, kind, depth):
         """`all` arguments for a program nested `depth` levels deep, counted

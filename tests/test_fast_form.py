@@ -6,14 +6,17 @@ the base program, and its result must equal, field for field (steps, fault
 backtrace and `entered` included), what `helpers.reference_run` returns on
 that patch's `apply_patch` variant. There is one form and no fallback: a
 run that times out on the step budget inside a segment, or nests calls
-past the native depth bound, gets its result in that form, exactly as
+past the depth bound, gets its result in that form, exactly as
 the reference does. IR that `parse` cannot produce is an `IRError` when
 the form is built, before any step.
 """
 
 import builtins
+import cProfile
 import random
 import signal
+import sys
+import threading
 import time
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -46,6 +49,7 @@ from pathpatch.minilang import interp, parse, run_program
 from pathpatch.minilang.interp import (
     STATUS_COVERED,
     STATUS_FAULT,
+    STATUS_INPUT_EXHAUSTED,
     STATUS_OK,
     STATUS_TIMEOUT,
     ExecutionResult,
@@ -66,7 +70,8 @@ from helpers import (
 
 RANDOM_INPUT_BUDGET = 5_000
 SMALL_HEAP = 5
-# below 2 * 201 steps no run nests 201 calls, so every call is native
+# below 2 * 201 steps no run nests 201 calls, so no run raises the
+# recursion limit
 SHALLOW_BUDGET = 400
 
 
@@ -252,10 +257,10 @@ def deep_base(program):
 
 
 def test_recursion_past_the_depth_bound_matches():
-    """Calls nest natively up to the bound and run on the generator stack
-    below it: plain, traced, watched (covered at the bottom, or never) and
-    patched runs match the reference, and so do step budgets that end
-    above, at and below the bound."""
+    """Calls nest natively above the bound and below it, where the run
+    raises the recursion limit: plain, traced, watched (covered at the
+    bottom, or never) and patched runs match the reference, and so do step
+    budgets that end above, at and below the bound."""
     program = parse(DEEP)
     base = deep_base(program)
     patch = synthesize_patch(program, CandidatePatchLocation("down", base, "", 0, 0))
@@ -283,6 +288,113 @@ def test_a_fault_at_the_bottom_of_20000_nested_calls_has_its_full_backtrace():
     assert len(result.fault_stack) == 20_002
     assert result.fault_stack[0][0] == "main" and result.fault_stack[-1][1] == result.fault_at
     assert len({site for _, site in result.fault_stack[1:-1]}) == 1
+
+
+def test_a_step_budget_past_the_largest_recursion_limit_matches():
+    """The recursion limit a deep run raises by its steps left stops at the
+    largest C int, which `sys.setrecursionlimit` takes."""
+    program = parse(DEEP)
+    for n in (300, 20_000):
+        result = assert_fast(program, [], (n,), max_steps=10**12)
+        assert result.output == (n,)
+
+
+def test_every_stop_past_the_depth_bound_restores_the_recursion_limit():
+    """A run that raised the recursion limit puts it back however it ends:
+    normally, by a fault, a timeout, a covered watch or exhausted input."""
+    limit = sys.getrecursionlimit()
+    program = parse(DEEP.replace(
+        "return 0;\n}\nfn main",
+        "let k: int = read_input(); return 1 / k;\n}\nfn main",
+    ))
+    runs = (
+        ((300, 1), {}, STATUS_OK),
+        ((300, 0), {}, STATUS_FAULT),
+        ((300, 1), {"max_steps": 500}, STATUS_TIMEOUT),
+        ((300,), {}, STATUS_INPUT_EXHAUSTED),
+    )
+    for values, kw, status in runs:
+        assert assert_fast(program, [], values, **kw).status == status
+        assert sys.getrecursionlimit() == limit
+    (bottom,) = (
+        b for b, blk in program.functions["down"].blocks.items()
+        if isinstance(blk.terminator, Return) and not any(s.kind == "call" for s in blk.statements)
+    )
+    covered = assert_fast(program, [], (300, 1), watch=frozenset({("down", bottom)}))
+    assert covered.status == STATUS_COVERED
+    assert sys.getrecursionlimit() == limit
+
+
+def test_the_recursion_limit_returns_when_the_last_deep_run_ends():
+    """Two runs in flight, each raised past the depth bound: the first to
+    end leaves the limit raised for the other, and the second restores it;
+    a run's second call at the bound raises nothing more."""
+    limit = sys.getrecursionlimit()
+    first, second = SimpleNamespace(D=False), SimpleNamespace(D=False)
+    interp._deepen(first, 10_000)
+    interp._deepen(first, 10_000)
+    assert sys.getrecursionlimit() == limit + 10_000 + interp._DEEP_MARGIN
+    interp._deepen(second, 5_000)
+    raised = sys.getrecursionlimit()
+    assert raised == limit + 15_000 + 2 * interp._DEEP_MARGIN
+    interp._shallow()
+    assert sys.getrecursionlimit() == raised
+    interp._shallow()
+    assert sys.getrecursionlimit() == limit
+
+
+def test_deep_and_shallow_runs_in_threads_match():
+    """Two threads run 20,000-deep calls while two run shallow ones, all
+    started at once: every result matches the reference, and the recursion
+    limit is back where it was once they are done."""
+    program = parse(DEEP)
+    limit = sys.getrecursionlimit()
+    inputs = ((20_000,), (20_000,), (3,), (50,))
+    expected = [reference_run(program, values) for values in inputs]
+    start = threading.Barrier(len(inputs))
+    results: dict = {}
+
+    def work(i):
+        start.wait()
+        results[i] = [run_program(program, inputs[i]) for _ in range(5)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the runs
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results.get(i) for i in range(len(inputs))] == [[e] * 5 for e in expected]
+    assert sys.getrecursionlimit() == limit
+
+
+def test_20000_nested_calls_under_a_trace_or_profile_function_match():
+    """`sys.settrace` and cProfile see every call of a 20,000-deep run, and
+    neither changes its result, nor that of a fault at its bottom."""
+    faulting = DEEP.replace("return 0;\n}\nfn main", "return 1 / (n - n);\n}\nfn main")
+    for program in (parse(DEEP), parse(faulting)):
+        expected = run_program(program, (20_000,))
+        events = []
+
+        def trace(frame, event, arg):
+            events.append(event)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            traced = run_program(program, (20_000,))
+        finally:
+            sys.settrace(previous)
+        assert traced == expected
+        assert events.count("call") > 20_000
+        profiler = cProfile.Profile()
+        assert profiler.runcall(run_program, program, (20_000,)) == expected
 
 
 def assert_same(program, values, **kw):
@@ -342,11 +454,10 @@ fn main() -> int {
 
 
 @pytest.mark.parametrize("n", (interp._MAX_DEPTH + 5, 450))
-def test_calls_through_a_reference_on_the_generator_stack_match(n):
-    """Past the native depth bound, calls through a reference run in the
-    generator flavour: to a function, to an external and to nil, they
-    match the reference, traced or not, at budgets across the run and at
-    every budget around the calls."""
+def test_calls_through_a_reference_past_the_depth_bound_match(n):
+    """Past the depth bound, calls through a reference, to a function, to
+    an external and to nil, match the reference, traced or not, at budgets
+    across the run and at every budget around the calls."""
     program = parse(REFERENCE_CALLS)
     results = {}
     for x in (2, 3):
@@ -358,7 +469,8 @@ def test_calls_through_a_reference_on_the_generator_stack_match(n):
             assert_same(program, values, max_steps=budget)
     assert results[2].output == (4 + 1 + 0 + 4 + 0,)
     assert results[3].fault_kind == "nil_deref" and len(results[3].fault_stack) == n + 2
-    assert any(name.startswith("h") for form in program.fast for name in form.units)
+    # the nil call is made in a frame past the depth bound
+    assert len(results[3].fault_stack) - 1 > interp._MAX_DEPTH
 
 
 # --- malformed IR --------------------------------------------------------------
@@ -530,8 +642,8 @@ def test_evaluation_and_fuzz_compile_only_the_probes_form(monkeypatch):
 # --- the structured form at every budget -----------------------------------
 
 # `main` reads x and n, and calls `shape(x)` at the bottom of n nested calls
-# of `down`: with n = 0 the shape runs natively, with n = 205 in the
-# generator flavour.
+# of `down`: with n = 0 the shape runs at the top, with n = 205 past the
+# depth bound, in a run that has raised the recursion limit.
 SHAPE_DRIVER = """fn down(n: int, x: int) -> int {
     if (n > 0) {
         return down(n - 1, x);
@@ -613,7 +725,7 @@ def test_each_shape_matches_the_reference_at_every_budget(name):
     countdown may run below zero across them: every stop, the tail replay
     of a checked segment whose countdown had already run out, and the
     timeout after the entry function returns all match the reference,
-    traced or not, natively and on the generator stack."""
+    traced or not, above and past the depth bound."""
     program = shape_program(name)
     statuses = set()
     for n in SHAPE_DEPTHS:
@@ -632,7 +744,8 @@ def test_each_shape_matches_the_reference_at_every_budget(name):
 def test_a_watched_or_patched_arm_at_every_budget():
     """The guard of an arm entered after a segment charged with no check:
     a watched entry (recorded, or covering the run) and a patched return
-    whose step is the last the budget holds, natively and deep."""
+    whose step is the last the budget holds, above and past the depth
+    bound."""
     program = shape_program("guarded arm")
     shape = program.functions["shape"]
     branch = [b for b in shape.blocks.values() if isinstance(b.terminator, Branch)][-1]

@@ -266,7 +266,7 @@ HOSTILE = (
     "two\nlines", "# not a comment", "\'\'\'\"\"\"", "x) or (1",
     "run", "L", "H", "E", "see", "g", "B", "F", "f0", "d", "b", "v0", "x0", "_mul", "_fn",
     "_print", "S", "G", "F0", "F4", "h0", "h1", "a", "len", "_deep", "_Halt", "_g", "_ret",
-    "KeyError", "T", "C", "s", "_f0c0", "_h1c0", "yield", "continue",
+    "KeyError", "T", "C", "s", "_f0c0", "_h1c0", "yield", "continue", "_deepen", "D",
 )
 
 

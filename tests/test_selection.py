@@ -350,7 +350,7 @@ def test_a_block_first_entered_below_main_still_runs(monkeypatch):
     (join,) = (b for b, blk in main.blocks.items() if isinstance(blk.terminator, Return))
     patch = synthesize_patch(program, CandidatePatchLocation("main", join, main.entry_block, 0, 0))
     key = ("main", join)
-    deeper = (1,) * 300 + (0,)  # past the native depth bound, on the generator stack
+    deeper = (1,) * 300 + (0,)  # past the depth bound, where a run raises the recursion limit
     for values in ((1, 0), deeper):
         probe = run_program(program, values, watch=frozenset({key}))
         assert key in probe.entered and probe.cuts == ()
