@@ -13,30 +13,30 @@ functional cases, so the preserved-functionality ratio counts real tests
 only; a second such line is an error. A verdict keeps the run's status
 and output as they are, and formats nothing.
 
-Patch evaluation first runs every case, and the exploit, once on the
-unpatched program: a coverage probe that watches the patched blocks. A
-patch rewrites one block `b` of one function and nothing else, and the
-interpreter is deterministic, so a run that never enters `b` does exactly
-what the unpatched run does, step for step. Each patch therefore runs only
-the cases whose probe entered its block; every other case keeps the
-probe's verdict, and the exploit the probe's outcome (safe regression test
-selection, after Rothermel & Harrold, TOSEM 1997). Of the entering cases,
-the probe itself answers those whose patched block belongs to the entry
-function and was first entered in the entry function's own frame, not in
-a call of `main` by itself: the patch returns from `main` at that entry,
-which ends the run, so up to there the patched run is the probe. The
-probe records the entry's cut, the steps charged before it and the
-values printed by then (`ExecutionResult.cuts`), and `interp.cut_result`
-gives the patched run from it: the values printed by then, main's return
-of the error value as one more step, or a timeout when that step is past
-the budget. A probe stops as soon as it has entered every patched block;
-it then gives no verdict, and every patch it does not answer runs that
-case. Malformed IR, which `parse` never produces, raises `IRError` at the
-first probe, before any patch runs. The
-preserved functionality ratio is `passed/total` (0 with no cases), and
-ranking sorts by it descending, compared exactly in integers, with
-deterministic tie-breaks: exploit blocked first, then lower level, then
-block id, function, patch id.
+Patch evaluation judges inputs: each case, by its verdict, and the
+anchored exploit, one more input, by whether it is blocked. It first runs
+every input once on the unpatched program: a coverage probe that watches
+the patched blocks. A patch rewrites one block `b` of one function and
+nothing else, and the interpreter is deterministic, so a run that never
+enters `b` does exactly what the unpatched run does, step for step. Each
+patch therefore runs only the inputs whose probe entered its block; every
+other input keeps the probe's outcome (safe regression test selection,
+after Rothermel & Harrold, TOSEM 1997). Of the entering inputs, the probe
+itself answers those whose patched block belongs to the entry function
+and was first entered in the entry function's own frame, not in a call of
+`main` by itself: the patch returns from `main` at that entry, which ends
+the run, so up to there the patched run is the probe. The probe records
+the entry's cut, the steps charged before it and the values printed by
+then (`ExecutionResult.cuts`), and `interp.cut_result` gives the patched
+run from it: the values printed by then, main's return of the error value
+as one more step, or a timeout when that step is past the budget. A probe
+stops as soon as it has entered every patched block; it then gives no
+outcome, and every patch it does not answer runs that input. Malformed
+IR, which `parse` never produces, raises `IRError` at the first probe,
+before any patch runs. The preserved functionality ratio is
+`passed/total` (0 with no cases), and ranking sorts by it descending,
+compared exactly in integers, with deterministic tie-breaks: exploit
+blocked first, then lower level, then block id, function, patch id.
 
 Patches run as data: a patched run is the base program's run with
 `patches={(function, block): error value}` (`synth.patch_returns`), which
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 from .ir import IRError, IRProgram, block_sort_key
 from .minilang.interp import (
@@ -232,19 +233,17 @@ class PatchEvaluation(Record):
         return Fraction(self.passed, self.total) if self.total else Fraction(0)
 
 
-def _probe(base: IRProgram, values, limits: Limits, watch: frozenset):
-    """The coverage probe of one input: `(entered, result, output, cuts)`,
+def _probe(base: IRProgram, values, judge, limits: Limits, watch: frozenset):
+    """The coverage probe of one input: `(entered, outcome, output, cuts)`,
     where `entered` holds the watched blocks the unpatched run entered,
-    `result` is its outcome, `output` what it printed and `cuts` maps each
-    block that has a cut (`ExecutionResult.cuts`) to its `(steps,
-    outputs)`. A probe that stopped early, having entered every watched
-    block, has no result: a patch then runs the input itself unless its
-    block has a cut."""
+    `outcome` is `judge` of its result, `output` what it printed and
+    `cuts` maps each block that has a cut (`ExecutionResult.cuts`) to its
+    `(steps, outputs)`. A probe that stopped early, having entered every
+    watched block, has no outcome: a patch then runs the input itself
+    unless its block has a cut."""
     result = _run(base, values, limits, watch)
-    cuts = dict(result.cuts)
-    if result.status == STATUS_COVERED:
-        return watch, None, result.output, cuts
-    return result.entered, result, result.output, cuts
+    outcome = None if result.status == STATUS_COVERED else judge(result)
+    return result.entered, outcome, result.output, dict(result.cuts)
 
 
 def _evaluate_patch(
@@ -252,8 +251,8 @@ def _evaluate_patch(
     patch: Patch,
     suite: TestSuite,
     limits: Limits,
-    cases: list[tuple[frozenset, CaseVerdict | None, tuple, dict]],
-    exploit: tuple[frozenset, bool | None, tuple, dict] | None,
+    inputs: list[tuple[tuple, partial]],
+    probes: list[tuple[frozenset, object, tuple, dict]],
 ) -> PatchEvaluation:
     try:
         returns = patch_returns(base, [patch])
@@ -275,22 +274,15 @@ def _evaluate_patch(
             return _run(base, values, limits, patches=returns)
         return cut_result(cut, output, returns[key], limits.max_steps)
 
-    verdicts = tuple(
-        _verdict(case, patched(case.input, output, cuts))
-        if key in entered
-        else verdict
-        for case, (entered, verdict, output, cuts) in zip(suite.cases, cases)
-    )
-    blocked = None
-    if exploit is not None:
-        entered, blocked, output, cuts = exploit
-        if key in entered:
-            result = patched(suite.exploit.input, output, cuts)
-            blocked = _blocked(suite.exploit, result)
-    passed = sum(1 for v in verdicts if v.passed)
+    outcomes = [
+        judge(patched(values, output, cuts)) if key in entered else outcome
+        for (values, judge), (entered, outcome, output, cuts) in zip(inputs, probes)
+    ]
+    verdicts = tuple(outcomes[: len(suite.cases)])
+    blocked = outcomes[-1] if len(outcomes) > len(verdicts) else None
     return PatchEvaluation(
         patch=patch,
-        passed=passed,
+        passed=sum(1 for v in verdicts if v.passed),
         total=len(verdicts),
         exploit_blocked=blocked,
         verdicts=verdicts,
@@ -312,19 +304,13 @@ def evaluate_patches(
     if not patches:
         return []
     watch = frozenset((p.location.function, p.location.block) for p in patches)
-    cases = []
-    for case in suite.cases:
-        entered, result, output, cuts = _probe(base, case.input, limits, watch)
-        cases.append(
-            (entered, None if result is None else _verdict(case, result), output, cuts)
-        )
-    exploit = None
-    if suite.exploit is not None and suite.exploit.statement is not None:
-        entered, result, output, cuts = _probe(base, suite.exploit.input, limits, watch)
-        blocked = None if result is None else _blocked(suite.exploit, result)
-        exploit = (entered, blocked, output, cuts)
+    inputs = [(case.input, partial(_verdict, case)) for case in suite.cases]
+    exploit = suite.exploit
+    if exploit is not None and exploit.statement is not None:
+        inputs.append((exploit.input, partial(_blocked, exploit)))
+    probes = [_probe(base, values, judge, limits, watch) for values, judge in inputs]
     evaluations = [
-        _evaluate_patch(base, p, suite, limits, cases, exploit) for p in patches
+        _evaluate_patch(base, p, suite, limits, inputs, probes) for p in patches
     ]
     evaluations.sort(key=lambda ev: ev.patch.id)
     return evaluations

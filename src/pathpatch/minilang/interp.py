@@ -126,12 +126,18 @@ only the recursion limit bounds the depth. Each function's first line is
 `if d==200:_deepen(st,L)`, with `_MAX_DEPTH` for 200: the first call of a
 run that reaches that depth raises the recursion limit by the steps the
 run has left, plus `_DEEP_MARGIN`, since every deeper call charges at
-least one step before it is made. The limit goes back to its value
-before when the last deep run in flight, in any thread, ends; a run that
-stays shallower never touches it. While a deep run is in flight the
-raised limit is process-wide, so on 3.11 C-level recursion in other
-threads (`repr` or `json` of a deeply nested value, say) shares it, and
-can overflow the C stack where it would have raised `RecursionError`.
+least one step before it is made. A run called from within about
+`_MAX_DEPTH` frames of the limit overflows before that call: when a run
+raises `RecursionError` before it has raised the limit, `run_program`
+runs it once more from the start, with the limit raised first. Only runs
+from such deep callers retry; CPython turns off a trace function that
+raises, so a `sys.settrace` function misses the overflowed attempt's
+later events. The limit goes back to its value before when the last deep
+run in flight, in any thread, ends; a run that stays shallower never
+touches it. While a deep run is in flight the raised limit is
+process-wide, so on 3.11 C-level recursion in other threads (`repr` or
+`json` of a deeply nested value, say) shares it, and can overflow the C
+stack where it would have raised `RecursionError`.
 
 Malformed IR. A form runs only IR that `parse` can produce: building one
 raises `IRError`, before any step, for what `ir.validate_program` rejects
@@ -159,8 +165,6 @@ from _thread import allocate_lock
 
 from ..analysis import immediate_dominators, predecessors_map, reachable, successors_map
 from ..ir import (
-    BOOL,
-    INT,
     Binary,
     BoolConst,
     Branch,
@@ -177,6 +181,7 @@ from ..ir import (
     validate_program,
 )
 from ..record import Record
+from .lower import default_value
 
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_HEAP_CELLS = 1_000_000
@@ -323,14 +328,6 @@ class _State:
         self.D = False
 
 
-def _default_for(value_type):
-    if value_type == INT:
-        return 0
-    if value_type == BOOL:
-        return False
-    return None  # ref / fn-ref default to nil
-
-
 def run_program(
     program: IRProgram,
     input_values=(),
@@ -346,6 +343,15 @@ def run_program(
         raise IRError("program has no executable statement bodies")
     traced = bool(record_trace)
     form = _form(program, watch, patches, traced)
+    run = (form, input_values, max_steps, max_heap_cells, watch, patches, traced)
+    # None: the run overflowed from a deep caller; again, with the limit raised first
+    return _execute(*run) or _execute(*run, deep=True)
+
+
+def _execute(form, input_values, max_steps, max_heap_cells, watch, patches, traced, deep=False):
+    """One run of `form`, as `run_program` describes it; None when it raised
+    `RecursionError` before it raised the recursion limit. A `deep` run
+    raises the limit before its first step."""
     st = _State(input_values, max_heap_cells)
     try:
         st.E = {form.guards[key]: value for key, value in patches.items()} if patches else {}
@@ -365,12 +371,19 @@ def run_program(
         st.T, st.C, st.s = [], [], None
     status, value, kind, at, backtrace = STATUS_OK, None, None, None, None
     try:
-        value = form.entry(st, max_steps, 0)
-        steps = max_steps - st.L
-        if steps > max_steps:  # the budget ran out on steps no result shows
-            status, value, steps = STATUS_TIMEOUT, None, max_steps + 1
-    except _Stop as stop:
-        status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
+        if deep:
+            _deepen(st, max_steps)
+        try:
+            value = form.entry(st, max_steps, 0)
+            steps = max_steps - st.L
+            if steps > max_steps:  # the budget ran out on steps no result shows
+                status, value, steps = STATUS_TIMEOUT, None, max_steps + 1
+        except _Stop as stop:
+            status, value, kind, at, backtrace, steps = form.stopped(stop, max_steps)
+    except RecursionError:
+        if st.D:
+            raise
+        return None
     finally:
         if st.D:
             _shallow()
@@ -693,6 +706,10 @@ class _FastLowering:
         self.consts[name] = value
         return name
 
+    def zero(self, value_type) -> str:
+        """A Python expression for the default value of `value_type`."""
+        return self.const(_constant(default_value(value_type)))
+
     def var(self, name: str) -> str:
         """A Python target or expression for variable `name`."""
         local = self.vars.get(name)
@@ -717,7 +734,7 @@ class _FastLowering:
         record = f"st.C.append((st.s,{self.const(fn.id)}))" if self.traced else None
         if fn.external:
             # externals have no body; they return their return type's default
-            body = [record, "st.L=L", f"return {self.const(_default_for(fn.return_type))}"]
+            body = [record, "st.L=L", f"return {self.zero(fn.return_type)}"]
             self.emit(0, f"def {f}(st,L,d,*a):" + ";".join(filter(None, body)))
             return
         args = [self.var(p) for p, _ in fn.params]
@@ -725,7 +742,7 @@ class _FastLowering:
         self.emit(1, f"if d=={_MAX_DEPTH}:_deepen(st,L)")
         if record:
             self.emit(1, f"if st.s is not None:{record}")
-        defaults = [f"{self.var(v)}={self.const(_default_for(t))}" for v, t in fn.locals.items()]
+        defaults = [f"{self.var(v)}={self.zero(t)}" for v, t in fn.locals.items()]
         if defaults:
             self.emit(1, ";".join(defaults))
         self.body(name, fn)

@@ -24,11 +24,11 @@ once per run and hands it to every phase.
 When the call subgraph between the entry and the vulnerable function is
 acyclic, one depth-first pass over it meets the frames in the order the
 chains first reach them, and the chain count, path count and levels are
-sums, products and minima over the frames (`chain_facts`, `count_paths`).
-Recursion makes them #P-hard to count (Valiant, 1979), and a chain dropped
-for an unreachable frame target is noted by name; in those cases alone the
-chains are walked one at a time (`walk_chains`), never kept in a list,
-under the fixed budget WALK_BUDGET, past which the analysis stops with
+sums, products and minima over the frames (`chain_facts`). Recursion
+makes them #P-hard to count (Valiant, 1979), and a chain dropped for an
+unreachable frame target is noted by name; in those cases alone the chains
+are walked one at a time (`walk_chains`), never kept in a list, under the
+fixed budget WALK_BUDGET, past which the analysis stops with
 `ChainBudgetError`.
 
 Paths are acyclic: back edges (dominated targets) never extend a path, but
@@ -181,6 +181,7 @@ class ChainFacts(Record):
     chains: int  # how many there are
     levels: dict[str, int]  # function -> its smallest distance in frames
     longest: int  # frames on the longest chain
+    paths: int  # maximal paths: per chain, the product of its frames' paths
 
 
 def resolve_vulnerability(program: IRProgram, function: str, statement: str | None = None,
@@ -613,14 +614,15 @@ def path_increments(dag: PathDag) -> tuple[int, ...]:
 
 def chain_facts(ppg: ProgramPathGraph) -> ChainFacts:
     """How many chains the path graph has, each function's smallest level
-    (its distance in frames from the vulnerable function) and the longest
-    chain's frames; computed once per path graph.
+    (its distance in frames from the vulnerable function), the longest
+    chain's frames and how many maximal paths there are; computed once per
+    path graph.
 
     A frame's chain suffixes do not depend on the chain that reaches it, so
-    when no walk can repeat a function these are sums, minima and maxima
-    over the frames, callees first. With recursion, counting simple paths
-    is #P-complete (Valiant, 1979), and the chains are walked one by one
-    under WALK_BUDGET.
+    when no walk can repeat a function these are sums, products, minima and
+    maxima over the frames, callees first. With recursion, counting simple
+    paths is #P-complete (Valiant, 1979), and the chains are walked one by
+    one under WALK_BUDGET.
     """
     facts = ppg.__dict__.get("_facts")
     if facts is not None:
@@ -628,14 +630,20 @@ def chain_facts(ppg: ProgramPathGraph) -> ChainFacts:
     following = ppg.following
     functions = [fp.frame.function for fp in ppg.frames]
     levels: dict[str, int] = {}
+    # per frame its own paths, and then, callees first, those of the chain
+    # suffixes from it
+    paths = [count_frame_paths(fp.dag) for fp in ppg.frames]
     order = _callees_first(functions, following)
     if order is None:
-        chains = longest = 0
+        chains = longest = total = 0
         for ids in ppg.chain_ids():
+            product = 1
             for level, i in enumerate(reversed(ids)):
                 levels[functions[i]] = min(level, levels.get(functions[i], level))
+                product *= paths[i]
             chains += 1
             longest = max(longest, len(ids))
+            total += product
     else:
         # per frame, over the chain suffixes from it: how many, and the
         # fewest and the most frames on one
@@ -646,34 +654,21 @@ def chain_facts(ppg: ProgramPathGraph) -> ChainFacts:
                 suffixes[i] = sum(suffixes[j] for j in after)
                 near[i] = 1 + min(near[j] for j in after)
                 far[i] = 1 + max(far[j] for j in after)
+                paths[i] *= sum(paths[j] for j in after)
             levels[functions[i]] = min(near[i] - 1, levels.get(functions[i], near[i]))
         starts = _entry_frames(following)
         chains = sum(suffixes[i] for i in starts)
         longest = max((far[i] for i in starts), default=0)
-    facts = ChainFacts(chains, levels, longest)
+        total = sum(paths[i] for i in starts)
+    facts = ChainFacts(chains, levels, longest, total)
     object.__setattr__(ppg, "_facts", facts)
     return facts
 
 
 def count_paths(ppg: ProgramPathGraph) -> int:
-    """Number of maximal entry -> vulnerability paths, without enumeration:
-    per chain the product of its frames' path counts, summed like the
-    chains in `chain_facts`."""
-    following = ppg.following
-    paths = [count_frame_paths(fp.dag) for fp in ppg.frames]
-    order = _callees_first([fp.frame.function for fp in ppg.frames], following)
-    if order is None:
-        total = 0
-        for ids in ppg.chain_ids():
-            product = 1
-            for i in ids:
-                product *= paths[i]
-            total += product
-        return total
-    for i in order:  # per frame, the paths of the chain suffixes from it
-        if following[i]:
-            paths[i] *= sum(paths[j] for j in following[i])
-    return sum(paths[i] for i in _entry_frames(following))
+    """Number of maximal entry -> vulnerability paths, without enumeration
+    (`ChainFacts.paths`)."""
+    return chain_facts(ppg).paths
 
 
 def enumerate_paths(

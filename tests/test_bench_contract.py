@@ -10,10 +10,16 @@ a result. Nothing under `perfbench/` is changed.
 
 import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
 
 from pathpatch import cli
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, CORPUS_NAMES, ROOT
 from helpers import (
     bf_call_chains,
     bf_interprocedural_paths,
@@ -71,6 +77,36 @@ def test_every_declared_layer_is_measured(tmp_path):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     expected = {metric["name"] for metric in declared} - DERIVED
     assert expected - set(tracer_module.layer_metrics(tracer)) == set()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_traced_child_reports_every_layer(tmp_path, name):
+    """`perfbench/child.py --trace --entering`, in a fresh process as the
+    benchmark starts it, runs `all --fuzz 200` on a corpus program and
+    writes a result with every declared layer and the entering pairs."""
+    result_path = tmp_path / "result.json"
+    command = [
+        sys.executable, str(ROOT / "perfbench" / "child.py"), str(result_path),
+        "--trace", "--entering", "--",
+        "all",
+        "--program", str(CORPUS / f"{name}.mini"),
+        "--vuln", str(CORPUS / f"{name}.vuln.json"),
+        "--suite", str(CORPUS / f"{name}.suite"),
+        "--out", str(tmp_path / "out"),
+        "--fuzz", "200",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    result = json.loads(result_path.read_text(encoding="utf-8"))
+    assert result["exit"] == 0
+    assert result["missing"] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in {metric["name"] for metric in declared} - DERIVED:
+        assert math.isfinite(result["layers"][metric]), metric
+    entering, attempted = result["entering"]
+    assert attempted > 0 and 0 <= entering <= attempted
 
 
 def test_chain_counts_match_the_brute_force_walk(tmp_path):

@@ -373,6 +373,25 @@ def test_deep_and_shallow_runs_in_threads_match():
     assert sys.getrecursionlimit() == limit
 
 
+def test_a_deep_run_from_150_frames_below_the_recursion_limit_matches():
+    """A run started within 150 frames of the recursion limit overflows
+    before its depth reaches `_MAX_DEPTH`; it runs again from the start
+    with the limit raised first, matches the reference, and puts the limit
+    back (the autouse `python_limits_unchanged` fixture checks that)."""
+    program = parse(DEEP)
+    expected = reference_run(program, (300,))
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def nested(frames):
+        return nested(frames - 1) if frames else run_program(program, (300,))
+
+    assert nested(limit - depth - 150) == expected
+    assert sys.getrecursionlimit() == limit
+
+
 def test_20000_nested_calls_under_a_trace_or_profile_function_match():
     """`sys.settrace` and cProfile see every call of a 20,000-deep run, and
     neither changes its result, nor that of a fault at its bottom."""
