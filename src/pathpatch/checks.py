@@ -63,6 +63,42 @@ def cut_disconnects(program: IRProgram, vuln_statement: str, locations) -> bool:
     return not vulnerable_statement_reachable(program, vuln_statement, removed)
 
 
+def fuzz_inputs(runs: int, seed: int, max_input_len: int):
+    """The `runs` random input lists that `fuzz_vulnerability` runs, seeded
+    by `seed`: each up to `max_input_len` values long, mixing small values,
+    boundary-sized values and occasional negatives.
+
+    Each value is drawn as `random.randint(a, b)` draws it, inlined: `a +
+    r`, with `r = getrandbits(k)` repeated while `r >= n`, where `n = b -
+    a + 1` and `k = n.bit_length()`. So the lists equal those of `randint`
+    calls, without their `randrange` and `_randbelow` calls.
+    """
+    if max_input_len < 0:
+        raise ValueError("max_input_len must be at least 0")
+    rng = random.Random(seed)
+    bits, unit = rng.getrandbits, rng.random
+    lengths = max_input_len + 1
+    length_bits = lengths.bit_length()
+    for _ in range(runs):
+        length = bits(length_bits)
+        while length >= lengths:
+            length = bits(length_bits)
+        values = []
+        for _ in range(length):
+            bucket = unit()
+            if bucket < 0.6:
+                low, n, k = 0, 10, 4  # randint(0, 9)
+            elif bucket < 0.85:
+                low, n, k = 10, 191, 8  # randint(10, 200)
+            else:
+                low, n, k = -50, 50, 6  # randint(-50, -1)
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            values.append(low + r)
+        yield values
+
+
 def fuzz_vulnerability(
     program: IRProgram,
     vuln_statement: str,
@@ -73,27 +109,16 @@ def fuzz_vulnerability(
     max_heap_cells: int = DEFAULT_MAX_HEAP_CELLS,
     patches: dict[tuple[str, str], object] | None = None,
 ) -> tuple[int, int]:
-    """Run `runs` random inputs; count faults at the vulnerable statement.
+    """Run the `fuzz_inputs(runs, seed, max_input_len)`; count faults at
+    the vulnerable statement.
 
     `patches` are applied as data, as `run_program` takes them
     (`synth.patch_returns` makes them), so fuzzing the fully patched
     program runs the code of `program` itself. Returns (runs, faults at
-    the vulnerable statement). Inputs mix small values, boundary-sized
-    values, and occasional negatives.
+    the vulnerable statement).
     """
-    rng = random.Random(seed)
     hits = 0
-    for _ in range(runs):
-        length = rng.randint(0, max_input_len)
-        values = []
-        for _ in range(length):
-            bucket = rng.random()
-            if bucket < 0.6:
-                values.append(rng.randint(0, 9))
-            elif bucket < 0.85:
-                values.append(rng.randint(10, 200))
-            else:
-                values.append(rng.randint(-50, -1))
+    for values in fuzz_inputs(runs, seed, max_input_len):
         result = run_program(
             program,
             values,

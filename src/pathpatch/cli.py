@@ -8,15 +8,19 @@ Three subcommands mirror the pipeline stages, plus one that chains them:
                        [--seed N] [--max-steps N] [--max-heap-cells N] [--jobs N]
     pathpatch all      the flags of analyze and evaluate together
 
-Each subcommand takes only the flags that change what it does; `--jobs`
-is accepted and has no effect, since evaluation is serial. Programs are
-MiniLang sources (.mini) or graph documents (.json, analyzable but not
-executable); the extension decides which. The vulnerability spec is a
-small JSON file naming the function plus a statement id or source line,
-optionally with an exploit input; graph documents may embed the
-vulnerable statement instead. Every subcommand builds the program path
-graph once and shares it between phases, and every subcommand but analyze
-computes the candidate locations once.
+`-h` or `--help` prints the lines above, and exits 0. Each subcommand
+takes only the flags that change what it does, in `FLAGS`, by their
+exact names, as `--flag value` or `--flag=value`; the last of a repeated
+flag wins. `--jobs` is accepted and has no effect, since evaluation is
+serial. Every usage error, a file that cannot be read included, is one
+`error:` line on stderr. Programs are MiniLang sources (.mini) or graph
+documents (.json, analyzable but not executable); the extension decides
+which. The vulnerability spec is a small JSON file naming the function
+plus a statement id or source line, optionally with an exploit input;
+graph documents may embed the vulnerable statement instead. Every
+subcommand builds the program path graph once and shares it between
+phases, and every subcommand but analyze computes the candidate
+locations once.
 
 `analyze` writes `path_graph.json` (schema `path-graph@3`). It lists each
 distinct frame (function and call site) once under `frames`, with an `id`,
@@ -43,18 +47,18 @@ once per run of every subcommand, to `note:` lines on stderr; the
 candidate walk's notes go to `candidates.json` and to locate's `warning:`
 lines. No Python warning is raised, so `-W error` changes nothing.
 
-Exit codes: 0 success, 2 usage (an output file that cannot be written
-included), 3 input/parse error, 4 analysis diagnostic (for example a
-vulnerability no call chain can reach, or a chain walk that runs past its
-budget).
+Exit codes: 0 success, 2 usage (an input file that cannot be read and an
+output file that cannot be written included), 3 input/parse error, 4
+analysis diagnostic (for example a vulnerability no call chain can
+reach, or a chain walk that runs past its budget).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import AnalysisError
 from .checks import cut_disconnects, fuzz_vulnerability
@@ -93,47 +97,88 @@ class UsageError(Exception):
     pass
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pathpatch",
-        description=(
-            "Find the paths leading to a vulnerability, pick patch "
-            "locations on them, synthesize error-return patches, and rank "
-            "the patches by preserved functionality."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "locate", "evaluate", "all"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--program", required=True, help="program file (.mini or .json)")
-        cmd.add_argument("--vuln", help="vulnerability spec file (JSON)")
-        cmd.add_argument("--out", help="directory for result files")
-        if name in ("evaluate", "all"):
-            cmd.add_argument("--suite", help="test suite file")
-            cmd.add_argument(
-                "--fuzz",
-                type=int,
-                default=0,
-                metavar="N",
-                help="also fuzz the fully patched program with N random inputs",
-            )
-            cmd.add_argument("--seed", type=int, default=0, help="seed for --fuzz inputs")
-            cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-            cmd.add_argument("--max-heap-cells", type=int, default=DEFAULT_MAX_HEAP_CELLS)
-            cmd.add_argument(
-                "--jobs", type=int, default=1, help="has no effect; evaluation is serial"
-            )
-    return parser
+# Each subcommand's flags and their defaults: None marks a string flag,
+# an integer an integer flag. The attribute of `--max-steps` is `max_steps`.
+_INPUT_FLAGS = {"program": None, "vuln": None, "out": None}
+_RUN_FLAGS = {
+    **_INPUT_FLAGS,
+    "suite": None,
+    "fuzz": 0,
+    "seed": 0,
+    "max-steps": DEFAULT_MAX_STEPS,
+    "max-heap-cells": DEFAULT_MAX_HEAP_CELLS,
+    "jobs": 1,
+}
+FLAGS = {
+    "analyze": _INPUT_FLAGS,
+    "locate": _INPUT_FLAGS,
+    "evaluate": _RUN_FLAGS,
+    "all": _RUN_FLAGS,
+}
+
+
+class Arguments(SimpleNamespace):
+    """A parsed command line: `command`, and one attribute per flag that
+    the subcommand takes (`"jobs" in args` asks whether it takes one)."""
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.__dict__
+
+
+def parse_arguments(argv: list[str]) -> Arguments:
+    """`argv` read against FLAGS: a subcommand, then `--flag value` or
+    `--flag=value` pairs, where the last of a repeated flag wins. A value
+    may be a negative integer; any other token that starts with `-` is a
+    flag, so it cannot be a value."""
+    if not argv or argv[0] not in FLAGS:
+        got = f"unknown subcommand {argv[0]!r}; " if argv else ""
+        raise UsageError(f"{got}expected one of {', '.join(FLAGS)}")
+    command, *rest = argv
+    flags = FLAGS[command]
+    args = Arguments(command=command)
+    for name, default in flags.items():
+        setattr(args, name.replace("-", "_"), default)
+    tokens = iter(rest)
+    for token in tokens:
+        flag, given, value = token.partition("=")
+        if not flag.startswith("--") or flag[2:] not in flags:
+            if not token.startswith("-"):
+                raise UsageError(f"unexpected argument {token!r}")
+            raise UsageError(f"{command} does not take {flag!r}")
+        if not given:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not value[1:].isdecimal():
+                raise UsageError(f"{flag} needs a value")
+        if flags[flag[2:]] is not None:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} takes an integer, not {value!r}") from None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    if args.program is None:
+        raise UsageError(f"{command} requires --program")
+    return args
 
 
 def input_file(name: str, what: str) -> Path:
     """The path `name` of an input file, which must exist and be no directory."""
     path = Path(name)
-    if not path.exists():
-        raise UsageError(f"{what} {name!r} does not exist")
-    if path.is_dir():
-        raise UsageError(f"{what} {name!r} is a directory")
+    try:
+        if not path.exists():
+            raise UsageError(f"{what} {name!r} does not exist")
+        if path.is_dir():
+            raise UsageError(f"{what} {name!r} is a directory")
+    except OSError as exc:  # for example a name too long to look up
+        raise UsageError(f"cannot read {name!r}: {exc.strerror}") from exc
     return path
+
+
+def read_input(load, path: Path):
+    """`load(path)`, where an input file that cannot be read is a usage error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {str(path)!r}: {exc.strerror}") from exc
 
 
 def load_inputs(args):
@@ -148,7 +193,10 @@ def load_inputs(args):
         raise UsageError("--fuzz must be at least 0")
     if args.out:  # refuse an unusable --out before the work, not after it
         out = Path(args.out)
-        existing = next(p for p in (out, *out.parents) if p.exists())
+        try:
+            existing = next(p for p in (out, *out.parents) if p.exists())
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
         if not existing.is_dir():
             raise UsageError(
                 f"output directory {args.out!r}: {str(existing)!r} is not a directory"
@@ -157,13 +205,14 @@ def load_inputs(args):
     vuln_raw = None
     if args.vuln:
         vuln_path = input_file(args.vuln, "vulnerability spec")
+        text = read_input(lambda path: path.read_text(encoding="utf-8"), vuln_path)
         try:
-            vuln_raw = json.loads(vuln_path.read_text(encoding="utf-8"))
+            vuln_raw = json.loads(text)
         except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
             raise SuiteError(f"vulnerability spec is not valid JSON: {exc}") from exc
 
     if args.program.endswith(".json"):
-        doc = load_graph_file(program_path)
+        doc = read_input(load_graph_file, program_path)
         program = import_graph(doc)
         embedded = embedded_vulnerability(doc)
         if vuln_raw is not None:
@@ -176,7 +225,7 @@ def load_inputs(args):
             )
         return program, vuln
 
-    program = load_program(program_path)
+    program = read_input(load_program, program_path)
     if vuln_raw is None:
         raise UsageError("--vuln is required for MiniLang programs")
     return program, _vuln_from_json(program, vuln_raw)
@@ -333,7 +382,8 @@ def evaluation_suite(args, program, vuln):
         )
     if not args.suite:
         raise UsageError("evaluate requires --suite")
-    return load_suite(input_file(args.suite, "suite file")).with_vulnerability(vuln)
+    suite = read_input(load_suite, input_file(args.suite, "suite file"))
+    return suite.with_vulnerability(vuln)
 
 
 def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
@@ -387,12 +437,13 @@ def cmd_evaluate(args, program, vuln, ppg, locations, suite) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        # the synopsis block of the module docstring (python -OO drops it)
+        print("usage:", *(__doc__ or "").split("\n\n")[2:3], sep="\n")
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = parse_arguments(argv)
         program, vuln = load_inputs(args)
         # evaluate rejects an unrunnable program or a bad suite before any
         # analysis; `all` checks them only after analyze and locate wrote

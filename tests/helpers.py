@@ -13,7 +13,8 @@ every chain's frames out in full (`reference_path_graph_document`, the
 `path-graph@3` document by walking `next` and decoding every path number),
 candidates from a recursive walk of every frame occurrence
 (`reference_candidate_locations`), execution from a plain
-tree-walking interpreter (`reference_run`), and patch evaluation from
+tree-walking interpreter (`reference_run`), fuzz inputs from plain
+`randint` calls (`reference_fuzz_inputs`), and patch evaluation from
 running every case on every patched program
 (`reference_evaluate_patches`, with `run_test_suite` and `check_exploit`).
 """
@@ -451,6 +452,24 @@ def pick_vulnerable_statement(rng: random.Random, program: IRProgram) -> str:
                 ids.append((fn.id, stmt.id))
     fn_id, stmt_id = rng.choice(sorted(ids))
     return fn_id, stmt_id
+
+
+def reference_fuzz_inputs(runs: int, seed: int, max_input_len: int) -> list[list[int]]:
+    """The inputs `checks.fuzz_inputs` must draw, from plain `randint` calls."""
+    rng = random.Random(seed)
+    inputs = []
+    for _ in range(runs):
+        values = []
+        for _ in range(rng.randint(0, max_input_len)):
+            bucket = rng.random()
+            if bucket < 0.6:
+                values.append(rng.randint(0, 9))
+            elif bucket < 0.85:
+                values.append(rng.randint(10, 200))
+            else:
+                values.append(rng.randint(-50, -1))
+        inputs.append(values)
+    return inputs
 
 
 # ---------------------------------------------------------------------------

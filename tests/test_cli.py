@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 from pathpatch import cli
+from pathpatch.checks import fuzz_inputs
 from pathpatch.cli import run
 from pathpatch.graphio import import_graph, load_graph_file
 from pathpatch.locate import candidate_locations
@@ -35,6 +36,7 @@ from helpers import (
     pick_vulnerable_statement,
     random_program_source,
     recursive_fanout_source,
+    reference_fuzz_inputs,
     reference_path_graph,
     reference_path_graph_document,
 )
@@ -429,6 +431,15 @@ class TestEvaluate:
         assert report["fuzz"]["vulnerable_faults"] == 0
         assert report["fuzz"]["cut_disconnects"] is True
 
+    @pytest.mark.parametrize("max_input_len", [0, 1, 12, 15, 16, 100])
+    def test_fuzz_inputs_equal_the_randint_draws(self, max_input_len):
+        """`fuzz_inputs` inlines `randint`'s draws: the same inputs for
+        every seed, so the report's `fuzz` counts do not move."""
+        for seed in range(300):
+            assert list(fuzz_inputs(20, seed, max_input_len)) == reference_fuzz_inputs(
+                20, seed, max_input_len
+            ), seed
+
     def test_fuzz_respects_the_heap_budget(self, tmp_path):
         """The flaw is reachable only past a 100-cell allocation; no patch
         location guards it, so only the heap budget stops the fuzz hits."""
@@ -522,13 +533,93 @@ class TestFlags:
             ("analyze", "--cap", "0"),
             ("analyze", "--cap", "10000"),
             ("all", "--cap", "10000", "--suite", str(CORPUS / "bmp_reader.suite")),
+            ("analyze", "--prog", "bmp_reader.mini"),
+            ("locate", "--max_steps", "5"),
         ],
         ids=lambda argv: " ".join(argv[:3]),
     )
     def test_flag_the_subcommand_does_not_use_is_a_usage_error(self, argv, capsys):
-        command, *flags = argv
-        assert invoke(command, *BMP_INPUTS, *flags) == 2
-        assert capsys.readouterr().out == ""
+        """One error line that names the flag. Flags are matched by their
+        exact names, so neither a prefix (`--prog`) nor an underscore
+        spelling is one."""
+        command, flag, *rest = argv
+        assert invoke(command, *BMP_INPUTS, flag, *rest) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert flag in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("bogus", *BMP_INPUTS),
+            ("--program", str(CORPUS / "bmp_reader.mini"), "analyze"),
+            ("analyze", "--program"),
+            ("analyze", "--program", "--vuln", str(CORPUS / "bmp_reader.vuln.json")),
+            ("analyze", *BMP_INPUTS, "--out"),
+            ("evaluate", *BMP_INPUTS, "--seed", "x"),
+            ("evaluate", *BMP_INPUTS, "--fuzz=1.5"),
+            ("evaluate", *BMP_INPUTS, "--max-steps="),
+            ("analyze", "--vuln", str(CORPUS / "bmp_reader.vuln.json")),
+            ("analyze", *BMP_INPUTS, "extra"),
+            ("analyze", *BMP_INPUTS, "-p", "x"),
+        ],
+        ids=[
+            "no subcommand",
+            "unknown subcommand",
+            "flag before the subcommand",
+            "flag without a value",
+            "flag followed by a flag",
+            "last flag without a value",
+            "word for an integer",
+            "fraction for an integer",
+            "empty integer",
+            "no --program",
+            "stray word",
+            "short flag",
+        ],
+    )
+    def test_malformed_command_line_is_one_error_line(self, argv, capsys):
+        assert invoke(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_equals_form_gives_the_same_files(self, tmp_path):
+        """`--flag=value` reads as `--flag value`, and the last of a
+        repeated flag wins."""
+        inputs = {
+            "program": str(CORPUS / "twopath.mini"),
+            "vuln": str(CORPUS / "twopath.vuln.json"),
+            "suite": str(CORPUS / "twopath.suite"),
+            "fuzz": "30",
+            "seed": "3",
+            "max-steps": "100000",
+        }
+        spaced = [token for name, value in inputs.items() for token in (f"--{name}", value)]
+        joined = ["--fuzz=7", "--seed", "-1"] + [f"--{name}={value}" for name, value in inputs.items()]
+        for form, flags in (("spaced", spaced), ("joined", joined)):
+            assert invoke("all", *flags, "--out", str(tmp_path / form)) == 0
+        names = ("path_graph.json", "candidates.json", "report.json", "report.txt")
+        for name in names:
+            assert (tmp_path / "spaced" / name).read_bytes() == (
+                tmp_path / "joined" / name
+            ).read_bytes(), name
+        assert json.loads((tmp_path / "joined" / "report.json").read_text())["fuzz"]["runs"] == 30
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("all", "--program", "x", "-h")])
+    def test_help_prints_the_synopsis(self, argv, capsys):
+        assert invoke(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "usage:\n" + cli.__doc__.split("\n\n")[2] + "\n"
+        assert "pathpatch evaluate --program P" in captured.out
+
+    def test_run_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["pathpatch", "analyze", *BMP_INPUTS, "--seed", "1"])
+        assert run() == 2
+        assert capsys.readouterr().err == "error: analyze does not take '--seed'\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -571,6 +662,11 @@ class TestFlags:
         """Ranking compares pass counts in integers, so no run imports
         `fractions`, nor the `decimal` it pulls in."""
         assert self.loaded_by_cli_import(("fractions", "decimal")) == "[]\n"
+
+    def test_importing_the_cli_loads_no_argparse(self):
+        """The command line is read against one table of flags, so no run
+        imports `argparse`, nor the `gettext` it pulls in."""
+        assert self.loaded_by_cli_import(("argparse", "gettext")) == "[]\n"
 
 
 class TestVulnerabilitySpec:

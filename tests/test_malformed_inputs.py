@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -245,7 +246,34 @@ WRONG_KIND_PATHS = {
     "suite-directory": lambda f: (["evaluate", *BMP, "--suite", CORPUS], CORPUS),
     "out-is-a-file": lambda f: (["analyze", *BMP, "--out", f], f),
     "out-under-a-file": lambda f: (["analyze", *BMP, "--out", f / "sub"], f / "sub"),
+    # a name longer than a file name may be: the path cannot even be checked
+    "program-name-too-long": lambda f: (
+        ["analyze", "--program", long_name(f), "--vuln", CORPUS / "bmp_reader.vuln.json"],
+        long_name(f),
+    ),
+    "vuln-name-too-long": lambda f: (
+        ["analyze", "--program", CORPUS / "bmp_reader.mini", "--vuln", long_name(f)],
+        long_name(f),
+    ),
+    "suite-name-too-long": lambda f: (["evaluate", *BMP, "--suite", long_name(f)], long_name(f)),
+    "out-name-too-long": lambda f: (["analyze", *BMP, "--out", long_name(f)], long_name(f)),
+    # a file that exists but fails to read
+    "program-unreadable": lambda f: (
+        ["analyze", "--program", UNREADABLE, "--vuln", CORPUS / "bmp_reader.vuln.json"],
+        UNREADABLE,
+    ),
+    "vuln-unreadable": lambda f: (
+        ["analyze", "--program", CORPUS / "bmp_reader.mini", "--vuln", UNREADABLE], UNREADABLE
+    ),
+    "suite-unreadable": lambda f: (["evaluate", *BMP, "--suite", UNREADABLE], UNREADABLE),
 }
+# reading it fails with EIO, on Linux
+UNREADABLE = Path("/proc/self/mem")
+
+
+def long_name(plain: Path) -> Path:
+    """A 300-character file name beside `plain`."""
+    return plain.parent / ("n" * 300)
 
 
 @pytest.mark.parametrize("case", WRONG_KIND_PATHS)
@@ -253,6 +281,8 @@ def test_path_of_the_wrong_kind_is_a_usage_error(tmp_path, case):
     plain = tmp_path / "plain"
     plain.write_text("")
     argv, named = WRONG_KIND_PATHS[case](plain)
+    if named == UNREADABLE and not UNREADABLE.exists():
+        pytest.skip(f"{UNREADABLE} does not exist")
     code, out, err = run_captured(argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
