@@ -171,32 +171,20 @@ def back_edges(fn: IRFunction) -> frozenset[tuple[str, str]]:
     """Edges u→v where v dominates u; these close loops in structured CFGs.
 
     Blocks the entry cannot reach have no dominators and no back edges.
-    Dominance is read off preorder intervals of the dominator tree: v
-    dominates u exactly when u's preorder number lies in v's subtree.
+    A block comes after its dominators in reverse postorder, so v
+    dominates u exactly when climbing the dominator tree from u, while the
+    index stays above v's, stops at v.
     """
     succs = successors_map(fn)
-    order = _reverse_postorder(fn.entry_block, succs)
-    idom = _immediate_dominators(order, predecessors_map(fn))
-    n = len(order)
-    children: list[list[int]] = [[] for _ in range(n)]
-    size = [1] * n
-    for b in range(n - 1, 0, -1):  # a node's index exceeds its dominator's
-        children[idom[b]].append(b)
-        size[idom[b]] += size[b]
-    pre = [0] * n
-    stack = [0]
-    counter = 0
-    while stack:
-        b = stack.pop()
-        pre[b] = counter
-        counter += 1
-        stack.extend(children[b])
-    number = {node: i for i, node in enumerate(order)}
+    idom = immediate_dominators(fn.entry_block, succs, predecessors_map(fn))
+    index = {bid: i for i, bid in enumerate(idom)}
     result = set()
-    for u, i in number.items():
+    for u in idom:
         for v in succs[u]:
-            j = number[v]
-            if pre[j] <= pre[i] < pre[j] + size[j]:
+            d = u
+            while index[d] > index[v]:
+                d = idom[d]
+            if d == v:
                 result.add((u, v))
     return frozenset(result)
 

@@ -269,7 +269,7 @@ def write_out(args, name: str, text: str) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+            raise UsageError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
 
 
 def path_graph_document(program, ppg) -> dict:

@@ -99,10 +99,10 @@ guard set and whether it is traced: a run uses the first that is traced
 if and only if the run is and whose guards cover its watched and patched
 blocks, and compiles one otherwise. The harness's probes watch every
 patched block, so the form they compile also serves every patched run and
-the fuzz run that patches all candidates at once. Each function is its
-own compile unit, and code is cached by its source text, so another form
-of the same program or a patched variant compiles only the functions
-whose text differs.
+the fuzz run that patches all candidates at once. A form's functions are
+generated as one text, with one map from its lines to their statements,
+and compiled in one `compile()`; code is cached by that text, so a form
+whose text was generated before, for any program, compiles nothing.
 
 Stops. Each statement, call and terminator other than a jump is one
 source line, and a segment's lines follow its charge with no line between
@@ -447,21 +447,6 @@ _FORM_FILE = "<minilang>"
 _TAIL_FILE = "<tail>"
 
 
-class _Unit:
-    """What a stopped run reads of one generated function: `sites[line]`
-    is `(function, statement id, correction)` for each line whose step has
-    an id, the correction being the steps after it in its segment, negated;
-    `checks[line]` is the steps the segment check on `line` charges, and
-    `source` is the function's text."""
-
-    __slots__ = ("sites", "checks", "source")
-
-    def __init__(self, sites, checks, source):
-        self.sites = sites
-        self.checks = checks
-        self.source = source
-
-
 class _Form:
     """One compiled form of a program: `entry(st, L, 0)` runs it with a
     step countdown of `L` and returns main's value. Building it raises
@@ -470,11 +455,14 @@ class _Form:
     `keys` is the guard set asked for; `guards` maps each of its blocks
     that exists to the guard's index, `order` lists them by index, and
     `every` holds every index. `traced` tells whether the form records a
-    trace. `units` maps the name of each generated function to its
-    `_Unit`.
+    trace. What a stopped run reads of the form's text: `lines` lists its
+    lines, `sites[line]` is `(function, statement id, correction)` for each
+    line whose step has an id, the correction being the steps after it in
+    its segment, negated, and `checks[line]` is the steps the segment check
+    on `line` charges; lines count from 1.
     """
 
-    __slots__ = ("keys", "traced", "guards", "order", "every", "units", "entry")
+    __slots__ = ("keys", "traced", "guards", "order", "every", "sites", "checks", "lines", "entry")
 
     def __init__(self, program, keys, traced):
         validate_program(program)
@@ -491,9 +479,9 @@ class _Form:
         )
         self.guards = {key: j for j, key in enumerate(self.order)}
         self.every = frozenset(range(len(self.order)))
-        self.units = {}
-        lowering = _FastLowering(program.functions, self.guards, traced, self.units)
+        lowering = _FastLowering(program.functions, self.guards, traced)
         namespace = lowering.namespace()
+        self.sites, self.checks, self.lines = lowering.sites, lowering.checks, lowering.lines
         # the callees of calls through a reference
         namespace["F"] = {name: namespace[lowering.code_name(name)] for name in program.functions}
         self.entry = namespace[lowering.code_name(program.entry)]
@@ -503,14 +491,13 @@ class _Form:
         return frozenset(self.guards[key] for key in watch if key in self.guards)
 
     def frames(self, stop):
-        """`(unit, line, frame)` of each generated frame `stop` unwound,
+        """`(line, frame)` of each generated frame `stop` unwound,
         outermost first."""
         frames = []
         tb = stop.__traceback__
         while tb is not None:
-            code = tb.tb_frame.f_code
-            if code.co_filename == _FORM_FILE:
-                frames.append((self.units[code.co_name], tb.tb_lineno, tb.tb_frame))
+            if tb.tb_frame.f_code.co_filename == _FORM_FILE:
+                frames.append((tb.tb_lineno, tb.tb_frame))
             tb = tb.tb_next
         return frames
 
@@ -518,31 +505,30 @@ class _Form:
         """`(status, value, fault kind, fault statement, backtrace, steps)`
         of the run `stop` ended."""
         frames = self.frames(stop)
-        unit, line, frame = frames[-1]
+        line, frame = frames[-1]
         left = frame.f_locals["L"]
         if isinstance(stop, _Covered):  # at a block entry, before its steps
             return STATUS_COVERED, None, None, None, None, max_steps - left
         if isinstance(stop, _StepsOut):
-            n = unit.checks.get(line)  # None at a patched block's return
-            tail = None if n is None else _tail(unit, line, frame, left + n)
+            n = self.checks.get(line)  # None at a patched block's return
+            tail = None if n is None else _tail(self.lines, line, frame, left + n)
             if tail is None:
                 return STATUS_TIMEOUT, None, None, None, None, max_steps + 1
             stop, line = tail
-        site = unit.sites[line]
+        site = self.sites[line]
         steps = max_steps - left + site[2]
         if isinstance(stop, _Fault):
-            backtrace = tuple(u.sites[at][:2] for u, at, _ in frames[:-1]) + (site[:2],)
+            backtrace = tuple(self.sites[at][:2] for at, _ in frames[:-1]) + (site[:2],)
             return STATUS_FAULT, None, stop.kind, site[1], backtrace, steps
         status = STATUS_TIMEOUT if isinstance(stop, _Timeout) else STATUS_INPUT_EXHAUSTED
         return status, None, None, None, None, steps
 
 
-def _tail(unit, line, frame, k):
-    """Execute the `k` statement lines after segment check `line` of
-    `frame` against its locals; `(stop, line)` of the line that stopped the
-    run, or None when all `k` ran."""
+def _tail(lines, line, frame, k):
+    """Execute the `k` statement lines of the form's `lines` after segment
+    check `line` of `frame` against its locals; `(stop, line)` of the line
+    that stopped the run, or None when all `k` ran."""
     env = dict(frame.f_locals)
-    lines = unit.source.split("\n")
     for i in range(line, line + k):  # lines[i] is line i + 1
         try:
             exec(_code(lines[i].lstrip(), _TAIL_FILE), frame.f_globals, env)
@@ -647,7 +633,7 @@ _INFIX = frozenset(("+", "-", "<", "<=", ">", ">=", "==", "!="))
 
 
 class _FastLowering:
-    """Python source for a program's functions.
+    """Python source for a program's functions, as one text.
 
     IR function `name` becomes `def f<i>(st, L, d, <parameters>)`, whose
     calls are Python calls; `i` is its position in the program, `L` the
@@ -657,43 +643,41 @@ class _FastLowering:
     in a dispatch loop (`body`); a segment's charge has a check unless no
     step of it can be seen (`safe`, which the expressions of the segment
     clear). Each statement, call and terminator other than a jump is one
-    line. Variables are `v<k>` in the order the function first names them,
-    parameters first. Constants that are not a string, int, bool or None
-    are collected in `consts` under generated names, and `units` collects
-    the `_Unit` of each function generated. IR that `parse` cannot produce
-    raises `IRError` where the lowering meets it.
+    line of `lines`, and `sites` and `checks` map the text's line numbers
+    as `_Form` describes. Variables are `v<k>` in the order the function
+    first names them, parameters first. Constants that are not a string,
+    int, bool or None are collected in `consts` under names that number
+    them within their function, `_f<i>c<k>`, so that each function's text
+    depends on that function alone. IR that `parse` cannot produce raises
+    `IRError` where the lowering meets it.
     """
 
-    def __init__(self, functions, guards, traced, units):
+    def __init__(self, functions, guards, traced):
         self.functions = functions
         self.guards = guards
         self.traced = traced
-        self.units = units
         self.index = {name: i for i, name in enumerate(functions)}
 
     def code_name(self, name) -> str:
         return f"f{self.index[name]}"
 
     def namespace(self) -> dict:
-        """Every function compiled, in a fresh namespace that also holds
-        the helpers and the collected constants. Code comes from `_CODE`
-        when another form, or a patched variant, generated the same text
+        """Every function, compiled in one `compile()` and run in a fresh
+        namespace that also holds the helpers and the collected constants.
+        Code comes from `_CODE` when another form generated the same text
         before."""
-        namespace = dict(_HELPERS)
+        self.consts: dict[str, object] = {}
+        self.lines: list[str] = []
+        self.sites: dict[int, tuple[str, str, int]] = {}
+        self.checks: dict[int, int] = {}
         for name, fn in self.functions.items():
             f = self.code_name(name)
-            self.consts: dict[str, object] = {}
-            self.prefix = f"_{f}c"
-            self.lines: list[str] = []
-            self.sites: dict[int, tuple[str, str, int]] = {}
-            self.checks: dict[int, int] = {}
+            self.prefix, self.named = f"_{f}c", 0
             self.vars: dict[str, str] = {}
             self.temps = 0
             self.function(f, name, fn)
-            source = "\n".join(self.lines) + "\n"
-            self.units[f] = _Unit(self.sites, self.checks, source)
-            namespace.update(self.consts)
-            exec(_code(source, _FORM_FILE), namespace)
+        namespace = _HELPERS | self.consts
+        exec(_code("\n".join(self.lines) + "\n", _FORM_FILE), namespace)
         return namespace
 
     def const(self, value) -> str:
@@ -702,7 +686,8 @@ class _FastLowering:
             return repr(value)
         if type(value) is int and abs(value) < 1 << 64:  # repr of huge ints may raise
             return f"({value!r})" if value < 0 else repr(value)
-        name = f"{self.prefix}{len(self.consts)}"
+        name = f"{self.prefix}{self.named}"
+        self.named += 1
         self.consts[name] = value
         return name
 

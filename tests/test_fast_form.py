@@ -618,10 +618,10 @@ def test_malformed_ir_is_an_ir_error_before_any_step(form, monkeypatch):
 
 
 def test_evaluation_and_fuzz_compile_only_the_probes_form(monkeypatch):
-    """On bmp_reader, the first probe compiles the one form, one
-    `compile()` call per function; the other probes, every patched run
-    and fuzzing the fully patched program then call `compile()` no more,
-    and no patched variant is built."""
+    """On bmp_reader, the first probe compiles the one form, in one
+    `compile()` call for all its functions; the other probes, every
+    patched run and fuzzing the fully patched program then call
+    `compile()` no more, and no patched variant is built."""
     program, vuln, suite = load_corpus_entry("bmp_reader")
     patches = candidate_patches(program, vuln)
     sources = []
@@ -647,13 +647,12 @@ def test_evaluation_and_fuzz_compile_only_the_probes_form(monkeypatch):
     monkeypatch.setattr(harness, "_probe", counting_probe)
     monkeypatch.setattr(synth, "apply_patch", refuse)
     evaluations = evaluate_patches(program, patches, suite)
-    compiled = len(program.functions)
-    assert after_probe == [compiled] * (len(suite.cases) + 1)
+    assert after_probe == [1] * (len(suite.cases) + 1)
     runs, hits = fuzz_vulnerability(
         program, vuln.statement, runs=200, patches=patch_returns(program, patches)
     )
     assert (runs, hits) == (200, 0)
-    assert len(sources) == compiled
+    assert len(sources) == 1
     assert all(ev.error is None for ev in evaluations)
     assert len(program.fast) == 1
 
@@ -794,6 +793,11 @@ def test_a_watched_or_patched_arm_at_every_budget():
 # --- the structured form's coverage and size -------------------------------
 
 
+def text(form):
+    """The text `form` compiled."""
+    return "\n".join(form.lines) + "\n"
+
+
 def structured_programs():
     """The corpus, the call fan-out of nine, a long-path program and the
     random programs of the interpreter oracles."""
@@ -809,8 +813,7 @@ def test_every_function_is_written_as_nested_if_and_while():
     """No function needs a dispatch variable: guards and traces add lines
     at block entries, not control flow, so the guard-free form shows it."""
     for program in structured_programs():
-        for unit in interp._Form(program, frozenset(), False).units.values():
-            assert "b==" not in unit.source
+        assert "b==" not in text(interp._Form(program, frozenset(), False))
 
 
 def test_the_corpus_text_is_no_longer_than_the_dispatch_loops():
@@ -820,7 +823,7 @@ def test_the_corpus_text_is_no_longer_than_the_dispatch_loops():
     total = 0
     for name in CORPUS_NAMES:
         form = interp._Form(load_corpus_entry(name)[0], frozenset(), False)
-        total += sum(len(unit.source) for unit in form.units.values())
+        total += len(text(form))
     assert total <= 7_604
 
 
@@ -830,6 +833,15 @@ def nested_loops_source(depth):
     for i in range(depth):
         body = f"let i{i}: int = 0; while (i{i} < 1) {{ i{i} = i{i} + 1; {body} }}"
     return f"fn main() -> int {{ let x: int = 0; {body} print(x); return x; }}\n"
+
+
+def call_then_nested_loops_source(depth):
+    """`nested_loops_source(depth)` whose `main` first prints what a call
+    returns: the nested form's checked segments come first, where the
+    dispatch loop writes its own head and tests."""
+    return "fn one() -> int { return 1; }\n" + nested_loops_source(depth).replace(
+        "let x: int = 0;", "let x: int = one(); print(x);"
+    )
 
 
 def two_exit_program():
@@ -856,21 +868,24 @@ def two_exit_program():
 def test_what_python_cannot_nest_runs_in_the_dispatch_loop():
     """A loop with two exits that go on to one block, and loops nested
     deeper than Python compiles, fall back to the dispatch loop, and match
-    the reference at every budget, traced or not."""
+    the reference at every budget, traced or not. The lines of the nested
+    form that was given up leave nothing in the form's line map."""
     stopping = two_exit_program()
     main = stopping.functions["main"]
     stopping = replace(stopping, functions={"main": replace(main, blocks=dict(
         main.blocks, b0=replace(main.blocks["b0"], statements=main.blocks["b0"].statements
                                 + (Assign("s8", "stop", IntConst(2)),))
     ))})
-    programs = [two_exit_program(), stopping, parse(nested_loops_source(17))]
+    programs = [
+        two_exit_program(), stopping, parse(nested_loops_source(17)),
+        parse(call_then_nested_loops_source(17)),
+    ]
     for program in programs:
         full = assert_same(program, ())
         for budget in range(1, min(full.steps, 200) + 2):
             assert_same(program, (), max_steps=budget)
-        (unit,) = program.fast[0].units.values()
-        assert "if b==" in unit.source
+        assert "if b==" in text(program.fast[0])
     assert [reference_run(p, ()).output for p in programs[:2]] == [(1, 4), (2, 2)]
     shallower = parse(nested_loops_source(16))
     assert assert_same(shallower, ()).output == (1,)
-    assert "b==" not in shallower.fast[0].units["f0"].source
+    assert "b==" not in text(shallower.fast[0])

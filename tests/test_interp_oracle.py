@@ -229,13 +229,24 @@ def test_steps_count_every_statement_and_terminator():
     assert timed_out.status == STATUS_TIMEOUT and timed_out.steps == 3
 
 
+def def_chunks(form):
+    """The text of each function `form` generated, in program order: its
+    lines from its `def` line on."""
+    chunks = []
+    for line in form.lines:
+        if line.startswith("def "):
+            chunks.append([])
+        chunks[-1].append(line)
+    return chunks
+
+
 def test_variants_compile_only_the_patched_function(monkeypatch):
     """A variant shares every unchanged function with its base program,
-    and code is cached by its text, so a variant's form differs from the
-    base program's only in the patched function, whose text alone is
-    compiled: at most one `compile()` call per variant. (Evaluation passes
-    patches as data and compiles no variant at all: see
-    test_fast_form.py.)"""
+    and each function's text depends on that function alone, so a
+    variant's form differs from the base program's only in the patched
+    function's `def` chunk; the form is compiled in at most one
+    `compile()` call per variant. (Evaluation passes patches as data and
+    compiles no variant at all: see test_fast_form.py.)"""
     program, vuln, suite = load_corpus_entry("bmp_reader")
     for values in [case.input for case in suite.cases] + [suite.exploit.input]:
         run_program(program, values)
@@ -253,8 +264,15 @@ def test_variants_compile_only_the_patched_function(monkeypatch):
         before = len(sources)
         run_program(variant, suite.exploit.input)
         (form,) = variant.fast
-        fresh = [f for f, unit in form.units.items() if unit.source != base.units[f].source]
-        assert len(fresh) <= 1
+        patched_at = [
+            i for i, name in enumerate(variant.functions)
+            if variant.functions[name] is not program.functions[name]
+        ]
+        fresh = [
+            i for i, (chunk, was) in enumerate(zip(def_chunks(form), def_chunks(base), strict=True))
+            if chunk != was
+        ]
+        assert len(patched_at) == 1 and fresh == patched_at
         assert len(sources) - before <= 1, sources[before:]
 
 

@@ -305,7 +305,19 @@ def test_output_file_that_is_a_directory_is_a_usage_error(tmp_path, command, nam
     code, stdout, err = run_captured([command, *BMP, *suite, "--out", out])
     assert code == 2
     assert "Traceback" not in stdout + err
-    assert err.startswith(f"error: cannot write {out / name}: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: cannot write {str(out / name)!r}: ")
+    assert err.count("\n") == 1, err
+
+
+def test_output_path_with_a_newline_is_quoted_on_one_line(tmp_path):
+    out = tmp_path / "o\nx"
+    (out / "report.json").mkdir(parents=True)
+    suite = ["--suite", CORPUS / "bmp_reader.suite"]
+    code, stdout, err = run_captured(["evaluate", *BMP, *suite, "--out", out])
+    assert code == 2
+    assert "Traceback" not in stdout + err
+    assert err.startswith(f"error: cannot write {str(out / 'report.json')!r}: ")
+    assert err.count("\n") == 1, err
 
 
 # --- generated inputs --------------------------------------------------------
